@@ -32,7 +32,7 @@ print("   signing parity to be +1; here it is -1.")
 print("   is_classically_realizable:", is_classically_realizable(board, signing))
 
 best, _ = exhaustive_classical_maximum(board, signing)
-print(f"   best deterministic classical win rate (exhaustive): {best:.6f} = 17/18\n")
+print(f"   best deterministic classical win rate (exhaustive): {best}\n")
 
 print("The dual multigraph (lines as nodes, one edge per shared cell) is K3,3:")
 print(to_dot(build(board)))

@@ -28,17 +28,17 @@ for _ in range(5):
 print()
 
 quantum = QuantumStrategy(realization)
-print("Exact win probability by branch enumeration:",
+print("Exact win probability from Pauli correlators:",
       exact_win_probability(quantum, board, signing))
 mc = monte_carlo(quantum, board, signing, trials=20_000, seed=7)
 print(f"Monte Carlo over {mc.trials} rounds: rate={mc.rate} "
       f"(every sampled branch wins)\n")
 
 best, strategy = exhaustive_classical_maximum(board, signing)
-print(f"Best deterministic classical strategy wins {best:.6f} (= 17/18):")
+print(f"Best deterministic classical strategy wins {best}:")
 mc = monte_carlo(strategy, board, signing, trials=20_000, seed=7)
 print(f"   empirically {mc.rate:.4f}, 95% CI [{mc.ci_low:.4f}, {mc.ci_high:.4f}]")
 
 naive = ClassicalStrategy.best_response(board, signing, {v: 1 for v in board.vertices})
 print("An all-plus Alice with Bob best-responding:",
-      f"{exact_win_probability(naive, board, signing):.6f}")
+      exact_win_probability(naive, board, signing))

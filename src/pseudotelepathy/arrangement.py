@@ -15,6 +15,7 @@ import json
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class ArrangementError(ValueError):
@@ -58,25 +59,17 @@ class Arrangement:
         """The two hyperedge ids containing v, in sorted order."""
         return self._vertex_map[v]
 
-    @property
+    @cached_property
     def _member_map(self) -> dict[str, tuple[str, ...]]:
-        cached = self.__dict__.get("_members_cache")
-        if cached is None:
-            cached = dict(self.hyperedges)
-            object.__setattr__(self, "_members_cache", cached)
-        return cached
+        return dict(self.hyperedges)
 
-    @property
+    @cached_property
     def _vertex_map(self) -> dict[str, tuple[str, str]]:
-        cached = self.__dict__.get("_vertex_cache")
-        if cached is None:
-            holders: dict[str, list[str]] = {v: [] for v in self.vertices}
-            for eid, members in self.hyperedges:
-                for v in members:
-                    holders[v].append(eid)
-            cached = {v: (h[0], h[1]) for v, h in holders.items()}
-            object.__setattr__(self, "_vertex_cache", cached)
-        return cached
+        holders: dict[str, list[str]] = {v: [] for v in self.vertices}
+        for eid, members in self.hyperedges:
+            for v in members:
+                holders[v].append(eid)
+        return {v: (h[0], h[1]) for v, h in holders.items()}
 
 
 @dataclass(frozen=True)
@@ -92,8 +85,10 @@ class Signing:
     def as_dict(self) -> dict[str, int]:
         return dict(self.signs)
 
+    _sign_map = cached_property(as_dict)
+
     def sign(self, edge_id: str) -> int:
-        return self.as_dict()[edge_id]
+        return self._sign_map[edge_id]
 
 
 @dataclass(frozen=True)
@@ -109,8 +104,10 @@ class ClassicalRealization:
     def as_dict(self) -> dict[str, int]:
         return dict(self.labels)
 
+    _label_map = cached_property(as_dict)
+
     def label(self, v: str) -> int:
-        return self.as_dict()[v]
+        return self._label_map[v]
 
 
 def validate(raw: dict) -> tuple[Arrangement, Signing | None]:

@@ -148,10 +148,15 @@ def cmd_certify(args) -> int:
     if verdict.magic:
         return _fail("arrangement is magic; no nonmagic certificate exists")
     _self_check(board, verdict)
-    signs = signing if signing is not None else verdict.signing
-    trace = generate_trace(build(board), verdict.embedding, signs.as_dict())
+    if signing is None:
+        signing, trace = verdict.signing, verdict.certificate
+    else:
+        signs = signing.as_dict()
+        trace = generate_trace(graph, verdict.embedding, signs)
+        if check_trace(graph, verdict.embedding, signs, trace) != arr.parity(signing):
+            raise SelfCheckFailure("certificate final sign disagrees with parity")
     payload = {
-        "signs": signs.as_dict(),
+        "signs": signing.as_dict(),
         "embedding": verdict.embedding.to_json_dict(),
         "certificate": trace.to_json_dict(),
     }
@@ -223,10 +228,10 @@ def cmd_simulate(args) -> int:
                 strategy, board, signing, q)
             for q in game.all_queries(board)
         }
-        value = sum(per_query.values()) / len(per_query)
+        value = float(sum(per_query.values()) / len(per_query))
         report["win_probability"] = value
         report["ci"] = [value, value]  # exact: degenerate interval
-        report["per_query_breakdown"] = per_query
+        report["per_query_breakdown"] = {q: float(p) for q, p in per_query.items()}
     else:
         mc = game.monte_carlo(strategy, board, signing, args.trials, args.seed)
         report["win_probability"] = mc.rate
@@ -288,7 +293,7 @@ def _parser() -> argparse.ArgumentParser:
     simulate.add_argument("--trials", type=int, default=10000)
     simulate.add_argument("--seed", type=int, default=DEFAULT_SEED)
     simulate.add_argument("--exact", action="store_true",
-                          help="branch enumeration instead of Monte Carlo")
+                          help="exact win probabilities from Pauli correlators")
     simulate.add_argument("--literal-measurements", action="store_true",
                           help="Bob measures untransposed operators")
 

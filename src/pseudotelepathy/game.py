@@ -16,28 +16,33 @@ being real; transposition changes neither commutation nor line products
 ``literal=True`` plays the untransposed operators instead, which is only
 perfect when the shared-vertex operator is symmetric.
 
-Win probabilities come in two independent flavors: exact branch enumeration
-over all measurement outcomes with unnormalized projected amplitudes, and
-seeded Monte Carlo over sampled rounds.
+Win probabilities come in two independent flavors: exact rationals from
+symbolic Pauli correlators, and seeded Monte Carlo over sampled rounds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from pseudotelepathy.arrangement import Arrangement, ClassicalRealization, Signing
-from pseudotelepathy.pauli import DimensionMismatch, PauliOperator, state_action
+from pseudotelepathy.pauli import (
+    DimensionMismatch,
+    PauliOperator,
+    commutes,
+    product_of,
+    state_action,
+)
 from pseudotelepathy.realization import QuantumRealization
 
 ALICE = "alice"
 BOB = "bob"
 
 NORM_TOLERANCE = 1e-12
-PROBABILITY_TOLERANCE = 1e-9
-_PRUNE = 1e-15
 
 
 @dataclass(frozen=True)
@@ -202,11 +207,19 @@ class ClassicalStrategy:
             bob[eid] = coloring
         return cls.from_maps(alice, bob)
 
+    @cached_property
+    def _alice_map(self) -> dict[str, int]:
+        return dict(self.alice)
+
+    @cached_property
+    def _bob_map(self) -> dict[str, tuple[tuple[str, int], ...]]:
+        return dict(self.bob)
+
     def alice_color(self, v: str) -> int:
-        return dict(self.alice)[v]
+        return self._alice_map[v]
 
     def bob_coloring(self, e: str) -> dict[str, int]:
-        return dict(dict(self.bob)[e])
+        return dict(self._bob_map[e])
 
 
 def play_classical(a: Arrangement, s: Signing, strategy: ClassicalStrategy,
@@ -215,79 +228,50 @@ def play_classical(a: Arrangement, s: Signing, strategy: ClassicalStrategy,
                   strategy.bob_coloring(query.hyperedge))
 
 
+def _trace(p: PauliOperator) -> int:
+    """Tr(p) / 2^n of a Pauli observable: +-1 for +-I, otherwise 0."""
+    if not p.is_identity():
+        return 0
+    return 1 if p.phase_exp == 0 else -1
+
+
 def exact_query_win_probability(
     strategy, a: Arrangement, s: Signing, query: Query
-) -> float:
-    """Win probability of one query, by exhausting measurement branches."""
+) -> Fraction:
+    """Win probability of one query, from Pauli correlators.
+
+    Alice's outcome x and Bob's outcomes b_u win with indicator
+    (1 + s prod b_u)(1 + x b_v) / 4.  Bob's observables B_u commute, so the
+    outcome statistics do not depend on his order and each product of
+    outcomes has the expectation of the product operator; on the maximally
+    entangled state <P (x) Q> = Tr(P^T Q) / 2^n.  Hence
+
+        P(win) = (1 + s<I (x) prod B_u> + <A (x) B_v> + s<A (x) prod_{u != v} B_u>) / 4.
+    """
     if isinstance(strategy, ClassicalStrategy):
-        return 1.0 if play_classical(a, s, strategy, query).won else 0.0
+        return Fraction(play_classical(a, s, strategy, query).won)
 
-    r = strategy.realization
     members = a.members(query.hyperedge)
-    ops = [(query.vertex, r.operator(query.vertex), ALICE)]
-    ops += [(u, _bob_operator(r.operator(u), strategy.literal), BOB) for u in members]
-
-    total = 0.0
-    init = SharedState.maximally_entangled(r.n_qubits).amplitudes
-    stack = [(init, {})]
-    while stack:
-        amplitudes, outcomes = stack.pop()
-        depth = len(outcomes)
-        if depth == len(ops):
-            alice_color = outcomes[(query.vertex, ALICE)]
-            coloring = {u: c for (u, side), c in outcomes.items() if side == BOB}
-            if _score(a, s, query, alice_color, coloring).won:
-                total += float(np.linalg.norm(amplitudes) ** 2)
-            continue
-        key, op, side = ops[depth]
-        plus, minus = _project(amplitudes, op, side)
-        for outcome, branch in ((1, plus), (-1, minus)):
-            if float(np.linalg.norm(branch) ** 2) > _PRUNE:
-                stack.append((branch, {**outcomes, (key, side): outcome}))
-    return total
+    line = [strategy.realization.operator(u) for u in members]
+    for op in line:
+        if not op.is_observable():
+            raise ValueError(f"{op} is not an observable")
+    if not all(commutes(p, q) for i, p in enumerate(line) for q in line[i + 1:]):
+        raise ValueError(f"operators on line {query.hyperedge!r} do not pairwise commute")
+    at = members.index(query.vertex)
+    alice_t = line[at].transpose()
+    bob = [_bob_operator(op, strategy.literal) for op in line]
+    sign = s.sign(query.hyperedge)
+    every = _trace(product_of(bob))
+    agree = _trace(product_of([alice_t, bob[at]]))
+    others = _trace(product_of([alice_t, *bob[:at], *bob[at + 1:]]))
+    return Fraction(1 + sign * every + agree + sign * others, 4)
 
 
-def exact_win_probability(strategy, a: Arrangement, s: Signing) -> float:
+def exact_win_probability(strategy, a: Arrangement, s: Signing) -> Fraction:
     """Average over all queries of the exact per-query win probability."""
     queries = all_queries(a)
     return sum(exact_query_win_probability(strategy, a, s, q) for q in queries) / len(queries)
-
-
-def exact_outcome_distribution(
-    strategy: QuantumStrategy, a: Arrangement, query: Query,
-    bob_order: tuple[str, ...] | None = None,
-) -> dict[tuple, float]:
-    """Joint distribution of Alice's and Bob's outcomes for one query.
-
-    Keys are (alice_color, sorted tuple of (vertex, color)) so distributions
-    for different Bob measurement orders are directly comparable; within a
-    line the operators commute, so the order cannot matter.
-    """
-    r = strategy.realization
-    members = bob_order if bob_order is not None else a.members(query.hyperedge)
-    if sorted(members) != sorted(a.members(query.hyperedge)):
-        raise ValueError("bob_order must permute the queried line's members")
-    ops = [(query.vertex, r.operator(query.vertex), ALICE)]
-    ops += [(u, _bob_operator(r.operator(u), strategy.literal), BOB) for u in members]
-
-    dist: dict[tuple, float] = {}
-    init = SharedState.maximally_entangled(r.n_qubits).amplitudes
-    stack = [(init, {})]
-    while stack:
-        amplitudes, outcomes = stack.pop()
-        depth = len(outcomes)
-        if depth == len(ops):
-            alice_color = outcomes[(query.vertex, ALICE)]
-            bob = tuple(sorted((u, c) for (u, side), c in outcomes.items() if side == BOB))
-            key = (alice_color, bob)
-            dist[key] = dist.get(key, 0.0) + float(np.linalg.norm(amplitudes) ** 2)
-            continue
-        key, op, side = ops[depth]
-        plus, minus = _project(amplitudes, op, side)
-        for outcome, branch in ((1, plus), (-1, minus)):
-            if float(np.linalg.norm(branch) ** 2) > _PRUNE:
-                stack.append((branch, {**outcomes, (key, side): outcome}))
-    return dist
 
 
 @dataclass(frozen=True)
@@ -327,7 +311,7 @@ def monte_carlo(strategy, a: Arrangement, s: Signing, trials: int,
                             wins, trials, per_query)
 
 
-def exhaustive_classical_maximum(a: Arrangement, s: Signing) -> tuple[float, ClassicalStrategy]:
+def exhaustive_classical_maximum(a: Arrangement, s: Signing) -> tuple[Fraction, ClassicalStrategy]:
     """Best deterministic classical win probability, by complete enumeration.
 
     Alice ranges over all 2^|V| colorings; for each line Bob's best coloring
@@ -335,7 +319,7 @@ def exhaustive_classical_maximum(a: Arrangement, s: Signing) -> tuple[float, Cla
     """
     vertices = list(a.vertices)
     n_queries = 2 * len(vertices)
-    best = (-1.0, None)
+    best = (Fraction(-1), None)
     for mask in range(1 << len(vertices)):
         alice = {v: 1 - 2 * ((mask >> i) & 1) for i, v in enumerate(vertices)}
         score = 0
@@ -356,7 +340,7 @@ def exhaustive_classical_maximum(a: Arrangement, s: Signing) -> tuple[float, Cla
                     line_best, line_coloring = agreement, coloring
             score += line_best
             bob[eid] = line_coloring
-        value = score / n_queries
+        value = Fraction(score, n_queries)
         if value > best[0]:
             best = (value, ClassicalStrategy.from_maps(alice, bob))
     return best

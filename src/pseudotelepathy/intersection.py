@@ -88,21 +88,25 @@ def check_coverage(g: IntersectionGraph, r: RotationSystem) -> None:
 
 
 def trace_faces(g: IntersectionGraph, r: RotationSystem) -> list[list[Dart]]:
-    """Orbits of (rotate after flipping to the other end); one orbit per face."""
+    """Orbits of (rotate after flipping to the other end); one orbit per face.
+
+    Each face starts at its smallest dart; faces are ordered by that dart.
+    """
     check_coverage(g, r)
     succ: dict[Dart, Dart] = {}
     for _, darts in r.rotations:
         for i, d in enumerate(darts):
             succ[d] = darts[(i + 1) % len(darts)]
     faces: list[list[Dart]] = []
-    pending = set(succ)
-    while pending:
-        start = min(pending)
+    visited: set[Dart] = set()
+    for start in sorted(succ):
+        if start in visited:
+            continue
         face = []
         d = start
         while True:
             face.append(d)
-            pending.discard(d)
+            visited.add(d)
             d = succ[(d[0], 1 - d[1])]
             if d == start:
                 break

@@ -173,11 +173,13 @@ def test_planarity(g: IntersectionGraph) -> PlanarityResult:
     block_faces = _embed_simple_graph(simple_edges)
     if block_faces is None:
         witness = _extract_witness(simple_edges)
-        assert verify_witness(g, witness), "internal error: witness failed its verifier"
+        if not verify_witness(g, witness):
+            raise AssertionError("internal error: witness failed its verifier")
         return PlanarityResult(embedding=None, witness=witness)
 
     rotation = _rotation_from_faces(g, block_faces, simple_edges, groups, loops, endpoints)
-    assert verify_embedding(g, rotation), "internal error: embedding failed Euler check"
+    if not verify_embedding(g, rotation):
+        raise AssertionError("internal error: embedding failed Euler check")
     return PlanarityResult(embedding=rotation, witness=None)
 
 

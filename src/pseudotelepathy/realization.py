@@ -19,6 +19,7 @@ certificate plus a classical realization of the all-plus signing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from pseudotelepathy.arrangement import (
     Arrangement,
@@ -58,8 +59,10 @@ class QuantumRealization:
     def as_dict(self) -> dict[str, PauliOperator]:
         return dict(self.operators)
 
+    _operator_map = cached_property(as_dict)
+
     def operator(self, v: str) -> PauliOperator:
-        return self.as_dict()[v]
+        return self._operator_map[v]
 
     def to_json_dict(self, signing: Signing | None = None) -> dict:
         out: dict = {

@@ -1,8 +1,8 @@
 """Acceptance gate: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-lines.  Tolerances are pinned here and nowhere else: verdicts and symbolic
-checks are exact, win probabilities carry 1e-9, norms 1e-12.
+lines.  Every check is exact: verdicts, symbolic checks and win
+probabilities carry no tolerance.
 """
 
 import random
@@ -45,9 +45,6 @@ from pseudotelepathy.realization import (
     verify_realization,
 )
 from test_certificate import _mutations
-
-WIN_TOLERANCE = 1e-9
-
 
 @pytest.fixture(scope="module")
 def board_corpus():
@@ -117,7 +114,7 @@ def test_criterion_4_pseudo_telepathy(verdicts):
     square, ssign, sreal = builtin_square()
     pentagram, psign, preal = builtin_pentagram()
     for a, s, r in ((square, ssign, sreal), (pentagram, psign, preal)):
-        assert abs(exact_win_probability(QuantumStrategy(r), a, s) - 1.0) < WIN_TOLERANCE
+        assert exact_win_probability(QuantumStrategy(r), a, s) == 1
     n_checked = 0
     for a, _, verdict in verdicts:
         if not verdict.magic or len(a.vertices) > 30:
@@ -125,9 +122,9 @@ def test_criterion_4_pseudo_telepathy(verdicts):
         n_checked += 1
         p = exact_win_probability(QuantumStrategy(verdict.realization), a,
                                   verdict.signing)
-        assert abs(p - 1.0) < WIN_TOLERANCE
+        assert p == 1
     assert n_checked >= 20
-    print(f"\nACCEPTANCE 4 PASS: exact quantum win probability = 1 within 1e-9 on "
+    print(f"\nACCEPTANCE 4 PASS: exact quantum win probability exactly 1 on "
           f"square, pentagram, and {n_checked} magic corpus boards")
 
 
@@ -136,12 +133,10 @@ def test_criterion_5_classical_gap():
     a, s, _ = builtin_square()
     best, _ = exhaustive_classical_maximum(a, s)
     elapsed = time.perf_counter() - start
-    frozen = float(Fraction(17, 18))
-    assert best < 1.0
-    assert best == pytest.approx(frozen, abs=1e-12)
+    assert best == Fraction(17, 18)
     assert elapsed < 5.0
     print(f"\nACCEPTANCE 5 PASS: exhaustive classical maximum on the square = "
-          f"{best:.12f} = 17/18 < 1 ({elapsed:.2f}s < 5s)")
+          f"{best} < 1 ({elapsed:.2f}s < 5s)")
 
 
 def test_criterion_6_certificate_soundness(verdicts):

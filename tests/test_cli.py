@@ -1,11 +1,15 @@
 """End-to-end command-line flows, exit codes, and output determinism."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from pseudotelepathy import cli
+from pseudotelepathy.arrangement import load
 from pseudotelepathy.cli import run
+from pseudotelepathy.realization import synthesize
 
 BOARDS = Path(__file__).resolve().parent.parent / "boards"
 
@@ -100,6 +104,36 @@ class TestCertify:
         code, _, err = invoke(capsys, "certify", "--arrangement",
                               str(BOARDS / "triangle.json"), "--check", str(cert))
         assert code == 2
+        assert "rejected" in err
+
+    def test_unsigned_board_emits_the_self_checked_certificate(self, capsys, monkeypatch):
+        def no_second_trace(*args):
+            raise AssertionError("certify generated a second trace")
+
+        monkeypatch.setattr(cli, "generate_trace", no_second_trace)
+        code, out, _ = invoke(capsys, "certify", "--arrangement",
+                              str(BOARDS / "triangle.json"))
+        assert code == 0
+        board, _ = load(BOARDS / "triangle.json")
+        expected = synthesize(board).certificate.to_json_dict()
+        assert json.loads(out)["certificate"] == expected
+
+    def test_signed_board_certificate_is_checked_before_emitting(
+            self, capsys, monkeypatch, tmp_path):
+        raw = json.loads((BOARDS / "triangle.json").read_text())
+        for edge, sign in zip(raw["hyperedges"], (-1, 1, 1)):
+            edge["sign"] = sign
+        board = tmp_path / "signed.json"
+        board.write_text(json.dumps(raw))
+        code, out, _ = invoke(capsys, "certify", "--arrangement", str(board))
+        assert code == 0
+        assert json.loads(out)["certificate"]["final_sign"] == -1
+
+        real = cli.generate_trace
+        monkeypatch.setattr(cli, "generate_trace", lambda *args: replace(
+            real(*args), final_sign=1))
+        code, out, err = invoke(capsys, "certify", "--arrangement", str(board))
+        assert code == 2 and out == ""
         assert "rejected" in err
 
     def test_magic_board_refused(self, capsys, tmp_path):

@@ -22,7 +22,6 @@ from pseudotelepathy.game import (
     QuantumStrategy,
     SharedState,
     all_queries,
-    exact_outcome_distribution,
     exact_query_win_probability,
     exact_win_probability,
     exhaustive_classical_maximum,
@@ -171,25 +170,24 @@ class TestPlayQuantum:
     def test_untransposed_bob_fails_with_odd_y_operator(self):
         a, s, r = odd_y_board()
         strategy = QuantumStrategy(r, literal=True)
-        p = exact_win_probability(strategy, a, s)
-        assert p < 1 - 1e-9
-        assert exact_win_probability(QuantumStrategy(r), a, s) > 1 - 1e-9
+        assert exact_win_probability(strategy, a, s) == 0
+        assert exact_win_probability(QuantumStrategy(r), a, s) == 1
 
 
 class TestExactWinProbability:
     def test_square_quantum_is_one(self):
         a, s, r = builtin_square()
-        assert abs(exact_win_probability(QuantumStrategy(r), a, s) - 1.0) < 1e-9
+        assert exact_win_probability(QuantumStrategy(r), a, s) == 1
 
     def test_pentagram_quantum_is_one(self):
         a, s, r = builtin_pentagram()
-        assert abs(exact_win_probability(QuantumStrategy(r), a, s) - 1.0) < 1e-9
+        assert exact_win_probability(QuantumStrategy(r), a, s) == 1
 
     def test_classical_from_realization_is_one(self):
         a, _, _ = builtin_square()
         plus = all_plus_signing(a)
         strategy = ClassicalStrategy.from_realization(a, classical_realize(a, plus))
-        assert exact_win_probability(strategy, a, plus) == 1.0
+        assert exact_win_probability(strategy, a, plus) == 1
 
     def test_square_best_classical_is_seventeen_eighteenths(self):
         """Exhaustive oracle over 2^9 Alice colorings with Bob best responses.
@@ -200,9 +198,8 @@ class TestExactWinProbability:
         """
         a, s, _ = builtin_square()
         best, strategy = exhaustive_classical_maximum(a, s)
-        assert best == pytest.approx(float(Fraction(17, 18)), abs=1e-12)
-        assert best < 1
-        assert exact_win_probability(strategy, a, s) == pytest.approx(best, abs=1e-12)
+        assert best == Fraction(17, 18)
+        assert exact_win_probability(strategy, a, s) == best
 
     def test_triangle_odd_signing_classical_below_one(self):
         a, _ = triangle_board()
@@ -210,13 +207,26 @@ class TestExactWinProbability:
         best, _ = exhaustive_classical_maximum(a, s)
         assert best < 1
 
+    def test_noncommuting_line_raises(self):
+        a, s = validate({
+            "vertices": ["u", "w"],
+            "hyperedges": [
+                {"id": "e1", "vertices": ["u", "w"], "sign": 1},
+                {"id": "e2", "vertices": ["u", "w"], "sign": 1},
+            ],
+        })
+        r = QuantumRealization.from_dict(1, {"u": from_string("X"), "w": from_string("Z")})
+        with pytest.raises(ValueError, match="e1"):
+            exact_query_win_probability(QuantumStrategy(r), a, s, Query("u", "e1"))
 
-def dense_win_probability(a, s, r, query, literal=False):
+
+def dense_win_probability(a, s, r, query, literal=False, bob_order=None):
     """Independent oracle: joint projector expectations on dense matrices.
 
-    No branch enumeration and no sparse state action: build (I + a*M)/2
+    No Pauli algebra and no sparse state action: build (I + a*M)/2
     projectors as explicit matrices and take their expectation in the
-    maximally entangled state, summed over winning outcome tuples.
+    maximally entangled state, summed over winning outcome tuples.  Bob's
+    projectors are multiplied in ``bob_order`` (default: the line's order).
     """
     import numpy as np
 
@@ -225,6 +235,7 @@ def dense_win_probability(a, s, r, query, literal=False):
     dim = 2 ** r.n_qubits
     psi = np.eye(dim, dtype=complex).reshape(-1) / math.sqrt(dim)
     members = a.members(query.hyperedge)
+    order = members if bob_order is None else bob_order
     alice_m = dense_matrix(r.operator(query.vertex))
     bob_ms = {u: (dense_matrix(r.operator(u)) if literal
                   else dense_matrix(r.operator(u)).T) for u in members}
@@ -240,32 +251,42 @@ def dense_win_probability(a, s, r, query, literal=False):
             if prod != s.sign(query.hyperedge) or coloring[query.vertex] != alice_out:
                 continue
             proj_b = eye.copy()
-            for u in members:
+            for u in order:
                 proj_b = proj_b @ ((eye + coloring[u] * bob_ms[u]) / 2)
             op = np.kron(proj_a, proj_b)
             total += float((psi.conj() @ (op @ psi)).real)
     return total
 
 
+def flip_one_line(s):
+    """The signing with its first line's sign flipped: the other parity."""
+    signs = s.as_dict()
+    first = min(signs)
+    signs[first] = -signs[first]
+    return Signing.from_dict(signs)
+
+
 class TestDenseOracle:
     def test_branch_enumeration_matches_projector_algebra(self):
-        a, s, r = builtin_square()
-        strategy = QuantumStrategy(r)
-        for q in all_queries(a):
-            dense = dense_win_probability(a, s, r, q)
-            branch = exact_query_win_probability(strategy, a, s, q)
-            assert branch == pytest.approx(dense, abs=1e-12)
+        for a, s, r in (builtin_square(), builtin_pentagram()):
+            strategy = QuantumStrategy(r)
+            for signing in (s, flip_one_line(s)):
+                for q in all_queries(a):
+                    dense = dense_win_probability(a, signing, r, q)
+                    exact = exact_query_win_probability(strategy, a, signing, q)
+                    assert exact == pytest.approx(dense, abs=1e-12)
 
     def test_matches_on_imperfect_literal_strategy(self):
         a, s, r = odd_y_board()
-        for q in all_queries(a):
-            for literal in (False, True):
-                dense = dense_win_probability(a, s, r, q, literal)
-                branch = exact_query_win_probability(
-                    QuantumStrategy(r, literal=literal), a, s, q)
-                assert branch == pytest.approx(dense, abs=1e-12)
+        for signing in (s, flip_one_line(s)):
+            for q in all_queries(a):
+                for literal in (False, True):
+                    dense = dense_win_probability(a, signing, r, q, literal)
+                    exact = exact_query_win_probability(
+                        QuantumStrategy(r, literal=literal), a, signing, q)
+                    assert exact == pytest.approx(dense, abs=1e-12)
         # Y against untransposed Y anti-correlates perfectly: never consistent
-        assert exact_win_probability(QuantumStrategy(r, literal=True), a, s) == 0.0
+        assert exact_win_probability(QuantumStrategy(r, literal=True), a, s) == 0
 
 
 class TestOrderIndependence:
@@ -273,13 +294,10 @@ class TestOrderIndependence:
         a, s, r = builtin_square()
         strategy = QuantumStrategy(r)
         for q in [Query("11", "r1"), Query("22", "c2"), Query("33", "c3")]:
-            members = a.members(q.hyperedge)
-            base = exact_outcome_distribution(strategy, a, q)
-            for perm in itertools.permutations(members):
-                other = exact_outcome_distribution(strategy, a, q, bob_order=perm)
-                assert set(base) == set(other)
-                for key in base:
-                    assert base[key] == pytest.approx(other[key], abs=1e-12)
+            exact = exact_query_win_probability(strategy, a, s, q)
+            for perm in itertools.permutations(a.members(q.hyperedge)):
+                dense = dense_win_probability(a, s, r, q, bob_order=perm)
+                assert dense == pytest.approx(exact, abs=1e-12)
 
 
 class TestMonteCarlo:
@@ -318,7 +336,7 @@ class TestMonteCarlo:
         wrong = Signing.from_dict(signs)
         strategy = QuantumStrategy(r)
         exact = exact_win_probability(strategy, a, wrong)
-        assert exact == pytest.approx(15 / 18, abs=1e-12)
+        assert exact == Fraction(15, 18)
         trials = 10_000
         report = monte_carlo(strategy, a, wrong, trials=trials, seed=314)
         sigma = math.sqrt(exact * (1 - exact) / trials)
@@ -342,5 +360,5 @@ class TestCorpusPseudoTelepathy:
             checked += 1
             p = exact_win_probability(QuantumStrategy(verdict.realization),
                                       a, verdict.signing)
-            assert abs(p - 1.0) < 1e-9
+            assert p == 1
         assert checked >= 5

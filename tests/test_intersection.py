@@ -107,6 +107,18 @@ class TestFaceTracing:
         with pytest.raises(CoverageError):
             trace_faces(g, RotationSystem.from_dict(bad))
 
+    @pytest.mark.filterwarnings("ignore:arrangement contains a size-1 hyperedge")
+    def test_each_face_starts_at_smallest_remaining_dart(self):
+        for a, _ in corpus(seed=23, count=40):
+            g = build(a)
+            darts = g.incident_darts()
+            r = RotationSystem.from_dict({n: sorted(darts[n]) for n in g.nodes})
+            faces = trace_faces(g, r)
+            assert sorted(d for f in faces for d in f) == sorted(
+                d for ds in darts.values() for d in ds)
+            for i, face in enumerate(faces):
+                assert face[0] == min(d for f in faces[i:] for d in f)
+
     def test_rotation_json_roundtrip(self):
         a, _, _ = builtin_square()
         g = build(a)

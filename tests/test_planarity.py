@@ -1,6 +1,10 @@
 """Planarity decisions, their verifiers, and the exhaustive rotation oracle."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,7 @@ from helpers import (
     oracle_planar,
     random_multigraph,
 )
+import pseudotelepathy
 from pseudotelepathy.intersection import CoverageError, RotationSystem, build
 from pseudotelepathy.planarity import (
     K5,
@@ -198,3 +203,24 @@ class TestSelfCertification:
     def test_exactly_one_variant(self):
         with pytest.raises(ValueError):
             PlanarityResult(embedding=None, witness=None)
+
+
+class TestSelfChecksUnderOptimize:
+    @pytest.mark.parametrize("verifier, n, message", [
+        ("verify_witness", 5, "witness failed its verifier"),
+        ("verify_embedding", 4, "embedding failed Euler check"),
+    ])
+    def test_failed_self_check_raises_under_python_O(self, verifier, n, message):
+        """The internal self-checks are real checks, not asserts stripped by -O."""
+        script = (
+            "from helpers import complete_graph_edges, graph_from_edges\n"
+            "from pseudotelepathy import planarity\n"
+            f"planarity.{verifier} = lambda g, x: False\n"
+            f"planarity.test_planarity(graph_from_edges(complete_graph_edges({n})))\n"
+        )
+        paths = [Path(pseudotelepathy.__file__).parents[1], Path(__file__).parent]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))}
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode != 0
+        assert f"AssertionError: internal error: {message}" in done.stderr
