@@ -45,13 +45,21 @@ def _load_board(path):
     except arr.ArrangementError as err:
         raise SystemExit(_fail(f"invalid arrangement {path}: "
                                f"{type(err).__name__}: {err}"))
-    except (OSError, json.JSONDecodeError) as err:
+    except (OSError, ValueError) as err:
         raise SystemExit(_fail(f"cannot read arrangement {path}: {err}"))
 
 
 def _fail(message: str) -> int:
     print(message, file=sys.stderr)
     return 1
+
+
+def _load_json(path, what):
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as err:
+        raise SystemExit(_fail(f"cannot read {what} {path}: {err}"))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -131,8 +139,7 @@ def cmd_certify(args) -> int:
     board, signing = _load_board(args.arrangement)
     graph = build(board)
     if args.check:
-        with open(args.check, encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = _load_json(args.check, "certificate")
         trace = ContractionTrace.from_json_dict(payload["certificate"])
         embedding = RotationSystem.from_json_dict(payload["embedding"])
         signs = {eid: int(sign) for eid, sign in payload["signs"].items()}
@@ -189,8 +196,7 @@ def _strategy_for(args, board, signing):
             return game.ClassicalStrategy.from_realization(board, labels)
         alice = {v: 1 for v in board.vertices}
         return game.ClassicalStrategy.best_response(board, signing, alice)
-    with open(args.strategy, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = _load_json(args.strategy, "strategy")
     if "operators" in payload:
         ops = parse_operator_map(payload["operators"])
         realization = QuantumRealization.from_dict(int(payload["n_qubits"]), ops)
@@ -217,17 +223,18 @@ def _strategy_for(args, board, signing):
 
 
 def cmd_simulate(args) -> int:
+    if not args.exact and args.trials < 1:
+        return _fail(f"--trials must be at least 1, got {args.trials}")
     board, signing = _load_board(args.arrangement)
     if signing is None:
         signing = arr.all_plus_signing(board)
     strategy = _strategy_for(args, board, signing)
     report: dict = {"strategy": args.strategy, "seed": args.seed}
     if args.exact:
-        per_query = {
-            f"{q.vertex}|{q.hyperedge}": game.exact_query_win_probability(
-                strategy, board, signing, q)
-            for q in game.all_queries(board)
-        }
+        per_line = {eid: game.exact_line_win_probabilities(strategy, board, signing, eid)
+                    for eid in board.hyperedge_ids()}
+        per_query = {f"{q.vertex}|{q.hyperedge}": per_line[q.hyperedge][q.vertex]
+                     for q in game.all_queries(board)}
         value = float(sum(per_query.values()) / len(per_query))
         report["win_probability"] = value
         report["ci"] = [value, value]  # exact: degenerate interval
@@ -250,6 +257,8 @@ def cmd_export_dot(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.hyperedges < 2:
+        return _fail(f"--hyperedges must be at least 2, got {args.hyperedges}")
     rng = random.Random(args.seed)
     raw = random_board(rng, args.hyperedges, args.extra_vertices, signed=args.signed)
     arr.validate(raw)  # self-check before emitting

@@ -235,10 +235,10 @@ def _trace(p: PauliOperator) -> int:
     return 1 if p.phase_exp == 0 else -1
 
 
-def exact_query_win_probability(
-    strategy, a: Arrangement, s: Signing, query: Query
-) -> Fraction:
-    """Win probability of one query, from Pauli correlators.
+def exact_line_win_probabilities(
+    strategy, a: Arrangement, s: Signing, hyperedge: str
+) -> dict[str, Fraction]:
+    """Win probability of every query on one line, keyed by its vertex.
 
     Alice's outcome x and Bob's outcomes b_u win with indicator
     (1 + s prod b_u)(1 + x b_v) / 4.  Bob's observables B_u commute, so the
@@ -246,32 +246,48 @@ def exact_query_win_probability(
     outcomes has the expectation of the product operator; on the maximally
     entangled state <P (x) Q> = Tr(P^T Q) / 2^n.  Hence
 
-        P(win) = (1 + s<I (x) prod B_u> + <A (x) B_v> + s<A (x) prod_{u != v} B_u>) / 4.
-    """
-    if isinstance(strategy, ClassicalStrategy):
-        return Fraction(play_classical(a, s, strategy, query).won)
+        P(win) = (1 + s<I (x) prod B_u> + <A (x) B_v> + s<A (x) prod_{u != v} B_u>) / 4,
 
-    members = a.members(query.hyperedge)
+    where prod_{u != v} B_u = B_v prod B_u, as each B_u squares to I.  The
+    line's commutation is checked, and prod B_u formed, once for all of its
+    queries.
+    """
+    members = a.members(hyperedge)
+    if isinstance(strategy, ClassicalStrategy):
+        return {v: Fraction(play_classical(a, s, strategy, Query(v, hyperedge)).won)
+                for v in members}
+
     line = [strategy.realization.operator(u) for u in members]
     for op in line:
         if not op.is_observable():
             raise ValueError(f"{op} is not an observable")
     if not all(commutes(p, q) for i, p in enumerate(line) for q in line[i + 1:]):
-        raise ValueError(f"operators on line {query.hyperedge!r} do not pairwise commute")
-    at = members.index(query.vertex)
-    alice_t = line[at].transpose()
+        raise ValueError(f"operators on line {hyperedge!r} do not pairwise commute")
     bob = [_bob_operator(op, strategy.literal) for op in line]
-    sign = s.sign(query.hyperedge)
-    every = _trace(product_of(bob))
-    agree = _trace(product_of([alice_t, bob[at]]))
-    others = _trace(product_of([alice_t, *bob[:at], *bob[at + 1:]]))
-    return Fraction(1 + sign * every + agree + sign * others, 4)
+    bob_all = product_of(bob)
+    sign = s.sign(hyperedge)
+    every = _trace(bob_all)
+    out = {}
+    for v, op, bob_v in zip(members, line, bob):
+        alice_t = op.transpose()
+        agree = _trace(product_of([alice_t, bob_v]))
+        others = _trace(product_of([alice_t, bob_v, bob_all]))
+        out[v] = Fraction(1 + sign * every + agree + sign * others, 4)
+    return out
+
+
+def exact_query_win_probability(
+    strategy, a: Arrangement, s: Signing, query: Query
+) -> Fraction:
+    """Win probability of one query, from Pauli correlators."""
+    return exact_line_win_probabilities(strategy, a, s, query.hyperedge)[query.vertex]
 
 
 def exact_win_probability(strategy, a: Arrangement, s: Signing) -> Fraction:
     """Average over all queries of the exact per-query win probability."""
-    queries = all_queries(a)
-    return sum(exact_query_win_probability(strategy, a, s, q) for q in queries) / len(queries)
+    total = sum(sum(exact_line_win_probabilities(strategy, a, s, eid).values())
+                for eid in a.hyperedge_ids())
+    return total / (2 * len(a.vertices))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ Dart = tuple[str, int]
 
 
 class CoverageError(ValueError):
-    """A rotation system misses or duplicates an edge-end."""
+    """An assignment misses or duplicates an item it must cover: an edge-end
+    in a rotation system, or a board vertex in a realization."""
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,11 @@ start from a cycle, then repeatedly place a path of some unembedded bridge
 into a face containing all of that bridge's attachment vertices, preferring
 bridges with a unique admissible face.  A planar block always completes; a
 nonplanar one strands a bridge with no admissible face.  Witness extraction
-deletes edges one at a time while the graph stays nonplanar; the edge-minimal
-nonplanar remainder is exactly a K5 or K3,3 subdivision, read off by walking
-its degree-2 chains.
+keeps the edge-minimal nonplanar subgraph that deleting edges in sorted order
+would leave, found by galloping and bisection over suffixes of that order in
+O(k log m) planarity tests for a k-edge witness (none when the graph already
+has the degree profile of a subdivision).  That subgraph is exactly a K5 or
+K3,3 subdivision, read off by walking its degree-2 chains.
 
 Parallel edges and self-loops never affect planarity, so they are stripped
 before the search and spliced back into the returned rotation afterwards
@@ -492,17 +494,74 @@ def _rotation_from_faces(g, block_faces, simple_edges, groups, loops, endpoints)
 
 
 def _extract_witness(simple_edges: dict[str, tuple[str, str]]) -> KuratowskiWitness:
-    """Edge-minimalize while nonplanar, then read off the subdivision."""
-    remaining = dict(simple_edges)
-    for eid in sorted(simple_edges):
-        trial = {k: v for k, v in remaining.items() if k != eid}
-        if not _is_planar_simple(trial):
-            remaining = trial
+    """Kuratowski subdivision inside a connected nonplanar simple graph."""
+    if _is_subdivision_profile(simple_edges):
+        return _read_off(simple_edges)
+    return _read_off(_minimal_nonplanar(simple_edges))
 
+
+def _degrees(edges: dict[str, tuple[str, str]]) -> dict[str, int]:
     degree: dict[str, int] = {}
-    for u, v in remaining.values():
+    for u, v in edges.values():
         degree[u] = degree.get(u, 0) + 1
         degree[v] = degree.get(v, 0) + 1
+    return degree
+
+
+def _is_subdivision_profile(edges: dict[str, tuple[str, str]]) -> bool:
+    """All degrees 2 except five 4s or six 3s.
+
+    A connected nonplanar graph with this profile is already a K5 or K3,3
+    subdivision: smoothing its degree-2 chains leaves 10 or 9 edges on 5 or
+    6 nodes, and a loop or parallel among them would leave a simple graph of
+    at most 9 or 8 edges, which is planar, as is the cubic prism.
+    """
+    branch = sorted(d for d in _degrees(edges).values() if d != 2)
+    return branch in ([4] * 5, [3] * 6)
+
+
+def _minimal_nonplanar(edges: dict[str, tuple[str, str]]) -> dict[str, tuple[str, str]]:
+    """The edge-minimal nonplanar subgraph that deleting each edge in sorted
+    order, whenever the rest stays nonplanar, would leave.
+
+    Invariant: ``kept`` plus ``order[lo:]`` is nonplanar.  Nonplanarity is
+    monotone under adding edges, so the next edge that scan keeps is
+    ``order[j]`` for the largest j with ``kept + order[j:]`` still nonplanar,
+    found by galloping from lo and then bisecting: O(k log m) planarity
+    tests for a k-edge result.
+    """
+    order = sorted(edges)
+    kept: dict[str, tuple[str, str]] = {}
+
+    def nonplanar_from(j: int) -> bool:
+        trial = dict(kept)
+        trial.update((eid, edges[eid]) for eid in order[j:])
+        return not _is_planar_simple(trial)
+
+    lo = 0
+    while True:
+        good, bad, step = lo, len(order) + 1, 1
+        while good < len(order):
+            probe = min(lo + step, len(order))
+            if not nonplanar_from(probe):
+                bad = probe
+                break
+            good, step = probe, 2 * step
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            if nonplanar_from(mid):
+                good = mid
+            else:
+                bad = mid
+        if good == len(order):
+            return kept
+        kept[order[good]] = edges[order[good]]
+        lo = good + 1
+
+
+def _read_off(remaining: dict[str, tuple[str, str]]) -> KuratowskiWitness:
+    """Branch vertices and chains of an edge-minimal nonplanar graph."""
+    degree = _degrees(remaining)
     branch = sorted(n for n, d in degree.items() if d >= 3)
 
     paths: dict[tuple[str, str], tuple[str, ...]] = {}

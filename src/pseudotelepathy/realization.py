@@ -32,13 +32,9 @@ from pseudotelepathy.arrangement import (
     validate,
 )
 from pseudotelepathy.certificate import ContractionTrace, generate_trace
-from pseudotelepathy.intersection import IntersectionGraph, RotationSystem, build
+from pseudotelepathy.intersection import CoverageError, IntersectionGraph, RotationSystem, build
 from pseudotelepathy.pauli import PauliOperator, commutes, from_string, identity, product_of
 from pseudotelepathy.planarity import K5, K33, KuratowskiWitness, test_planarity
-
-
-class CoverageError(ValueError):
-    """The realization does not assign an operator to every vertex."""
 
 
 class EmbeddingMismatch(ValueError):

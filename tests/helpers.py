@@ -16,6 +16,7 @@ import warnings
 from pseudotelepathy.arrangement import Arrangement, Signing, validate
 from pseudotelepathy.generate import random_arrangement
 from pseudotelepathy.intersection import IntersectionGraph, RotationSystem, trace_faces
+from pseudotelepathy.planarity import _is_planar_simple
 
 
 def triangle_board() -> tuple[Arrangement, Signing | None]:
@@ -120,6 +121,32 @@ def oracle_planar(g: IntersectionGraph) -> bool | None:
         if len(g.nodes) - len(g.edges) + len(trace_faces(g, r)) == 2:
             return True
     return False
+
+
+def simple_edges(g: IntersectionGraph) -> dict[str, tuple[str, str]]:
+    """The smallest edge id of each adjacent pair, loops dropped."""
+    out: dict[str, tuple[str, str]] = {}
+    seen: set[tuple[str, str]] = set()
+    for eid, u, v in sorted(g.edges):
+        pair = (min(u, v), max(u, v))
+        if u != v and pair not in seen:
+            seen.add(pair)
+            out[eid] = (u, v)
+    return out
+
+
+def deletion_scan(edges: dict[str, tuple[str, str]]) -> dict[str, tuple[str, str]]:
+    """Edge-minimal nonplanar subgraph by the plain scan: in sorted order,
+    delete each edge whose removal leaves the rest nonplanar.
+
+    One planarity test per edge; the oracle for the witness search.
+    """
+    remaining = dict(edges)
+    for eid in sorted(edges):
+        trial = {k: v for k, v in remaining.items() if k != eid}
+        if not _is_planar_simple(trial):
+            remaining = trial
+    return remaining
 
 
 def brute_force_classical_exists(a: Arrangement, s: Signing) -> bool:

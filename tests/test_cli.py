@@ -275,3 +275,28 @@ class TestMissingInput:
         code, _, err = invoke(capsys, "decide", "--arrangement", "/no/such/file.json")
         assert code == 1
         assert err
+
+
+class TestBadArguments:
+    """Bad values and paths exit 1 with one stderr line naming them."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (("simulate", "--arrangement", str(BOARDS / "square.json"), "--trials", "0"),
+         "--trials must be at least 1, got 0"),
+        (("gen", "--hyperedges", "1"), "--hyperedges must be at least 2, got 1"),
+        (("simulate", "--arrangement", str(BOARDS / "square.json"),
+          "--strategy", "/no/such/strategy.json"), "/no/such/strategy.json"),
+        (("certify", "--arrangement", str(BOARDS / "triangle.json"),
+          "--check", "/no/such/certificate.json"), "/no/such/certificate.json"),
+    ])
+    def test_one_line_exit_one(self, capsys, argv, named):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and named in err
+
+    def test_undecodable_board_file(self, capsys, tmp_path):
+        board = tmp_path / "board.json"
+        board.write_bytes(b"\xff\xfe{")
+        code, out, err = invoke(capsys, "validate", "--arrangement", str(board))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and str(board) in err

@@ -10,12 +10,16 @@ import pytest
 
 from helpers import (
     complete_graph_edges,
+    deletion_scan,
     graph_from_edges,
     k33_edges,
     oracle_planar,
     random_multigraph,
+    simple_edges,
+    subdivided_board,
 )
 import pseudotelepathy
+from pseudotelepathy import planarity
 from pseudotelepathy.intersection import CoverageError, RotationSystem, build
 from pseudotelepathy.planarity import (
     K5,
@@ -203,6 +207,74 @@ class TestSelfCertification:
     def test_exactly_one_variant(self):
         with pytest.raises(ValueError):
             PlanarityResult(embedding=None, witness=None)
+
+
+@pytest.fixture
+def planarity_tests(monkeypatch):
+    """Counts the planarity tests the witness search makes."""
+    calls = []
+    inner = planarity._is_planar_simple
+
+    def counted(edges):
+        calls.append(len(edges))
+        return inner(edges)
+
+    monkeypatch.setattr(planarity, "_is_planar_simple", counted)
+    return calls
+
+
+def scan_witness(edges):
+    return planarity._read_off(deletion_scan(edges))
+
+
+class TestWitnessSearch:
+    """The search returns the witness of the one-edge-at-a-time scan."""
+
+    def test_matches_scan_on_fuzz_corpus(self):
+        rng = random.Random(20260808)
+        nonplanar = 0
+        for _ in range(300):
+            edges = simple_edges(random_multigraph(rng))
+            if planarity._is_planar_simple(edges):
+                continue
+            nonplanar += 1
+            assert planarity._extract_witness(edges) == scan_witness(edges)
+        assert nonplanar >= 50
+
+    @pytest.mark.parametrize("pattern, counts", [
+        (complete_graph_edges(5), {}),
+        (complete_graph_edges(5), {"n1n2": 1}),
+        (complete_graph_edges(5), {"n1n2": 3, "n3n5": 1, "n4n5": 2}),
+        (k33_edges(), {}),
+        (k33_edges(), {"l1r1": 2}),
+        (k33_edges(), {"l1r1": 1, "l2r3": 4, "l3r2": 1}),
+    ])
+    def test_subdivision_needs_no_planarity_test(self, planarity_tests, pattern, counts):
+        edges = simple_edges(build(subdivided_board(pattern, counts)))
+        assert planarity._is_subdivision_profile(edges)
+        witness = planarity._extract_witness(edges)
+        assert planarity_tests == []
+        assert witness == scan_witness(edges)
+        assert verify_witness(graph_from_edges(edges), witness)
+
+    def test_k33_with_chord_searches(self, planarity_tests):
+        edges = {**k33_edges(), "chord": ("l1", "l2")}
+        assert not planarity._is_subdivision_profile(edges)
+        witness = planarity._extract_witness(edges)
+        assert planarity_tests
+        assert witness == scan_witness(edges)
+        assert witness.kind == K33 and "chord" not in {e for _, p in witness.paths for e in p}
+
+    def test_planarity_tests_under_a_quarter_of_the_edges(self, planarity_tests):
+        rng = random.Random(1000)
+        nodes = [f"n{i:03d}" for i in range(330)]
+        edges = {f"t{i:03d}": (nodes[rng.randrange(i)], nodes[i]) for i in range(1, 330)}
+        edges.update((f"x{k:03d}", tuple(rng.sample(nodes, 2))) for k in range(670))
+        edges = simple_edges(graph_from_edges(edges))
+        assert 950 <= len(edges) <= 1000
+        res = decide_planarity(graph_from_edges(edges))
+        assert not res.is_planar
+        assert len(planarity_tests) <= len(edges) // 4
 
 
 class TestSelfChecksUnderOptimize:
