@@ -21,6 +21,14 @@ independent of its generator.  Planarity is only needed to guarantee a full
 replay exists: contracting a spanning tree of a planar embedding leaves one
 node whose word is a noncrossing chord diagram, and a noncrossing diagram
 always has an adjacent pair to cancel.
+
+Cost.  The replay state maps each symbol to the nodes holding it, so a step
+locates its words in O(1) and its positions with ``list.index``; a contract
+also relabels the absorbed word's symbols, O(length of that word).
+Generation contracts a breadth-first tree into the smallest node (so each
+contract relabels only the small incoming word) and then cancels the single
+remaining word in one stack pass, O(E).  Payloads read from files are
+type-checked field by field before any replay (:func:`read_payload`).
 """
 
 from __future__ import annotations
@@ -46,6 +54,10 @@ class EmbeddingInvalid(ValueError):
 
 class Stuck(RuntimeError):
     """No adjacent pair exists; impossible for a verified planar embedding."""
+
+
+class MalformedCertificate(ValueError):
+    """A certificate payload field is missing or has the wrong type."""
 
 
 class IllegalStep(ValueError):
@@ -78,59 +90,124 @@ class ContractionTrace:
         }
 
     @classmethod
-    def from_json_dict(cls, raw: dict) -> "ContractionTrace":
-        words = tuple(sorted((n, tuple(w)) for n, w in raw["initial"]["rotation"].items()))
-        signs = tuple(sorted(raw["initial"]["signs"].items()))
+    def from_json_dict(cls, raw) -> "ContractionTrace":
+        """Parse a trace, checking every field's type; raises
+        :class:`MalformedCertificate` naming the first bad field."""
+        initial = _member(raw, "initial", "certificate")
+        rotation = _member(initial, "rotation", "certificate.initial")
+        _expect(isinstance(rotation, dict), "certificate.initial.rotation", "an object")
+        for node, word in rotation.items():
+            _expect(isinstance(word, list) and all(isinstance(sym, str) for sym in word),
+                    f"certificate.initial.rotation[{node!r}]", "a list of strings")
+        signs = _read_signs(_member(initial, "signs", "certificate.initial"),
+                            "certificate.initial.signs")
+        entries = _member(raw, "steps", "certificate")
+        _expect(isinstance(entries, list), "certificate.steps", "a list")
         steps = []
-        for entry in raw["steps"]:
-            op = entry["op"]
-            if op not in (CONTRACT, CANCEL):
-                raise ValueError(f"unknown step op {op!r}")
-            steps.append((op, entry["edge" if op == CONTRACT else "symbol"]))
-        return cls(words, signs, tuple(steps), raw["final_sign"])
+        for k, entry in enumerate(entries):
+            where = f"certificate.steps[{k}]"
+            op = _member(entry, "op", where)
+            _expect(op in (CONTRACT, CANCEL), f"{where}.op", f"{CONTRACT!r} or {CANCEL!r}")
+            key = "edge" if op == CONTRACT else "symbol"
+            arg = _member(entry, key, where)
+            _expect(isinstance(arg, str), f"{where}.{key}", "a string")
+            steps.append((op, arg))
+        final_sign = _member(raw, "final_sign", "certificate")
+        _expect(_is_sign(final_sign), "certificate.final_sign", "1 or -1")
+        return cls(tuple(sorted((n, tuple(w)) for n, w in rotation.items())),
+                   tuple(sorted(signs.items())), tuple(steps), final_sign)
+
+
+def _expect(ok: bool, field: str, wanted: str) -> None:
+    if not ok:
+        raise MalformedCertificate(f"{field} must be {wanted}")
+
+
+def _member(raw, key: str, field: str):
+    """raw[key], where raw must be a JSON object (``field`` "" is the root)."""
+    _expect(isinstance(raw, dict), field or "payload", "an object")
+    path = f"{field}.{key}" if field else key
+    if key not in raw:
+        raise MalformedCertificate(f"{path} is missing")
+    return raw[key]
+
+
+def _is_sign(value) -> bool:
+    return type(value) is int and value in (1, -1)  # bool is not a sign
+
+
+def _read_signs(raw, field: str) -> dict[str, int]:
+    """A JSON object of node signs, each the int 1 or -1."""
+    _expect(isinstance(raw, dict), field, "an object")
+    for node, sign in raw.items():
+        _expect(_is_sign(sign), f"{field}[{node!r}]", "1 or -1")
+    return dict(raw)
+
+
+def read_payload(raw) -> tuple[ContractionTrace, RotationSystem, dict[str, int]]:
+    """Trace, embedding and signs of a ``certify`` / ``decide --certificate``
+    file, every field type-checked; raises :class:`MalformedCertificate`."""
+    embedding = _member(raw, "embedding", "")
+    _expect(isinstance(embedding, dict), "embedding", "an object")
+    for node, darts in embedding.items():
+        _expect(isinstance(darts, list) and all(
+            isinstance(d, list) and len(d) == 2 and isinstance(d[0], str)
+            and type(d[1]) is int and d[1] in (0, 1) for d in darts),
+            f"embedding[{node!r}]", "a list of [edge, 0 or 1] pairs")
+    signs = _read_signs(_member(raw, "signs", ""), "signs")
+    trace = ContractionTrace.from_json_dict(_member(raw, "certificate", ""))
+    return trace, RotationSystem.from_json_dict(embedding), signs
 
 
 class _WordState:
-    """Mutable replay state: per surviving node, a sign and a cyclic word."""
+    """Mutable replay state: per surviving node, a sign and a cyclic word.
+
+    ``holders`` maps each symbol to the node of each of its occurrences, so
+    a step finds its nodes without scanning every word; positions inside a
+    word come from ``list.index``.
+    """
 
     def __init__(self, words: dict[str, list[str]], signs: dict[str, int]):
         self.words = {n: list(w) for n, w in words.items()}
         self.signs = dict(signs)
-
-    def _holders(self, symbol: str) -> list[tuple[str, list[int]]]:
-        found = []
-        for node in sorted(self.words):
-            positions = [i for i, sym in enumerate(self.words[node]) if sym == symbol]
-            if positions:
-                found.append((node, positions))
-        return found
+        self.holders: dict[str, list[str]] = {}
+        for node, word in self.words.items():
+            for sym in word:
+                self.holders.setdefault(sym, []).append(node)
 
     def contract(self, edge: str, index: int) -> None:
-        holders = self._holders(edge)
-        if len(holders) != 2 or any(len(pos) != 1 for _, pos in holders):
+        nodes = self.holders.get(edge, ())
+        if len(nodes) != 2 or nodes[0] == nodes[1]:
             raise IllegalStep(index, f"edge {edge!r} does not join two distinct nodes")
-        (u, (i,)), (v, (j,)) = holders
-        wu, wv = self.words[u], self.words[v]
+        u, v = sorted(nodes)
+        wu, wv = self.words[u], self.words.pop(v)
+        i, j = wu.index(edge), wv.index(edge)
         # v's word rotated to start just after the edge, edge removed
-        self.words[u] = wu[:i] + wv[j + 1:] + wv[:j] + wu[i + 1:]
-        del self.words[v]
+        moved = wv[j + 1:] + wv[:j]
+        wu[i:i + 1] = moved
+        del self.holders[edge]
+        for sym in moved:
+            where = self.holders[sym]
+            where[where.index(v)] = u
         self.signs[u] *= self.signs.pop(v)
 
     def cancel(self, symbol: str, index: int) -> None:
-        holders = self._holders(symbol)
-        if len(holders) != 1:
+        nodes = self.holders.get(symbol, ())
+        if len(set(nodes)) != 1:
             raise IllegalStep(index, f"symbol {symbol!r} does not lie in one node")
-        node, positions = holders[0]
-        if len(positions) != 2:
+        if len(nodes) != 2:
             raise IllegalStep(index, f"symbol {symbol!r} does not occur exactly twice")
-        word = self.words[node]
-        p, q = positions
+        word = self.words[nodes[0]]
+        p = word.index(symbol)
+        q = word.index(symbol, p + 1)
         if q == p + 1:
-            self.words[node] = word[:p] + word[q + 1:]
+            del word[p:q + 1]
         elif p == 0 and q == len(word) - 1:
-            self.words[node] = word[1:-1]
+            del word[q]
+            del word[p]
         else:
             raise IllegalStep(index, f"occurrences of {symbol!r} are not adjacent")
+        del self.holders[symbol]
 
     def finished(self) -> bool:
         return len(self.words) == 1 and not next(iter(self.words.values()))
@@ -182,15 +259,24 @@ def generate_trace(
                 steps.append((CONTRACT, eid))
                 state.contract(eid, len(steps) - 1)
 
-    while not state.finished():
-        (word,) = state.words.values()
-        for i, sym in enumerate(word):
-            if word[(i + 1) % len(word)] == sym:
-                steps.append((CANCEL, sym))
-                state.cancel(sym, len(steps) - 1)
-                break
+    # Cancel the leftmost adjacent pair each time, in one stack pass: after a
+    # cancel at i no pair starts before i - 1, so the stack (the reduced
+    # prefix) never holds one.  The wrap-around pairs of what is left go
+    # last, from the outside in.
+    (word,) = state.words.values()
+    stack: list[str] = []
+    for sym in word:
+        if stack and stack[-1] == sym:
+            stack.pop()
+            steps.append((CANCEL, sym))
         else:
-            raise Stuck("no adjacent equal pair in the cyclic word")
+            stack.append(sym)
+    lo, hi = 0, len(stack) - 1
+    while lo < hi and stack[lo] == stack[hi]:
+        steps.append((CANCEL, stack[lo]))
+        lo, hi = lo + 1, hi - 1
+    if lo <= hi:
+        raise Stuck("no adjacent equal pair in the cyclic word")
 
     return ContractionTrace(
         initial_words=tuple(sorted((n, tuple(w)) for n, w in words.items())),

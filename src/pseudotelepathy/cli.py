@@ -17,13 +17,14 @@ import sys
 from pseudotelepathy import arrangement as arr
 from pseudotelepathy import game
 from pseudotelepathy.certificate import (
-    ContractionTrace,
     IllegalStep,
+    MalformedCertificate,
     check_trace,
     generate_trace,
+    read_payload,
 )
 from pseudotelepathy.generate import random_board
-from pseudotelepathy.intersection import RotationSystem, build, to_dot
+from pseudotelepathy.intersection import build, to_dot
 from pseudotelepathy.pauli import identity, parse_operator_map
 from pseudotelepathy.realization import (
     QuantumRealization,
@@ -139,10 +140,11 @@ def cmd_certify(args) -> int:
     board, signing = _load_board(args.arrangement)
     graph = build(board)
     if args.check:
-        payload = _load_json(args.check, "certificate")
-        trace = ContractionTrace.from_json_dict(payload["certificate"])
-        embedding = RotationSystem.from_json_dict(payload["embedding"])
-        signs = {eid: int(sign) for eid, sign in payload["signs"].items()}
+        try:
+            trace, embedding, signs = read_payload(_load_json(args.check, "certificate"))
+        except MalformedCertificate as err:
+            print(f"malformed certificate {args.check}: {err}", file=sys.stderr)
+            return 2
         try:
             sign = check_trace(graph, embedding, signs, trace)
         except IllegalStep as err:
@@ -259,6 +261,8 @@ def cmd_export_dot(args) -> int:
 def cmd_gen(args) -> int:
     if args.hyperedges < 2:
         return _fail(f"--hyperedges must be at least 2, got {args.hyperedges}")
+    if args.extra_vertices is not None and args.extra_vertices < 0:
+        return _fail(f"--extra-vertices must be at least 0, got {args.extra_vertices}")
     rng = random.Random(args.seed)
     raw = random_board(rng, args.hyperedges, args.extra_vertices, signed=args.signed)
     arr.validate(raw)  # self-check before emitting

@@ -6,11 +6,18 @@ of K5 or K3,3, the two graphs whose topological-minor presence is equivalent
 to nonplanarity.  Both outputs are checkable by independent verifiers in
 this module, so callers never need to trust the search.
 
-The decision procedure embeds each biconnected block by face insertion:
-start from a cycle, then repeatedly place a path of some unembedded bridge
-into a face containing all of that bridge's attachment vertices, preferring
-bridges with a unique admissible face.  A planar block always completes; a
-nonplanar one strands a bridge with no admissible face.  Witness extraction
+The decision procedure embeds each biconnected block by face insertion
+(Demoucron, Malgrange and Pertuiset): start from a cycle, then repeatedly
+place a path of some unembedded bridge into a face containing all of that
+bridge's attachment vertices, preferring bridges with a unique admissible
+face.  A planar block always completes; a nonplanar one strands a bridge
+with no admissible face.  The bookkeeping lives across steps: only the
+picked bridge is re-split (its new chords and the components of its
+interior minus the path), only bridges admissible in the split face are
+rechecked (against its two halves), and new bridges read their admissible
+faces off a node-to-faces index.  A step therefore costs the picked
+bridge's size plus the split face's length, not a rescan of every bridge
+against every face.  Witness extraction
 keeps the edge-minimal nonplanar subgraph that deleting edges in sorted order
 would leave, found by galloping and bisection over suffixes of that order in
 O(k log m) planarity tests for a k-edge witness (none when the graph already
@@ -24,6 +31,7 @@ before the search and spliced back into the returned rotation afterwards
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 
@@ -293,67 +301,22 @@ def _find_cycle(block: dict[str, tuple[str, str]]) -> list[str]:
     raise AssertionError("biconnected block with >= 3 edges must contain a cycle")
 
 
-def _bridges(block_edges, adj, in_h_nodes, in_h_edges):
-    """Bridges of the block relative to the embedded subgraph H.
+def _bridge_path(adj, a, b, interior):
+    """BFS path from a to b whose inner nodes all lie in ``interior``.
 
-    Each bridge is (attachments, edge set, interior nodes); a chord yields an
-    empty interior.  Order is deterministic.
+    Neighbors are tried in (node, edge id) order and the search stops once
+    b is reached, so the path is the one a full breadth-first search of the
+    bridge would find.
     """
-    bridges = []
-    for eid in sorted(block_edges):
-        if eid in in_h_edges:
-            continue
-        u, v = block_edges[eid]
-        if u in in_h_nodes and v in in_h_nodes:
-            bridges.append((frozenset((u, v)), {eid}, frozenset()))
-    seen: set[str] = set()
-    for node in sorted(set(adj) - in_h_nodes):
-        if node in seen:
-            continue
-        component = {node}
-        queue = deque([node])
-        while queue:
-            cur = queue.popleft()
-            for other, _ in adj[cur]:
-                if other not in in_h_nodes and other not in component:
-                    component.add(other)
-                    queue.append(other)
-        seen |= component
-        edge_set: set[str] = set()
-        attachments: set[str] = set()
-        for member in component:
-            for other, eid in adj[member]:
-                edge_set.add(eid)
-                if other in in_h_nodes:
-                    attachments.add(other)
-        bridges.append((frozenset(attachments), edge_set, frozenset(component)))
-    return bridges
-
-
-def _bridge_path(attachments, edge_set, interior, block_edges):
-    """A path between the two smallest attachments through the bridge interior."""
-    a, b = sorted(attachments)[:2]
-    if not interior:
-        eid = min(eid for eid in edge_set
-                  if set(block_edges[eid]) == {a, b})
-        return [a, b], [eid]
-    hops: dict[str, list[tuple[str, str]]] = {}
-    for eid in sorted(edge_set):
-        u, v = block_edges[eid]
-        hops.setdefault(u, []).append((v, eid))
-        hops.setdefault(v, []).append((u, eid))
-    for entries in hops.values():
-        entries.sort()
     parent: dict[str, tuple[str, str]] = {}
     queue = deque([a])
     reached = {a}
-    while queue:
+    while b not in reached:
         cur = queue.popleft()
-        if cur == b:
-            break
-        for other, eid in hops.get(cur, []):
-            # interior nodes only, except the target attachment
-            if other in reached or (other not in interior and other != b):
+        for other, eid in adj[cur]:
+            # interior nodes only, except the target attachment; an a-b edge
+            # belongs to another bridge
+            if other in reached or (other not in interior and (other != b or cur == a)):
                 continue
             reached.add(other)
             parent[other] = (cur, eid)
@@ -370,6 +333,39 @@ def _bridge_path(attachments, edge_set, interior, block_edges):
     return nodes, edges
 
 
+def _new_bridges(adj, h_nodes, region, placed, placed_edges):
+    """Bridges created when ``placed`` nodes and ``placed_edges`` join H.
+
+    ``h_nodes`` already includes ``placed``.  Yields (key, attachments,
+    body): chords from a placed node into H, keyed (0, edge id) with the
+    edge id as body, then the components of ``region`` outside H, keyed
+    (1, smallest node) with their node set as body.
+    """
+    chords: dict[str, tuple[str, str]] = {}
+    for node in placed:
+        for other, eid in adj[node]:
+            if other in h_nodes and eid not in placed_edges:
+                chords[eid] = (node, other)
+    for eid, pair in chords.items():
+        yield (0, eid), frozenset(pair), eid
+    seen: set[str] = set()
+    for node in region:
+        if node in h_nodes or node in seen:
+            continue
+        component = {node}
+        attachments: set[str] = set()
+        stack = [node]
+        while stack:
+            for other, _ in adj[stack.pop()]:
+                if other in h_nodes:
+                    attachments.add(other)
+                elif other not in component:
+                    component.add(other)
+                    stack.append(other)
+        seen |= component
+        yield (1, min(component)), frozenset(attachments), component
+
+
 def _embed_block(block: dict[str, tuple[str, str]]) -> list[list[str]] | None:
     """Faces of a planar embedding of one block, or None if nonplanar.
 
@@ -383,34 +379,91 @@ def _embed_block(block: dict[str, tuple[str, str]]) -> list[list[str]] | None:
     adj = _adjacency(block)
     cycle = _find_cycle(block)
     faces: list[list[str]] = [list(cycle), list(reversed(cycle))]
+    node_faces = {n: {0, 1} for n in cycle}
     h_nodes = set(cycle)
-    h_edges = {eid for eid in block
-               if {*block[eid]} <= h_nodes and _consecutive(cycle, *block[eid])}
+    cycle_edges = {eid for eid in block
+                   if {*block[eid]} <= h_nodes and _consecutive(cycle, *block[eid])}
 
-    while len(h_edges) < len(block):
-        bridges = _bridges(block, adj, h_nodes, h_edges)
-        admissible = []
-        for attachments, edge_set, interior in bridges:
-            faces_ok = [i for i, f in enumerate(faces) if attachments <= set(f)]
-            if not faces_ok:
-                return None
-            admissible.append(faces_ok)
-        pick = next((i for i, ok in enumerate(admissible) if len(ok) == 1), 0)
-        attachments, edge_set, interior = bridges[pick]
-        face_idx = admissible[pick][0]
-        path_nodes, path_edges = _bridge_path(attachments, edge_set, interior, block)
+    # Bridge keys sort in pick order: chords (0, edge id) before components
+    # (1, smallest node).  Each step places the smallest key with a single
+    # admissible face, else the smallest key, into its first admissible face.
+    attach: dict[tuple, frozenset[str]] = {}
+    body: dict[tuple, str | set[str]] = {}     # a chord's edge id, or an interior
+    admissible: dict[tuple, list[int]] = {}
+    on_face: dict[int, set[tuple]] = {0: set(), 1: set()}
+    by_key: list[tuple] = []     # heap of every bridge key, stale entries skipped
+    unique: list[tuple] = []     # heap of keys that had one admissible face
+
+    def add(bridges) -> bool:
+        for key, attachments, inside in bridges:
+            ok = sorted(set.intersection(*(node_faces[n] for n in attachments)))
+            if not ok:
+                return False
+            attach[key], body[key], admissible[key] = attachments, inside, ok
+            for f in ok:
+                on_face[f].add(key)
+            heapq.heappush(by_key, key)
+            if len(ok) == 1:
+                heapq.heappush(unique, key)
+        return True
+
+    if not add(_new_bridges(adj, h_nodes, list(adj), cycle, cycle_edges)):
+        return None
+    while admissible:
+        while unique and len(admissible.get(unique[0], ())) != 1:
+            heapq.heappop(unique)
+        heap = unique if unique else by_key
+        while heap[0] not in admissible:
+            heapq.heappop(heap)
+        key = heapq.heappop(heap)
+        attachments, inside, ok = attach.pop(key), body.pop(key), admissible.pop(key)
+        for f in ok:
+            on_face[f].discard(key)
+        face_idx = ok[0]
+        a, b = sorted(attachments)[:2]
+        if key[0] == 0:
+            path_nodes, path_edges = [a, b], [inside]
+        else:
+            path_nodes, path_edges = _bridge_path(adj, a, b, inside)
 
         face = faces[face_idx]
-        a, b = path_nodes[0], path_nodes[-1]
         ia, ib = face.index(a), face.index(b)
         arc_ab = face[ia:ib + 1] if ia <= ib else face[ia:] + face[:ib + 1]
         arc_ba = face[ib:ia + 1] if ib <= ia else face[ib:] + face[:ia + 1]
         inner = path_nodes[1:-1]
+        new_idx = len(faces)
         faces[face_idx] = arc_ab + list(reversed(inner))
         faces.append(arc_ba + inner)
+        for n in arc_ba[1:-1]:
+            node_faces[n].remove(face_idx)
+            node_faces[n].add(new_idx)
+        node_faces[a].add(new_idx)
+        node_faces[b].add(new_idx)
+        for n in inner:
+            node_faces[n] = {face_idx, new_idx}
 
-        h_nodes.update(path_nodes)
-        h_edges.update(path_edges)
+        # only bridges admissible in the split face can change: recheck
+        # them against its two halves
+        held, on_face[face_idx], on_face[new_idx] = on_face[face_idx], set(), set()
+        halves = (set(faces[face_idx]), set(faces[new_idx]))
+        for other in held:
+            other_ok = admissible[other]
+            if attach[other] <= halves[0]:
+                on_face[face_idx].add(other)
+            else:
+                other_ok.remove(face_idx)
+            if attach[other] <= halves[1]:
+                other_ok.append(new_idx)
+                on_face[new_idx].add(other)
+            if not other_ok:
+                return None
+            if len(other_ok) == 1:
+                heapq.heappush(unique, other)
+
+        if inner:
+            h_nodes.update(inner)
+            if not add(_new_bridges(adj, h_nodes, inside, inner, set(path_edges))):
+                return None
     return faces
 
 

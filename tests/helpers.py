@@ -12,11 +12,13 @@ import itertools
 import math
 import random
 import warnings
+from collections import deque
 
 from pseudotelepathy.arrangement import Arrangement, Signing, validate
+from pseudotelepathy.certificate import CANCEL, CONTRACT
 from pseudotelepathy.generate import random_arrangement
 from pseudotelepathy.intersection import IntersectionGraph, RotationSystem, trace_faces
-from pseudotelepathy.planarity import _is_planar_simple
+from pseudotelepathy.planarity import _adjacency, _consecutive, _find_cycle, _is_planar_simple
 
 
 def triangle_board() -> tuple[Arrangement, Signing | None]:
@@ -56,6 +58,19 @@ def k33_edges() -> dict[str, tuple[str, str]]:
     left = ["l1", "l2", "l3"]
     right = ["r1", "r2", "r3"]
     return {f"{u}{v}": (u, v) for u in left for v in right}
+
+
+def grid_edges(n: int) -> dict[str, tuple[str, str]]:
+    """The n x n square grid graph (the dual of a planar grid board)."""
+    node = [[f"r{i:02d}c{j:02d}" for j in range(n)] for i in range(n)]
+    edges = {}
+    for i in range(n):
+        for j in range(n):
+            if j + 1 < n:
+                edges[f"h{i:02d}_{j:02d}"] = (node[i][j], node[i][j + 1])
+            if i + 1 < n:
+                edges[f"v{i:02d}_{j:02d}"] = (node[i][j], node[i + 1][j])
+    return edges
 
 
 def graph_from_edges(edges: dict[str, tuple[str, str]]) -> IntersectionGraph:
@@ -147,6 +162,169 @@ def deletion_scan(edges: dict[str, tuple[str, str]]) -> dict[str, tuple[str, str
         if not _is_planar_simple(trial):
             remaining = trial
     return remaining
+
+
+def _rescan_bridges(block_edges, adj, in_h_nodes, in_h_edges):
+    """Bridges of the block relative to the embedded subgraph H, from scratch.
+
+    Each bridge is (attachments, edge set, interior nodes); a chord yields an
+    empty interior.  Chords come first by edge id, then components by their
+    smallest node.
+    """
+    bridges = []
+    for eid in sorted(block_edges):
+        if eid in in_h_edges:
+            continue
+        u, v = block_edges[eid]
+        if u in in_h_nodes and v in in_h_nodes:
+            bridges.append((frozenset((u, v)), {eid}, frozenset()))
+    seen: set[str] = set()
+    for node in sorted(set(adj) - in_h_nodes):
+        if node in seen:
+            continue
+        component = {node}
+        queue = deque([node])
+        while queue:
+            cur = queue.popleft()
+            for other, _ in adj[cur]:
+                if other not in in_h_nodes and other not in component:
+                    component.add(other)
+                    queue.append(other)
+        seen |= component
+        edge_set: set[str] = set()
+        attachments: set[str] = set()
+        for member in component:
+            for other, eid in adj[member]:
+                edge_set.add(eid)
+                if other in in_h_nodes:
+                    attachments.add(other)
+        bridges.append((frozenset(attachments), edge_set, frozenset(component)))
+    return bridges
+
+
+def _rescan_bridge_path(attachments, edge_set, interior, block_edges):
+    """A BFS path between the two smallest attachments through the bridge."""
+    a, b = sorted(attachments)[:2]
+    if not interior:
+        eid = min(eid for eid in edge_set
+                  if set(block_edges[eid]) == {a, b})
+        return [a, b], [eid]
+    hops: dict[str, list[tuple[str, str]]] = {}
+    for eid in sorted(edge_set):
+        u, v = block_edges[eid]
+        hops.setdefault(u, []).append((v, eid))
+        hops.setdefault(v, []).append((u, eid))
+    for entries in hops.values():
+        entries.sort()
+    parent: dict[str, tuple[str, str]] = {}
+    queue = deque([a])
+    reached = {a}
+    while queue:
+        cur = queue.popleft()
+        if cur == b:
+            break
+        for other, eid in hops.get(cur, []):
+            # interior nodes only, except the target attachment
+            if other in reached or (other not in interior and other != b):
+                continue
+            reached.add(other)
+            parent[other] = (cur, eid)
+            queue.append(other)
+    nodes = [b]
+    edges = []
+    cur = b
+    while cur != a:
+        cur, eid = parent[cur]
+        nodes.append(cur)
+        edges.append(eid)
+    nodes.reverse()
+    edges.reverse()
+    return nodes, edges
+
+
+def rescan_embed_block(block: dict[str, tuple[str, str]]) -> list[list[str]] | None:
+    """Face insertion that rebuilds every bridge and rescans every face at
+    every step; the oracle for the incremental ``planarity._embed_block``.
+    """
+    if len(block) == 1:
+        (u, v), = block.values()
+        return [[u, v]]
+
+    adj = _adjacency(block)
+    cycle = _find_cycle(block)
+    faces: list[list[str]] = [list(cycle), list(reversed(cycle))]
+    h_nodes = set(cycle)
+    h_edges = {eid for eid in block
+               if {*block[eid]} <= h_nodes and _consecutive(cycle, *block[eid])}
+
+    while len(h_edges) < len(block):
+        bridges = _rescan_bridges(block, adj, h_nodes, h_edges)
+        admissible = []
+        for attachments, edge_set, interior in bridges:
+            faces_ok = [i for i, f in enumerate(faces) if attachments <= set(f)]
+            if not faces_ok:
+                return None
+            admissible.append(faces_ok)
+        pick = next((i for i, ok in enumerate(admissible) if len(ok) == 1), 0)
+        attachments, edge_set, interior = bridges[pick]
+        face_idx = admissible[pick][0]
+        path_nodes, path_edges = _rescan_bridge_path(attachments, edge_set, interior, block)
+
+        face = faces[face_idx]
+        a, b = path_nodes[0], path_nodes[-1]
+        ia, ib = face.index(a), face.index(b)
+        arc_ab = face[ia:ib + 1] if ia <= ib else face[ia:] + face[:ib + 1]
+        arc_ba = face[ib:ia + 1] if ib <= ia else face[ib:] + face[:ia + 1]
+        inner = path_nodes[1:-1]
+        faces[face_idx] = arc_ab + list(reversed(inner))
+        faces.append(arc_ba + inner)
+
+        h_nodes.update(path_nodes)
+        h_edges.update(path_edges)
+    return faces
+
+
+def restart_trace_steps(g: IntersectionGraph, r: RotationSystem) -> list[tuple[str, str]]:
+    """Contraction-trace steps by the plain method; the oracle for
+    ``certificate.generate_trace``.
+
+    Contracts the same breadth-first spanning tree, finding each edge's two
+    words by rescanning every word, then cancels the first adjacent pair of
+    the last word, rescanning from index 0 after every cancel.
+    """
+    words = {node: [eid for eid, _ in darts] for node, darts in r.rotations}
+    hops: dict[str, list[tuple[str, str]]] = {n: [] for n in g.nodes}
+    for eid, u, v in g.edges:
+        if u != v:
+            hops[u].append((v, eid))
+            hops[v].append((u, eid))
+    for entries in hops.values():
+        entries.sort()
+    root = min(g.nodes)
+    seen = {root}
+    queue = deque([root])
+    steps: list[tuple[str, str]] = []
+    while queue:
+        node = queue.popleft()
+        for other, eid in hops[node]:
+            if other not in seen:
+                seen.add(other)
+                queue.append(other)
+                steps.append((CONTRACT, eid))
+                u, v = sorted(n for n, w in words.items() if eid in w)
+                wu, wv = words[u], words.pop(v)
+                i, j = wu.index(eid), wv.index(eid)
+                words[u] = wu[:i] + wv[j + 1:] + wv[:j] + wu[i + 1:]
+    (word,) = words.values()
+    while word:
+        for i, sym in enumerate(word):
+            if word[(i + 1) % len(word)] == sym:
+                steps.append((CANCEL, sym))
+                word = word[:i] + word[i + 2:] if i + 1 < len(word) else word[1:-1]
+                break
+        else:
+            raise AssertionError("no adjacent equal pair in the cyclic word")
+    return steps
 
 
 def brute_force_classical_exists(a: Arrangement, s: Signing) -> bool:

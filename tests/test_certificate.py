@@ -4,7 +4,14 @@ import random
 
 import pytest
 
-from helpers import corpus, cyclic_equal, triangle_board
+from helpers import (
+    corpus,
+    cyclic_equal,
+    graph_from_edges,
+    grid_edges,
+    restart_trace_steps,
+    triangle_board,
+)
 from pseudotelepathy.arrangement import parity
 from pseudotelepathy.certificate import (
     CANCEL,
@@ -86,6 +93,20 @@ class TestGenerate:
             odd = random_signing(rng, a, target_parity=-1).as_dict()
             trace_odd = generate_trace(g, res.embedding, odd)
             assert check_trace(g, res.embedding, odd, trace_odd) == -1
+        assert done >= 30
+
+    def test_steps_match_the_restart_scan(self):
+        """The stack pass emits the cancels of rescanning from index 0."""
+        graphs = [build(a) for a, _ in corpus(seed=71, count=60)]
+        graphs += [graph_from_edges(grid_edges(n)) for n in (4, 7)]
+        done = 0
+        for g in graphs:
+            res = decide_planarity(g)
+            if not res.is_planar:
+                continue
+            done += 1
+            trace = generate_trace(g, res.embedding, {n: 1 for n in g.nodes})
+            assert list(trace.steps) == restart_trace_steps(g, res.embedding)
         assert done >= 30
 
     def test_json_roundtrip(self):
@@ -373,8 +394,12 @@ class TestSpliceOracle:
                     state.cancel(arg, idx)
                 alive.discard(arg)
                 counts = {}
-                for w in state.words.values():
+                rescan = {}
+                for node, w in state.words.items():
                     for sym in w:
                         counts[sym] = counts.get(sym, 0) + 1
+                        rescan.setdefault(sym, []).append(node)
                 assert set(counts) == alive
                 assert all(c == 2 for c in counts.values())
+                assert {sym: sorted(nodes) for sym, nodes in state.holders.items()} == {
+                    sym: sorted(nodes) for sym, nodes in rescan.items()}

@@ -106,6 +106,42 @@ class TestCertify:
         assert code == 2
         assert "rejected" in err
 
+    @pytest.mark.parametrize("tamper, named", [
+        (lambda p: p["certificate"].pop("initial"), "certificate.initial is missing"),
+        (lambda p: p["certificate"]["steps"][0].pop("edge"),
+         "certificate.steps[0].edge is missing"),
+        (lambda p: p.update(embedding={"x": 3}), "embedding['x']"),
+        (lambda p: p["embedding"]["ab"][0].__setitem__(1, True), "embedding['ab']"),
+        (lambda p: p["certificate"]["steps"][-1].update(symbol=["ab"]),
+         "certificate.steps[2].symbol must be a string"),
+        (lambda p: p["certificate"]["steps"][0].update(op="merge"),
+         "certificate.steps[0].op"),
+        (lambda p: p["signs"].update(ab=True), "signs['ab'] must be 1 or -1"),
+        (lambda p: p["certificate"]["initial"]["signs"].update(ab=1.0),
+         "certificate.initial.signs['ab'] must be 1 or -1"),
+        (lambda p: p["certificate"].update(final_sign=3), "certificate.final_sign"),
+        (lambda p: p.pop("signs"), "signs is missing"),
+    ])
+    def test_malformed_payload_exits_two(self, capsys, tmp_path, tamper, named):
+        cert = tmp_path / "cert.json"
+        invoke(capsys, "certify", "--arrangement", str(BOARDS / "triangle.json"),
+               "--output", str(cert))
+        payload = json.loads(cert.read_text())
+        tamper(payload)
+        cert.write_text(json.dumps(payload))
+        code, out, err = invoke(capsys, "certify", "--arrangement",
+                                str(BOARDS / "triangle.json"), "--check", str(cert))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and named in err
+
+    def test_payload_that_is_not_an_object_exits_two(self, capsys, tmp_path):
+        cert = tmp_path / "cert.json"
+        cert.write_text("[]")
+        code, out, err = invoke(capsys, "certify", "--arrangement",
+                                str(BOARDS / "triangle.json"), "--check", str(cert))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "payload must be an object" in err
+
     def test_unsigned_board_emits_the_self_checked_certificate(self, capsys, monkeypatch):
         def no_second_trace(*args):
             raise AssertionError("certify generated a second trace")
@@ -284,6 +320,8 @@ class TestBadArguments:
         (("simulate", "--arrangement", str(BOARDS / "square.json"), "--trials", "0"),
          "--trials must be at least 1, got 0"),
         (("gen", "--hyperedges", "1"), "--hyperedges must be at least 2, got 1"),
+        (("gen", "--hyperedges", "3", "--extra-vertices", "-5", "--seed", "1"),
+         "--extra-vertices must be at least 0, got -5"),
         (("simulate", "--arrangement", str(BOARDS / "square.json"),
           "--strategy", "/no/such/strategy.json"), "/no/such/strategy.json"),
         (("certify", "--arrangement", str(BOARDS / "triangle.json"),

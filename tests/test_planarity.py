@@ -12,9 +12,11 @@ from helpers import (
     complete_graph_edges,
     deletion_scan,
     graph_from_edges,
+    grid_edges,
     k33_edges,
     oracle_planar,
     random_multigraph,
+    rescan_embed_block,
     simple_edges,
     subdivided_board,
 )
@@ -207,6 +209,48 @@ class TestSelfCertification:
     def test_exactly_one_variant(self):
         with pytest.raises(ValueError):
             PlanarityResult(embedding=None, witness=None)
+
+
+def assert_blocks_match_rescan(edges) -> list[bool]:
+    """Each block embeds to the rescanning oracle's faces, or to None with it."""
+    planar = []
+    for block in planarity._biconnected_blocks(edges):
+        faces = planarity._embed_block(block)
+        assert faces == rescan_embed_block(block)
+        planar.append(faces is not None)
+    return planar
+
+
+def minus_edge(pattern, eid):
+    return {k: pair for k, pair in pattern.items() if k != eid}
+
+
+class TestIncrementalEmbedder:
+    """Face insertion with kept bookkeeping picks what a full rescan picks."""
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_grids(self, n):
+        assert assert_blocks_match_rescan(grid_edges(n)) == [True]
+
+    def test_fuzz_corpus(self):
+        rng = random.Random(20260808)
+        outcomes = []
+        for _ in range(300):
+            outcomes += assert_blocks_match_rescan(simple_edges(random_multigraph(rng)))
+        assert outcomes.count(True) >= 100 and outcomes.count(False) >= 50
+
+    @pytest.mark.parametrize("pattern, counts, planar", [
+        (minus_edge(complete_graph_edges(5), "n1n2"), {}, True),
+        (minus_edge(complete_graph_edges(5), "n1n2"), {"n1n3": 2, "n4n5": 1}, True),
+        (minus_edge(complete_graph_edges(5), "n3n4"), {"n1n2": 3, "n2n5": 1}, True),
+        (minus_edge(k33_edges(), "l1r1"), {}, True),
+        (minus_edge(k33_edges(), "l2r3"), {"l1r1": 2, "l3r2": 1}, True),
+        (complete_graph_edges(5), {"n1n2": 1, "n3n5": 2}, False),
+        (k33_edges(), {"l1r1": 1, "l2r3": 3}, False),
+    ])
+    def test_kuratowski_subdivisions(self, pattern, counts, planar):
+        edges = simple_edges(build(subdivided_board(pattern, counts)))
+        assert all(assert_blocks_match_rescan(edges)) == planar
 
 
 @pytest.fixture
