@@ -320,12 +320,12 @@ class TestBadArguments:
         (("simulate", "--arrangement", str(BOARDS / "square.json"), "--trials", "0"),
          "--trials must be at least 1, got 0"),
         (("gen", "--hyperedges", "1"), "--hyperedges must be at least 2, got 1"),
-        (("gen", "--hyperedges", "3", "--extra-vertices", "-5", "--seed", "1"),
-         "--extra-vertices must be at least 0, got -5"),
         (("simulate", "--arrangement", str(BOARDS / "square.json"),
           "--strategy", "/no/such/strategy.json"), "/no/such/strategy.json"),
         (("certify", "--arrangement", str(BOARDS / "triangle.json"),
           "--check", "/no/such/certificate.json"), "/no/such/certificate.json"),
+        (("gen", "--hyperedges", "3", "--extra-vertices", "-5", "--seed", "1"),
+         "--extra-vertices must be at least 0, got -5"),
     ])
     def test_one_line_exit_one(self, capsys, argv, named):
         code, out, err = invoke(capsys, *argv)
