@@ -15,19 +15,19 @@ from pseudotelepathy.game import (
 )
 
 board, signing, realization = builtin_square()
+quantum = QuantumStrategy(realization)
 rng = np.random.default_rng(1729)
 
 print("A few sampled rounds of the quantum strategy on the 3x3 board:")
 for _ in range(5):
     query = referee_draw(board, rng)
-    t = play_quantum(board, signing, realization, query, rng)
+    t = play_quantum(board, signing, quantum, query, rng)
     colors = " ".join(f"{v}:{c:+d}" for v, c in t.bob_coloring)
     print(f"   referee asks cell {query.vertex} / line {query.hyperedge}; "
           f"Alice answers {t.alice_color:+d}; Bob colors {colors}; "
           f"won={t.won}")
 print()
 
-quantum = QuantumStrategy(realization)
 print("Exact win probability from Pauli correlators:",
       exact_win_probability(quantum, board, signing))
 mc = monte_carlo(quantum, board, signing, trials=20_000, seed=7)

@@ -24,8 +24,8 @@ from pseudotelepathy.certificate import (
     read_payload,
 )
 from pseudotelepathy.generate import random_board
-from pseudotelepathy.intersection import build, to_dot
-from pseudotelepathy.pauli import identity, parse_operator_map
+from pseudotelepathy.intersection import CoverageError, build, to_dot
+from pseudotelepathy.pauli import PauliParseError, from_string, identity
 from pseudotelepathy.realization import (
     QuantumRealization,
     resign_realization,
@@ -198,30 +198,67 @@ def _strategy_for(args, board, signing):
             return game.ClassicalStrategy.from_realization(board, labels)
         alice = {v: 1 for v in board.vertices}
         return game.ClassicalStrategy.best_response(board, signing, alice)
-    payload = _load_json(args.strategy, "strategy")
+    return _read_strategy(_load_json(args.strategy, "strategy"), args.strategy, board,
+                          signing, args.literal_measurements)
+
+
+def _read_strategy(payload, path, board, signing, literal):
+    """The strategy in a ``--strategy`` file, every field type-checked.
+
+    A file with ``operators`` is a quantum realization on ``n_qubits``;
+    otherwise it gives ``alice``'s coloring and ``bob``'s coloring per line.
+    Any bad field exits 1 with one line naming it.
+    """
+    def bad(message):
+        raise SystemExit(_fail(f"malformed strategy {path}: {message}"))
+
+    def colors(raw, field):
+        if not isinstance(raw, dict):
+            bad(f"{field} must be an object")
+        for v, c in raw.items():
+            if type(c) is not int or c not in (1, -1):  # bool is not a color
+                bad(f"{field}[{v!r}] must be 1 or -1")
+        return raw
+
+    if not isinstance(payload, dict):
+        bad("the file must hold an object")
     if "operators" in payload:
-        ops = parse_operator_map(payload["operators"])
-        realization = QuantumRealization.from_dict(int(payload["n_qubits"]), ops)
-        if not verify_realization(board, signing, realization):
+        n = payload.get("n_qubits")
+        if type(n) is not int or n < 1:
+            bad("n_qubits must be an integer of at least 1")
+        words = payload["operators"]
+        if not isinstance(words, dict):
+            bad("operators must be an object")
+        ops = {}
+        for v, word in words.items():
+            if not isinstance(word, str):
+                bad(f"operators[{v!r}] must be a string")
+            try:
+                ops[v] = from_string(word)
+            except PauliParseError as err:
+                bad(f"operators[{v!r}]: {err}")
+            if ops[v].n_qubits != n:
+                bad(f"operators[{v!r}] acts on {ops[v].n_qubits} qubits, not n_qubits = {n}")
+        realization = QuantumRealization.from_dict(n, ops)
+        try:
+            verified = verify_realization(board, signing, realization)
+        except CoverageError as err:
+            bad(f"operators: {err}")
+        if not verified:
             raise SystemExit(_fail("custom realization fails verification "
                                    "against the board and signing"))
-        return game.QuantumStrategy(realization, literal=args.literal_measurements)
-    try:
-        strategy = game.ClassicalStrategy.from_maps(
-            {v: int(c) for v, c in payload["alice"].items()},
-            {e: {v: int(c) for v, c in coloring.items()}
-             for e, coloring in payload["bob"].items()},
-        )
-    except (KeyError, TypeError, ValueError) as err:
-        raise SystemExit(_fail(f"malformed strategy file: {err}"))
-    alice = dict(strategy.alice)
-    bob = dict(strategy.bob)
+        return game.QuantumStrategy(realization, literal=literal)
+    alice = colors(payload.get("alice"), "alice")
+    lines = payload.get("bob")
+    if not isinstance(lines, dict):
+        bad("bob must be an object")
+    bob = {e: colors(coloring, f"bob[{e!r}]") for e, coloring in lines.items()}
     if set(alice) != set(board.vertices):
         raise SystemExit(_fail("strategy must color every board vertex"))
     for eid, members in board.hyperedges:
-        if eid not in bob or {v for v, _ in bob[eid]} != set(members):
+        if eid not in bob or set(bob[eid]) != set(members):
             raise SystemExit(_fail(f"strategy must color line {eid!r} exactly"))
-    return strategy
+    return game.ClassicalStrategy.from_maps(alice, bob)
 
 
 def cmd_simulate(args) -> int:

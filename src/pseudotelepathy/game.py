@@ -18,6 +18,11 @@ perfect when the shared-vertex operator is symmetric.
 
 Win probabilities come in two independent flavors: exact rationals from
 symbolic Pauli correlators, and seeded Monte Carlo over sampled rounds.
+A sampled round is a stabilizer simulation (Aaronson and Gottesman,
+"Improved simulation of stabilizer circuits", PRA 70, 052328, 2004): the
+state starts as n Bell pairs and every measurement is a Pauli observable,
+so each outcome has the exact Born probability 0, 1/2 or 1, computed with
+integer bit operations on a tableau of the 2n qubits.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -35,14 +40,11 @@ from pseudotelepathy.pauli import (
     PauliOperator,
     commutes,
     product_of,
-    state_action,
 )
 from pseudotelepathy.realization import QuantumRealization
 
 ALICE = "alice"
 BOB = "bob"
-
-NORM_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -64,22 +66,6 @@ class Transcript:
         return self.parity_ok and self.consistency_ok
 
 
-@dataclass
-class SharedState:
-    """Amplitudes of Alice's and Bob's halves, indexed [alice, bob]."""
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-    @classmethod
-    def maximally_entangled(cls, n_qubits: int) -> "SharedState":
-        dim = 1 << n_qubits
-        return cls(n_qubits, np.eye(dim, dtype=complex) / math.sqrt(dim))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
 def referee_draw(a: Arrangement, rng: np.random.Generator) -> Query:
     """Uniform vertex, then uniform choice among its two lines."""
     vertex = a.vertices[rng.integers(len(a.vertices))]
@@ -91,64 +77,118 @@ def all_queries(a: Arrangement) -> list[Query]:
     return [Query(v, e) for v in a.vertices for e in a.edges_of_vertex(v)]
 
 
-def _apply(amplitudes: np.ndarray, p: PauliOperator, side: str) -> np.ndarray:
-    flip, coeffs = state_action(p)
-    dim = coeffs.shape[0]
-    out = np.empty_like(amplitudes)
-    perm = np.arange(dim) ^ flip
-    if side == ALICE:
-        out[perm, :] = coeffs[:, None] * amplitudes
-    else:
-        out[:, perm] = coeffs[None, :] * amplitudes
-    return out
+Row = tuple[int, int, int]  # x mask, z mask, phase exponent: one Pauli of the tableau
 
 
-def _project(amplitudes: np.ndarray, p: PauliOperator, side: str):
-    """Unnormalized projections onto the +-1 eigenspaces of p on one side."""
-    acted = _apply(amplitudes, p, side)
-    plus = (amplitudes + acted) / 2
-    minus = (amplitudes - acted) / 2
-    return plus, minus
+def _mask(bits: tuple[int, ...]) -> int:
+    return sum(bit << k for k, bit in enumerate(bits))
 
 
-def measure(
-    state: SharedState, p: PauliOperator, side: str, rng: np.random.Generator
-) -> tuple[int, SharedState]:
-    """Projective measurement of an observable on one side, Born sampled."""
-    if p.n_qubits != state.n_qubits:
-        raise DimensionMismatch(f"operator on {p.n_qubits} qubits, state on {state.n_qubits}")
+def _row(p: PauliOperator, side: str, n_qubits: int) -> Row:
+    """The observable p on one side of the 2n-qubit state, as a tableau row."""
+    if p.n_qubits != n_qubits:
+        raise DimensionMismatch(f"operator on {p.n_qubits} qubits, state on {n_qubits}")
     if not p.is_observable():
         raise ValueError(f"{p} is not an observable")
-    plus, minus = _project(state.amplitudes, p, side)
-    p_plus = float(np.linalg.norm(plus) ** 2)
-    p_minus = float(np.linalg.norm(minus) ** 2)
-    assert abs(p_plus + p_minus - state.norm() ** 2) < NORM_TOLERANCE
-    if rng.random() < p_plus:
-        outcome, post, weight = 1, plus, p_plus
+    shift = 0 if side == ALICE else n_qubits
+    return _mask(p.x_bits) << shift, _mask(p.z_bits) << shift, p.phase_exp
+
+
+def _row_product(p: Row, q: Row) -> Row:
+    """p*q by the Hermitian phase rule of ``pauli.multiply``, on bit masks."""
+    x1, z1, k1 = p
+    x2, z2, k2 = q
+    x, z = x1 ^ x2, z1 ^ z2
+    k = (k1 + k2 + (x1 & z1).bit_count() + (x2 & z2).bit_count() - (x & z).bit_count()
+         + 2 * (z1 & x2).bit_count())
+    return x, z, k % 4
+
+
+@dataclass
+class StabilizerState:
+    """Alice's and Bob's 2n qubits as a stabilizer tableau.
+
+    Alice's qubit k is bit k of a row's masks and Bob's qubit k is bit n + k.
+    ``stabilizers`` generate the state's stabilizer group, and
+    ``destabilizers[i]`` anticommutes with ``stabilizers[i]`` and commutes
+    with every other row of both lists.  No outcome depends on a
+    destabilizer's phase, so only its masks are kept.
+    """
+
+    n_qubits: int
+    stabilizers: list[Row]
+    destabilizers: list[tuple[int, int]]
+
+    @classmethod
+    def maximally_entangled(cls, n_qubits: int) -> "StabilizerState":
+        """n Bell pairs: stabilizers X_k X_k' and Z_k Z_k', destabilizers Z_k and X_k'.
+
+        This is the state with (P (x) P^T)|Phi> = |Phi> for every P.
+        """
+        stabilizers, destabilizers = _bell_pairs(n_qubits)
+        return cls(n_qubits, list(stabilizers), list(destabilizers))
+
+
+@lru_cache(maxsize=None)  # tuples, so the one cached start cannot be changed by a round
+def _bell_pairs(n_qubits: int) -> tuple[tuple[Row, ...], tuple[tuple[int, int], ...]]:
+    pairs = [(1 | 1 << n_qubits) << k for k in range(n_qubits)]
+    return (tuple([(m, 0, 0) for m in pairs] + [(0, m, 0) for m in pairs]),
+            tuple([(0, 1 << k) for k in range(n_qubits)]
+                  + [(1 << (n_qubits + k), 0) for k in range(n_qubits)]))
+
+
+def measure(state: StabilizerState, row: Row, rng: np.random.Generator) -> int:
+    """Projective measurement of one observable row, Born sampled; updates ``state``.
+
+    If the row anticommutes with a stabilizer, each outcome has probability
+    1/2: the first such stabilizer becomes its destabilizer and gives way to
+    the measured row, and the others that anticommute are multiplied by it.
+    Otherwise +-row is in the stabilizer group, and it is the product of the
+    stabilizers whose destabilizers anticommute with the row.  Either way
+    one ``rng.random()`` is drawn, and the outcome is +1 iff it is below the
+    exact probability of +1.
+    """
+    x, z, k = row
+    if not x | z:  # +-I: nothing to update
+        return 1 if rng.random() < (1.0 if k == 0 else 0.0) else -1
+    stabilizers, destabilizers = state.stabilizers, state.destabilizers
+    for pivot, (sx, sz, _) in enumerate(stabilizers):
+        if ((sx & z) ^ (sz & x)).bit_count() & 1:
+            break
     else:
-        outcome, post, weight = -1, minus, p_minus
-    return outcome, SharedState(state.n_qubits, post / math.sqrt(weight))
+        product = (0, 0, 0)
+        for (dx, dz), stabilizer in zip(destabilizers, stabilizers):
+            if ((dx & z) ^ (dz & x)).bit_count() & 1:
+                product = _row_product(product, stabilizer)
+        if product[0] != x or product[1] != z:
+            raise AssertionError("internal error: a commuting observable is not "
+                                 "in the stabilizer group")
+        return 1 if rng.random() < (1.0 if product[2] == k else 0.0) else -1
+    first = stabilizers[pivot]
+    for i in range(pivot + 1, len(stabilizers)):
+        sx, sz, _ = stabilizers[i]
+        if ((sx & z) ^ (sz & x)).bit_count() & 1:
+            stabilizers[i] = _row_product(stabilizers[i], first)
+    for i, (dx, dz) in enumerate(destabilizers):
+        if ((dx & z) ^ (dz & x)).bit_count() & 1:
+            destabilizers[i] = (dx ^ first[0], dz ^ first[1])
+    destabilizers[pivot] = first[:2]
+    outcome = 1 if rng.random() < 0.5 else -1
+    stabilizers[pivot] = (x, z, k if outcome == 1 else k ^ 2)
+    return outcome
 
 
 def _bob_operator(op: PauliOperator, literal: bool) -> PauliOperator:
     return op if literal else op.transpose()
 
 
-def play_quantum(
-    a: Arrangement,
-    s: Signing,
-    r: QuantumRealization,
-    query: Query,
-    rng: np.random.Generator,
-    literal: bool = False,
-) -> Transcript:
+def play_quantum(a: Arrangement, s: Signing, strategy: QuantumStrategy, query: Query,
+                 rng: np.random.Generator) -> Transcript:
     """One round of the quantum strategy, sampling each measurement."""
-    state = SharedState.maximally_entangled(r.n_qubits)
-    alice_color, state = measure(state, r.operator(query.vertex), ALICE, rng)
-    coloring = {}
-    for u in a.members(query.hyperedge):
-        outcome, state = measure(state, _bob_operator(r.operator(u), literal), BOB, rng)
-        coloring[u] = outcome
+    rows = strategy.rows
+    state = StabilizerState.maximally_entangled(strategy.realization.n_qubits)
+    alice_color = measure(state, rows[query.vertex][0], rng)
+    coloring = {u: measure(state, rows[u][1], rng) for u in a.members(query.hyperedge)}
     return _score(a, s, query, alice_color, coloring)
 
 
@@ -169,6 +209,17 @@ def _score(a, s, query, alice_color, coloring) -> Transcript:
 class QuantumStrategy:
     realization: QuantumRealization
     literal: bool = False
+
+    @cached_property
+    def rows(self) -> dict[str, tuple[Row, Row]]:
+        """Each vertex's Alice row and Bob row (transposed unless ``literal``).
+
+        Raises ``DimensionMismatch`` for an operator of the wrong width and
+        ``ValueError`` for one that is not an observable.
+        """
+        n = self.realization.n_qubits
+        return {v: (_row(op, ALICE, n), _row(_bob_operator(op, self.literal), BOB, n))
+                for v, op in self.realization.operators}
 
 
 @dataclass(frozen=True)
@@ -313,8 +364,7 @@ def monte_carlo(strategy, a: Arrangement, s: Signing, trials: int,
         if isinstance(strategy, ClassicalStrategy):
             transcript = play_classical(a, s, strategy, query)
         else:
-            transcript = play_quantum(a, s, strategy.realization, query, rng,
-                                      strategy.literal)
+            transcript = play_quantum(a, s, strategy, query, rng)
         won = transcript.won
         wins += won
         bucket = counts.setdefault((query.vertex, query.hyperedge), [0, 0])

@@ -27,6 +27,8 @@ def random_board(
     """
     if n_hyperedges < 2:
         raise ValueError("a valid board needs at least two hyperedges")
+    if n_extra_vertices is not None and n_extra_vertices < 0:
+        raise ValueError(f"cannot add {n_extra_vertices} extra vertices")
     edges = [f"e{i + 1}" for i in range(n_hyperedges)]
     pairs: list[tuple[str, str]] = []
     for i in range(1, n_hyperedges):

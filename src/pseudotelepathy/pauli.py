@@ -183,8 +183,9 @@ def state_action(p: PauliOperator) -> tuple[int, np.ndarray]:
     """Action on computational basis states, without building the dense matrix.
 
     Returns ``(flip_mask, coeffs)`` such that P|j> = coeffs[j] |j XOR flip_mask>.
-    Bit 0 of an index corresponds to the last tensor factor.  Used by the
-    game simulator to apply operators to statevectors in O(2^n).
+    Bit 0 of an index corresponds to the last tensor factor.  The game
+    samples on a stabilizer tableau; this serves the dense statevector that
+    checks it.
     """
     n = p.n_qubits
     flip_mask = 0
@@ -203,11 +204,3 @@ def state_action(p: PauliOperator) -> tuple[int, np.ndarray]:
             coeffs *= np.where(js & bit, -1.0, 1.0)
     return flip_mask, coeffs
 
-
-def parse_operator_map(raw: dict[str, str]) -> dict[str, PauliOperator]:
-    """Parse a JSON-style mapping of ids to Pauli words, requiring equal widths."""
-    ops = {key: from_string(word) for key, word in raw.items()}
-    widths = {op.n_qubits for op in ops.values()}
-    if len(widths) > 1:
-        raise DimensionMismatch(f"mixed qubit counts {sorted(widths)}")
-    return ops

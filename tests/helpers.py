@@ -2,8 +2,8 @@
 
 The oracles here are deliberately independent of the library's decision
 paths: planarity by exhaustive rotation enumeration, classical realizability
-by complete labeling search, and win probabilities by definition-level
-replays.
+by complete labeling search, win probabilities by definition-level
+replays, and sampled game rounds by a dense statevector.
 """
 
 from __future__ import annotations
@@ -13,11 +13,16 @@ import math
 import random
 import warnings
 from collections import deque
+from dataclasses import dataclass
+
+import numpy as np
 
 from pseudotelepathy.arrangement import Arrangement, Signing, validate
 from pseudotelepathy.certificate import CANCEL, CONTRACT
+from pseudotelepathy.game import ALICE, BOB, Query
 from pseudotelepathy.generate import random_arrangement
 from pseudotelepathy.intersection import IntersectionGraph, RotationSystem, trace_faces
+from pseudotelepathy.pauli import DimensionMismatch, PauliOperator, state_action
 from pseudotelepathy.planarity import _adjacency, _consecutive, _find_cycle, _is_planar_simple
 
 
@@ -387,3 +392,69 @@ def cyclic_equal(w1, w2) -> bool:
         return True
     doubled = list(w2) + list(w2)
     return any(doubled[i:i + len(w1)] == list(w1) for i in range(len(w2)))
+
+
+@dataclass
+class SharedState:
+    """Dense amplitudes of Alice's and Bob's halves, indexed [alice, bob]."""
+
+    n_qubits: int
+    amplitudes: np.ndarray
+
+    @classmethod
+    def maximally_entangled(cls, n_qubits: int) -> "SharedState":
+        dim = 1 << n_qubits
+        return cls(n_qubits, np.eye(dim, dtype=complex) / math.sqrt(dim))
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.amplitudes))
+
+
+def _apply(amplitudes: np.ndarray, p: PauliOperator, side: str) -> np.ndarray:
+    flip, coeffs = state_action(p)
+    dim = coeffs.shape[0]
+    out = np.empty_like(amplitudes)
+    perm = np.arange(dim) ^ flip
+    if side == ALICE:
+        out[perm, :] = coeffs[:, None] * amplitudes
+    else:
+        out[:, perm] = coeffs[None, :] * amplitudes
+    return out
+
+
+def dense_projections(amplitudes: np.ndarray, p: PauliOperator, side: str):
+    """Unnormalized projections onto the +-1 eigenspaces of p on one side."""
+    acted = _apply(amplitudes, p, side)
+    return (amplitudes + acted) / 2, (amplitudes - acted) / 2
+
+
+def dense_measure(state: SharedState, p: PauliOperator, side: str,
+                  rng: np.random.Generator) -> tuple[int, SharedState]:
+    """Statevector oracle of ``game.measure``: one ``rng.random()`` against the
+    float Born probability of +1."""
+    if p.n_qubits != state.n_qubits:
+        raise DimensionMismatch(f"operator on {p.n_qubits} qubits, state on {state.n_qubits}")
+    if not p.is_observable():
+        raise ValueError(f"{p} is not an observable")
+    plus, minus = dense_projections(state.amplitudes, p, side)
+    p_plus = float(np.linalg.norm(plus) ** 2)
+    p_minus = float(np.linalg.norm(minus) ** 2)
+    if abs(p_plus + p_minus - state.norm() ** 2) >= 1e-12:
+        raise AssertionError(f"projections of {p} lose norm")
+    if rng.random() < p_plus:
+        outcome, post, weight = 1, plus, p_plus
+    else:
+        outcome, post, weight = -1, minus, p_minus
+    return outcome, SharedState(state.n_qubits, post / math.sqrt(weight))
+
+
+def dense_play_quantum(a: Arrangement, r, query: Query, rng: np.random.Generator,
+                       literal: bool = False) -> tuple[int, dict[str, int]]:
+    """Alice's outcome and Bob's coloring of one round, on the statevector."""
+    state = SharedState.maximally_entangled(r.n_qubits)
+    alice, state = dense_measure(state, r.operator(query.vertex), ALICE, rng)
+    coloring = {}
+    for u in a.members(query.hyperedge):
+        op = r.operator(u) if literal else r.operator(u).transpose()
+        coloring[u], state = dense_measure(state, op, BOB, rng)
+    return alice, coloring

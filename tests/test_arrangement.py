@@ -22,7 +22,7 @@ from pseudotelepathy.arrangement import (
     to_json_dict,
     validate,
 )
-from pseudotelepathy.generate import random_signing
+from pseudotelepathy.generate import random_board, random_signing
 from pseudotelepathy.realization import builtin_square
 
 
@@ -202,3 +202,15 @@ class TestJson:
         a, _ = triangle_board()
         a2, s2 = validate(to_json_dict(a))
         assert a2 == a and s2 is None
+
+
+class TestRandomBoard:
+    def test_negative_extra_vertices_rejected(self):
+        with pytest.raises(ValueError, match="-5"):
+            random_board(random.Random(1), 3, -5)
+
+    def test_zero_extra_vertices_is_a_tree(self):
+        raw = random_board(random.Random(1), 3, 0)
+        assert len(raw["vertices"]) == 2  # three lines, two dual edges
+        with pytest.warns(UserWarning, match="size-1"):
+            validate(raw)

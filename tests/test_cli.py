@@ -332,6 +332,37 @@ class TestBadArguments:
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and named in err
 
+    @pytest.mark.parametrize("payload, named", [
+        ({"n_qubits": 2, "operators": {"a1": "XQ"}}, "operators['a1']: invalid Pauli letter"),
+        ({"n_qubits": 2, "operators": {f"{r}{c}": "II" for r in "123" for c in "12"}},
+         "operators: no operator for vertices ['13', '23', '33']"),
+        ({"n_qubits": "two", "operators": {}}, "n_qubits must be"),
+        ({"n_qubits": True, "operators": {}}, "n_qubits must be"),
+        ({"n_qubits": 0, "operators": {}}, "n_qubits must be"),
+        ({"operators": {}}, "n_qubits must be"),
+        ({"n_qubits": 1, "operators": ["X"]}, "operators must be an object"),
+        ({"n_qubits": 1, "operators": {"11": 1}}, "operators['11'] must be a string"),
+        ({"n_qubits": 1, "operators": {"11": "XZ"}}, "operators['11'] acts on 2 qubits"),
+        ({"alice": {"11": "1"}, "bob": {}}, "alice['11'] must be 1 or -1"),
+        ({"alice": {"11": 1.0}, "bob": {}}, "alice['11'] must be 1 or -1"),
+        ({"alice": {"11": True}, "bob": {}}, "alice['11'] must be 1 or -1"),
+        ({"alice": {"11": 2}, "bob": {}}, "alice['11'] must be 1 or -1"),
+        ({"alice": {"11": 1}, "bob": {"r1": {"11": False}}}, "bob['r1']['11'] must be 1 or -1"),
+        ({"alice": {"11": 1}, "bob": {"r1": [1]}}, "bob['r1'] must be an object"),
+        ({"alice": {"11": 1}, "bob": []}, "bob must be an object"),
+        ({"bob": {}}, "alice must be an object"),
+        ([1, 2], "the file must hold an object"),
+    ])
+    def test_malformed_strategy_file(self, capsys, tmp_path, payload, named):
+        path = tmp_path / "strategy.json"
+        path.write_text(json.dumps(payload))
+        for extra in ((), ("--exact",)):
+            code, out, err = invoke(capsys, "simulate", "--arrangement",
+                                    str(BOARDS / "square.json"), "--strategy", str(path),
+                                    *extra)
+            assert code == 1 and out == ""
+            assert err.count("\n") == 1 and named in err and str(path) in err
+
     def test_undecodable_board_file(self, capsys, tmp_path):
         board = tmp_path / "board.json"
         board.write_bytes(b"\xff\xfe{")

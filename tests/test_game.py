@@ -2,12 +2,25 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import corpus, triangle_board
+from helpers import (
+    SharedState,
+    corpus,
+    dense_measure,
+    dense_play_quantum,
+    triangle_board,
+)
+import pseudotelepathy
 from pseudotelepathy.arrangement import (
     Signing,
     all_plus_signing,
@@ -20,7 +33,10 @@ from pseudotelepathy.game import (
     ClassicalStrategy,
     Query,
     QuantumStrategy,
-    SharedState,
+    StabilizerState,
+    _mask,
+    _row,
+    _row_product,
     all_queries,
     exact_query_win_probability,
     exact_win_probability,
@@ -30,7 +46,13 @@ from pseudotelepathy.game import (
     play_quantum,
     referee_draw,
 )
-from pseudotelepathy.pauli import from_string
+from pseudotelepathy.pauli import (
+    DimensionMismatch,
+    PauliOperator,
+    dense_matrix,
+    from_string,
+    multiply,
+)
 from pseudotelepathy.realization import (
     QuantumRealization,
     builtin_pentagram,
@@ -89,66 +111,195 @@ class TestReferee:
         assert seq1 == seq2
 
 
+def fixed_draws(*values):
+    """Stand-in for the generator: ``random()`` returns ``values`` in turn."""
+    class Draws:
+        def __init__(self):
+            self.left = list(values)
+
+        def random(self):
+            return self.left.pop(0)
+
+    return Draws()
+
+
+BELOW_HALF = float(np.nextafter(0.5, 0))  # the largest draw below 1/2
+BELOW_ONE = float(np.nextafter(1.0, 0))   # the largest draw rng.random() returns
+
+
+def is_plus_outcome(state, row, draw):
+    """The outcome of measuring ``row`` on a copy of ``state`` with one fixed draw."""
+    copy = StabilizerState(state.n_qubits, list(state.stabilizers),
+                           list(state.destabilizers))
+    return measure(copy, row, fixed_draws(draw)) == 1
+
+
+def p_plus(state, row) -> Fraction:
+    """The probability of +1 that ``measure`` uses, read off at its thresholds."""
+    low, mid, high = (is_plus_outcome(state, row, d) for d in (0.0, BELOW_HALF, 0.5))
+    top = is_plus_outcome(state, row, BELOW_ONE)
+    if not low:
+        return Fraction(0)
+    if top:
+        return Fraction(1)
+    assert mid and not high  # +1 exactly on draws below 1/2
+    return Fraction(1, 2)
+
+
+def tableau_matrix(row, n_qubits):
+    """Dense matrix of a tableau row on the 2n qubits (Alice's first)."""
+    x, z, k = row
+    bits = range(2 * n_qubits)
+    return dense_matrix(PauliOperator(2 * n_qubits, k, tuple((x >> b) & 1 for b in bits),
+                                      tuple((z >> b) & 1 for b in bits)))
+
+
+def as_row(p: PauliOperator):
+    return _mask(p.x_bits), _mask(p.z_bits), p.phase_exp
+
+
+def anticommute(p, q) -> bool:
+    return bool(((p[0] & q[1]) ^ (p[1] & q[0])).bit_count() & 1)
+
+
 class TestSharedState:
     def test_maximally_entangled_structure(self):
         for n in (1, 2, 3):
-            state = SharedState.maximally_entangled(n)
+            state = StabilizerState.maximally_entangled(n)
             dim = 2 ** n
-            assert abs(state.norm() - 1.0) < 1e-12
-            expected = np.eye(dim) / math.sqrt(dim)
-            np.testing.assert_allclose(state.amplitudes, expected, atol=1e-15)
+            phi = np.eye(dim).reshape(-1) / math.sqrt(dim)
+            assert len(state.stabilizers) == len(state.destabilizers) == 2 * n
+            for row in state.stabilizers:
+                np.testing.assert_array_equal(tableau_matrix(row, n) @ phi, phi)
+            for i, d in enumerate(state.destabilizers):
+                for j, stabilizer in enumerate(state.stabilizers):
+                    assert anticommute(d, stabilizer) == (i == j)
+                assert not any(anticommute(d, e) for e in state.destabilizers)
+
+    def test_row_product_matches_pauli_multiply(self):
+        n = 2
+        words = ["".join(w) for w in itertools.product("IXYZ", repeat=n)]
+        ops = [PauliOperator(n, k, p.x_bits, p.z_bits)
+               for p in map(from_string, words) for k in range(4)]
+        for p, q in itertools.product(ops, repeat=2):
+            product = multiply(p, q)
+            assert _row_product(as_row(p), as_row(q)) == as_row(product)
 
 
 class TestMeasure:
     def test_z_on_bell_pair_is_fair(self):
-        state = SharedState.maximally_entangled(1)
-        z = from_string("Z")
-        from pseudotelepathy.game import _project
-
-        plus, minus = _project(state.amplitudes, z, ALICE)
-        assert abs(np.linalg.norm(plus) ** 2 - 0.5) < 1e-12
-        assert abs(np.linalg.norm(minus) ** 2 - 0.5) < 1e-12
+        state = StabilizerState.maximally_entangled(1)
+        z = _row(from_string("Z"), ALICE, 1)
+        assert p_plus(state, z) == Fraction(1, 2)
+        assert measure(StabilizerState.maximally_entangled(1), z, fixed_draws(BELOW_HALF)) == 1
+        assert measure(StabilizerState.maximally_entangled(1), z, fixed_draws(0.5)) == -1
 
     def test_born_rule_sanity(self):
         rng = np.random.default_rng(31)
-        state = SharedState.maximally_entangled(2)
+        state = StabilizerState.maximally_entangled(2)
         for word in ("XZ", "YY", "ZI", "XY"):
-            op = from_string(word)
-            from pseudotelepathy.game import _project
-
-            plus, minus = _project(state.amplitudes, op, BOB)
-            total = np.linalg.norm(plus) ** 2 + np.linalg.norm(minus) ** 2
-            assert abs(total - 1.0) < 1e-12
-        outcome, post = measure(state, from_string("XZ"), BOB, rng)
-        assert abs(post.norm() - 1.0) < 1e-12
+            assert p_plus(state, _row(from_string(word), BOB, 2)) == Fraction(1, 2)
+        row = _row(from_string("XZ"), BOB, 2)
+        outcome = measure(state, row, rng)
+        assert p_plus(state, row) == (1 if outcome == 1 else 0)
+        negated = _row(from_string("-XZ"), BOB, 2)
+        assert p_plus(state, negated) == (0 if outcome == 1 else 1)
 
     def test_repeated_measurement_is_stable(self):
         rng = np.random.default_rng(17)
         for word in ("X", "Y", "Z"):
-            state = SharedState.maximally_entangled(1)
-            op = from_string(word)
-            first, state = measure(state, op, ALICE, rng)
+            state = StabilizerState.maximally_entangled(1)
+            row = _row(from_string(word), ALICE, 1)
+            first = measure(state, row, rng)
             for _ in range(3):
-                again, state = measure(state, op, ALICE, rng)
-                assert again == first
+                assert measure(state, row, rng) == first
+                assert p_plus(state, row) == (1 if first == 1 else 0)
 
     def test_transpose_correlation_is_perfect(self):
         rng = np.random.default_rng(3)
         y = from_string("Y")
         for _ in range(25):
-            state = SharedState.maximally_entangled(1)
-            alice, state = measure(state, y, ALICE, rng)
-            bob, state = measure(state, y.transpose(), BOB, rng)
-            assert bob == alice
+            state = StabilizerState.maximally_entangled(1)
+            alice = measure(state, _row(y, ALICE, 1), rng)
+            bob_row = _row(y.transpose(), BOB, 1)
+            assert p_plus(state, bob_row) == (1 if alice == 1 else 0)
+            assert measure(state, bob_row, rng) == alice
 
     def test_literal_y_measurement_anticorrelates(self):
         rng = np.random.default_rng(3)
         y = from_string("Y")
         for _ in range(25):
-            state = SharedState.maximally_entangled(1)
-            alice, state = measure(state, y, ALICE, rng)
-            bob, state = measure(state, y, BOB, rng)
-            assert bob == -alice
+            state = StabilizerState.maximally_entangled(1)
+            alice = measure(state, _row(y, ALICE, 1), rng)
+            bob_row = _row(y, BOB, 1)
+            assert p_plus(state, bob_row) == (0 if alice == 1 else 1)
+            assert measure(state, bob_row, rng) == -alice
+
+    def test_non_observable_raises(self):
+        with pytest.raises(ValueError, match="not an observable"):
+            _row(from_string("iX"), ALICE, 1)
+        a, s, _ = odd_y_board()
+        r = QuantumRealization.from_dict(1, {"u": from_string("iY"), "w": from_string("Y")})
+        with pytest.raises(ValueError, match="not an observable"):
+            play_quantum(a, s, QuantumStrategy(r), Query("w", "e1"),
+                         np.random.default_rng(1))
+
+    def test_width_mismatch_raises(self):
+        with pytest.raises(DimensionMismatch):
+            _row(from_string("XZ"), BOB, 1)
+        a, s, _ = odd_y_board()
+        r = QuantumRealization.from_dict(2, {"u": from_string("YI"), "w": from_string("Y")})
+        with pytest.raises(DimensionMismatch):
+            QuantumStrategy(r).rows
+
+    def test_corrupted_deterministic_sign_raises_under_optimize(self):
+        """The stabilizer-group self-check is a real check, not an ``assert``."""
+        script = (
+            "from pseudotelepathy.game import ALICE, StabilizerState, _row, measure\n"
+            "from pseudotelepathy.pauli import from_string\n"
+            "state = StabilizerState.maximally_entangled(1)\n"
+            "state.stabilizers[0] = state.stabilizers[1]  # X_A X_B lost: Z_A looks fixed\n"
+            "measure(state, _row(from_string('Z'), ALICE, 1), None)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(pseudotelepathy.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode != 0
+        assert "AssertionError: internal error: a commuting observable" in done.stderr
+
+
+observables = st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.sampled_from((ALICE, BOB)), st.sampled_from((0, 2)),
+                       st.lists(st.sampled_from("IXYZ"), min_size=n, max_size=n)),
+             min_size=1, max_size=10)))
+
+
+class TestStatevectorOracle:
+    """Outcome for outcome, the tableau equals the dense statevector."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(observables, st.integers(0, 2**32 - 1))
+    def test_measurement_sequences(self, drawn, seed):
+        n, sequence = drawn
+        tableau_rng, dense_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        state, dense = StabilizerState.maximally_entangled(n), SharedState.maximally_entangled(n)
+        for side, phase, letters in sequence:
+            op = from_string(("-" if phase else "+") + "".join(letters))
+            expected, dense = dense_measure(dense, op, side, dense_rng)
+            assert measure(state, _row(op, side, n), tableau_rng) == expected
+
+    @pytest.mark.parametrize("board", [builtin_square, builtin_pentagram, odd_y_board])
+    @pytest.mark.parametrize("literal", [False, True])
+    def test_every_query_of_the_builtin_boards(self, board, literal):
+        a, s, r = board()
+        strategy = QuantumStrategy(r, literal)
+        for k, q in enumerate(all_queries(a)):
+            for seed in range(8):
+                rng, dense_rng = np.random.default_rng([k, seed]), np.random.default_rng([k, seed])
+                t = play_quantum(a, s, strategy, q, rng)
+                alice, coloring = dense_play_quantum(a, r, q, dense_rng, literal)
+                assert (t.alice_color, t.bob_coloring) == (alice, tuple(sorted(coloring.items())))
 
 
 class TestPlayQuantum:
@@ -157,14 +308,14 @@ class TestPlayQuantum:
         rng = np.random.default_rng(7)
         for q in all_queries(a):
             for _ in range(6):
-                t = play_quantum(a, s, r, q, rng)
+                t = play_quantum(a, s, QuantumStrategy(r), q, rng)
                 assert t.parity_ok and t.consistency_ok
 
     def test_pentagram_wins_every_query(self):
         a, s, r = builtin_pentagram()
         rng = np.random.default_rng(11)
         for q in all_queries(a):
-            t = play_quantum(a, s, r, q, rng)
+            t = play_quantum(a, s, QuantumStrategy(r), q, rng)
             assert t.won
 
     def test_untransposed_bob_fails_with_odd_y_operator(self):
