@@ -115,52 +115,68 @@ def validate(raw: dict) -> tuple[Arrangement, Signing | None]:
 
     ``raw`` follows the JSON schema
     ``{"vertices": [...], "hyperedges": [{"id": ..., "vertices": [...],
-    "sign": 1|-1 (optional)}]}``.  Signs must be given for all hyperedges or
-    none.  Unknown keys are rejected.
+    "sign": 1|-1 (optional)}]}``, with exact types: ids are nonempty
+    strings, lists are lists and a sign is the integer 1 or -1 (never a
+    bool or a float).  Signs must be given for all hyperedges or none.
+    Unknown keys are rejected.
     """
     if not isinstance(raw, dict):
         raise ArrangementError("board description must be a JSON object")
     unknown = set(raw) - {"vertices", "hyperedges"}
     if unknown:
         raise ArrangementError(f"unknown keys {sorted(unknown)}")
-    vertices = list(raw.get("vertices", []))
+    vertices = raw.get("vertices", [])
+    if not isinstance(vertices, list):
+        raise ArrangementError("vertices must be a list")
     if any(not isinstance(v, str) or not v for v in vertices):
-        raise ArrangementError("vertex ids must be nonempty strings")
+        raise ArrangementError("vertices must be nonempty strings")
     if len(set(vertices)) != len(vertices):
         raise DuplicateId("duplicate vertex ids")
 
     hyperedges: list[tuple[str, tuple[str, ...]]] = []
     signs: dict[str, int] = {}
     seen_ids: set[str] = set()
-    for entry in raw.get("hyperedges", []):
+    degree: dict[str, list[str]] = {v: [] for v in vertices}
+    entries = raw.get("hyperedges", [])
+    if not isinstance(entries, list):
+        raise ArrangementError("hyperedges must be a list")
+    for k, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ArrangementError(f"hyperedges[{k}] must be an object")
         bad = set(entry) - {"id", "vertices", "sign"}
         if bad:
             raise ArrangementError(f"unknown hyperedge keys {sorted(bad)}")
-        eid = entry["id"]
+        eid = entry.get("id")
         if not isinstance(eid, str) or not eid:
-            raise ArrangementError("hyperedge id must be a nonempty string")
+            raise ArrangementError(f"hyperedges[{k}].id must be a nonempty string")
         if eid in seen_ids:
             raise DuplicateId(f"duplicate hyperedge id {eid!r}")
         seen_ids.add(eid)
-        members = list(entry.get("vertices", []))
+        members = entry.get("vertices", [])
+        if not isinstance(members, list):
+            raise ArrangementError(f"vertices of hyperedge {eid!r} must be a list")
         if not members:
             raise EmptyHyperedge(f"hyperedge {eid!r} is empty")
+        try:
+            for v in members:
+                degree[v].append(eid)
+        except (KeyError, TypeError):  # not a listed vertex, perhaps not a string
+            v = next(v for v in members if not isinstance(v, str) or v not in degree)
+            if not isinstance(v, str) or not v:
+                raise ArrangementError(
+                    f"vertices of hyperedge {eid!r} must be nonempty strings") from None
+            raise ArrangementError(f"hyperedge {eid!r} uses unlisted vertex {v!r}") from None
         if len(set(members)) != len(members):
             raise DuplicateId(f"hyperedge {eid!r} repeats a vertex")
         hyperedges.append((eid, tuple(sorted(members))))
         if "sign" in entry:
-            if entry["sign"] not in (1, -1):
-                raise ArrangementError(f"sign of {eid!r} must be 1 or -1")
-            signs[eid] = entry["sign"]
+            sign = entry["sign"]
+            if type(sign) is not int or sign not in (1, -1):  # bool is not a sign
+                raise ArrangementError(f"sign of {eid!r} must be the integer 1 or -1")
+            signs[eid] = sign
     if signs and len(signs) != len(hyperedges):
         raise ArrangementError("signs must cover all hyperedges or none")
 
-    degree: dict[str, list[str]] = {v: [] for v in vertices}
-    for eid, members in hyperedges:
-        for v in members:
-            if v not in degree:
-                raise ArrangementError(f"hyperedge {eid!r} uses unlisted vertex {v!r}")
-            degree[v].append(eid)
     for v, holders in degree.items():
         if len(holders) != 2:
             raise DegreeError(f"vertex {v!r} lies in {len(holders)} hyperedges, expected 2")

@@ -10,6 +10,7 @@ seed, defaulting to DEFAULT_SEED for reproducible output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -307,7 +308,10 @@ def cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then kept: parsing
+    leaves it unchanged, and building it costs far more than a parse."""
     parser = argparse.ArgumentParser(
         prog="pseudotelepathy",
         description="decide, realize, certify, and simulate parity game boards",

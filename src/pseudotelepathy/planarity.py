@@ -11,18 +11,27 @@ The decision procedure embeds each biconnected block by face insertion
 place a path of some unembedded bridge into a face containing all of that
 bridge's attachment vertices, preferring bridges with a unique admissible
 face.  A planar block always completes; a nonplanar one strands a bridge
-with no admissible face.  The bookkeeping lives across steps: only the
-picked bridge is re-split (its new chords and the components of its
-interior minus the path), only bridges admissible in the split face are
-rechecked (against its two halves), and new bridges read their admissible
-faces off a node-to-faces index.  A step therefore costs the picked
-bridge's size plus the split face's length, not a rescan of every bridge
-against every face.  Witness extraction
-keeps the edge-minimal nonplanar subgraph that deleting edges in sorted order
-would leave, found by galloping and bisection over suffixes of that order in
-O(k log m) planarity tests for a k-edge witness (none when the graph already
-has the degree profile of a subdivision).  That subgraph is exactly a K5 or
-K3,3 subdivision, read off by walking its degree-2 chains.
+with no admissible face.  The bookkeeping lives across steps: only bridges
+admissible in the split face are rechecked (against its two halves), new
+bridges read their admissible faces off a node-to-faces index, and the
+picked bridge is split without searching it again.  The components of its
+interior minus the path are searched side by side from the path's
+neighbours until at most one search is unfinished; that one is the rest of
+the old interior and takes over its node set, attachment counts and
+smallest-node heap by difference.  A finished component was searched in
+step with a larger unfinished one, so it holds at most half of its bridge
+and a node is searched O(log E) times per block ("process the smaller
+half", Hopcroft 1971): O(E log E) for all splits, where searching each
+picked bridge whole was quadratic on grids.  A step thus costs the path's
+neighbourhood, the finished components, the bridge's attachments and the
+split face's length; the last two are what is left superlinear.
+
+Witness extraction keeps the edge-minimal nonplanar subgraph that deleting
+edges in sorted order would leave, found by galloping and bisection over
+suffixes of that order in O(k log m) planarity tests for a k-edge witness
+(none when the graph already has the degree profile of a subdivision).
+That subgraph is exactly a K5 or K3,3 subdivision, read off by walking its
+degree-2 chains.
 
 Parallel edges and self-loops never affect planarity, so they are stripped
 before the search and spliced back into the returned rotation afterwards
@@ -271,9 +280,9 @@ def _biconnected_blocks(edges: dict[str, tuple[str, str]]) -> list[dict[str, tup
     return blocks
 
 
-def _find_cycle(block: dict[str, tuple[str, str]]) -> list[str]:
-    """Any cycle in a biconnected block with >= 3 edges, deterministically."""
-    adj = _adjacency(block)
+def _find_cycle(adj: dict[str, list[tuple[str, str]]]) -> tuple[list[str], list[str]]:
+    """Nodes and edges of some cycle in a biconnected block with >= 3
+    edges, given its adjacency, deterministically."""
     start = min(adj)
     parent_edge: dict[str, str | None] = {start: None}
     visited = {start}
@@ -287,7 +296,8 @@ def _find_cycle(block: dict[str, tuple[str, str]]) -> list[str]:
                 continue
             if other in visited:
                 if other in trail:
-                    return trail[trail.index(other):]
+                    cycle = trail[trail.index(other):]
+                    return cycle, [parent_edge[n] for n in cycle[1:]] + [eid]
                 continue
             parent_edge[other] = eid
             visited.add(other)
@@ -333,37 +343,138 @@ def _bridge_path(adj, a, b, interior):
     return nodes, edges
 
 
-def _new_bridges(adj, h_nodes, region, placed, placed_edges):
-    """Bridges created when ``placed`` nodes and ``placed_edges`` join H.
+class _Interior:
+    """The node set of a component bridge, plus what a split hands on.
 
-    ``h_nodes`` already includes ``placed``.  Yields (key, attachments,
-    body): chords from a placed node into H, keyed (0, edge id) with the
-    edge id as body, then the components of ``region`` outside H, keyed
-    (1, smallest node) with their node set as body.
+    ``counts`` maps each attachment to its number of edges into ``nodes``;
+    ``heap`` is a min-heap of ``nodes`` whose entries that have since left
+    ``nodes`` are skipped.  Both stay None until a split of this bridge
+    leaves one component unsearched, which builds them once; from then on
+    that component's attachments and smallest node come by difference.
+    """
+
+    __slots__ = ("nodes", "counts", "heap")
+
+    def __init__(self, nodes: set[str], counts: dict[str, int] | None = None,
+                 heap: list[str] | None = None):
+        self.nodes, self.counts, self.heap = nodes, counts, heap
+
+
+class _Search:
+    """One of the side-by-side searches of a split: the nodes it has
+    claimed, those still to expand, and the attachments it has met."""
+
+    __slots__ = ("nodes", "todo", "attachments", "alive")
+
+    def __init__(self, seed: str):
+        self.nodes, self.todo, self.attachments, self.alive = {seed}, [seed], set(), True
+
+
+def _split_bridge(adj, h_nodes, interior, inner, path_edges):
+    """Bridges created when the ``inner`` nodes and ``path_edges`` of a path
+    through ``interior`` join H.
+
+    ``h_nodes`` already includes ``inner``.  Yields (key, attachments,
+    body): chords from an inner node into H, keyed (0, edge id) with the
+    edge id as body, then the components of the interior minus the path,
+    keyed (1, smallest node) with an :class:`_Interior` as body.  A caller
+    that stops at a chord with no admissible face skips the searching.
+
+    The components are searched side by side from the path's neighbours,
+    one node expansion per search in turn; searches that meet merge,
+    smaller into larger, and the searching stops once at most one is
+    unfinished.  That one is whatever is left of ``interior``: it takes
+    over the old node set, attachment counts and heap, less what the path
+    and the finished components took.  Once a bridge has been split, later
+    splits therefore cost the path's neighbourhood and the finished
+    components, never the size of what is left.
     """
     chords: dict[str, tuple[str, str]] = {}
-    for node in placed:
+    owner: dict[str, _Search] = {}
+    searches: list[_Search] = []
+    for node in inner:
         for other, eid in adj[node]:
-            if other in h_nodes and eid not in placed_edges:
-                chords[eid] = (node, other)
+            if other in h_nodes:
+                if eid not in path_edges:
+                    chords[eid] = (node, other)
+            elif other not in owner:
+                owner[other] = search = _Search(other)
+                searches.append(search)
     for eid, pair in chords.items():
         yield (0, eid), frozenset(pair), eid
-    seen: set[str] = set()
-    for node in region:
-        if node in h_nodes or node in seen:
-            continue
-        component = {node}
-        attachments: set[str] = set()
-        stack = [node]
-        while stack:
-            for other, _ in adj[stack.pop()]:
+
+    active = searches
+    while len(active) > 1:
+        for search in active:
+            if not (search.alive and search.todo):
+                continue
+            for other, _ in adj[search.todo.pop()]:
                 if other in h_nodes:
-                    attachments.add(other)
-                elif other not in component:
-                    component.add(other)
-                    stack.append(other)
-        seen |= component
-        yield (1, min(component)), frozenset(attachments), component
+                    search.attachments.add(other)
+                    continue
+                met = owner.get(other)
+                if met is None:
+                    owner[other] = search
+                    search.nodes.add(other)
+                    search.todo.append(other)
+                elif met is not search:
+                    search = _merge(owner, search, met)
+        active = [s for s in active if s.alive and s.todo]
+
+    finished = [s for s in searches if s.alive and not s.todo]
+    for search in finished:
+        yield (1, min(search.nodes)), frozenset(search.attachments), _Interior(search.nodes)
+    if active:
+        (rest,) = active
+        yield _remainder(adj, interior, inner, finished, owner, rest)
+
+
+def _merge(owner, one: _Search, other: _Search) -> _Search:
+    """Fold the smaller of two met searches into the larger; returns it."""
+    small, big = (one, other) if len(one.nodes) <= len(other.nodes) else (other, one)
+    for node in small.nodes:
+        owner[node] = big
+    big.nodes |= small.nodes
+    big.todo += small.todo
+    if len(big.attachments) < len(small.attachments):
+        big.attachments, small.attachments = small.attachments, big.attachments
+    big.attachments |= small.attachments
+    small.alive = False
+    return big
+
+
+def _remainder(adj, interior, inner, finished, owner, rest):
+    """The unfinished component: the old interior less the path and the
+    finished components.  Its attachment counts and heap are the old ones
+    updated by difference, or on a bridge's first split are built once."""
+    nodes, counts, heap = interior.nodes, interior.counts, interior.heap
+    gone = list(inner)
+    for search in finished:
+        gone += search.nodes
+    if counts is not None:
+        for node in gone:
+            for other, _ in adj[node]:
+                if other not in nodes:  # an edge into an old attachment leaves
+                    left = counts[other] - 1
+                    if left:
+                        counts[other] = left
+                    else:
+                        del counts[other]
+                elif owner.get(other) is rest:  # an inner path node attaches
+                    counts[node] = counts.get(node, 0) + 1
+    nodes.difference_update(gone)
+    if counts is None:
+        counts = {}
+        for node in nodes:
+            for other, _ in adj[node]:
+                if other not in nodes:
+                    counts[other] = counts.get(other, 0) + 1
+    if heap is None:
+        heap = list(nodes)
+        heapq.heapify(heap)
+    while heap[0] not in nodes:
+        heapq.heappop(heap)
+    return (1, heap[0]), frozenset(counts), _Interior(nodes, counts, heap)
 
 
 def _embed_block(block: dict[str, tuple[str, str]]) -> list[list[str]] | None:
@@ -377,18 +488,16 @@ def _embed_block(block: dict[str, tuple[str, str]]) -> list[list[str]] | None:
         return [[u, v]]
 
     adj = _adjacency(block)
-    cycle = _find_cycle(block)
+    cycle, cycle_edges = _find_cycle(adj)
     faces: list[list[str]] = [list(cycle), list(reversed(cycle))]
     node_faces = {n: {0, 1} for n in cycle}
     h_nodes = set(cycle)
-    cycle_edges = {eid for eid in block
-                   if {*block[eid]} <= h_nodes and _consecutive(cycle, *block[eid])}
 
     # Bridge keys sort in pick order: chords (0, edge id) before components
     # (1, smallest node).  Each step places the smallest key with a single
     # admissible face, else the smallest key, into its first admissible face.
     attach: dict[tuple, frozenset[str]] = {}
-    body: dict[tuple, str | set[str]] = {}     # a chord's edge id, or an interior
+    body: dict[tuple, str | _Interior] = {}    # a chord's edge id, or an interior
     admissible: dict[tuple, list[int]] = {}
     on_face: dict[int, set[tuple]] = {0: set(), 1: set()}
     by_key: list[tuple] = []     # heap of every bridge key, stale entries skipped
@@ -407,7 +516,8 @@ def _embed_block(block: dict[str, tuple[str, str]]) -> list[list[str]] | None:
                 heapq.heappush(unique, key)
         return True
 
-    if not add(_new_bridges(adj, h_nodes, list(adj), cycle, cycle_edges)):
+    # the whole block as the interior, with no edges into H yet
+    if not add(_split_bridge(adj, h_nodes, _Interior(set(adj), {}), cycle, set(cycle_edges))):
         return None
     while admissible:
         while unique and len(admissible.get(unique[0], ())) != 1:
@@ -424,7 +534,7 @@ def _embed_block(block: dict[str, tuple[str, str]]) -> list[list[str]] | None:
         if key[0] == 0:
             path_nodes, path_edges = [a, b], [inside]
         else:
-            path_nodes, path_edges = _bridge_path(adj, a, b, inside)
+            path_nodes, path_edges = _bridge_path(adj, a, b, inside.nodes)
 
         face = faces[face_idx]
         ia, ib = face.index(a), face.index(b)
@@ -462,15 +572,9 @@ def _embed_block(block: dict[str, tuple[str, str]]) -> list[list[str]] | None:
 
         if inner:
             h_nodes.update(inner)
-            if not add(_new_bridges(adj, h_nodes, inside, inner, set(path_edges))):
+            if not add(_split_bridge(adj, h_nodes, inside, inner, set(path_edges))):
                 return None
     return faces
-
-
-def _consecutive(cycle: list[str], u: str, v: str) -> bool:
-    n = len(cycle)
-    iu, iv = cycle.index(u), cycle.index(v)
-    return (iu - iv) % n in (1, n - 1)
 
 
 def _embed_simple_graph(edges: dict[str, tuple[str, str]]):

@@ -23,7 +23,7 @@ from pseudotelepathy.game import ALICE, BOB, Query
 from pseudotelepathy.generate import random_arrangement
 from pseudotelepathy.intersection import IntersectionGraph, RotationSystem, trace_faces
 from pseudotelepathy.pauli import DimensionMismatch, PauliOperator, state_action
-from pseudotelepathy.planarity import _adjacency, _consecutive, _find_cycle, _is_planar_simple
+from pseudotelepathy.planarity import _adjacency, _find_cycle, _is_planar_simple
 
 
 def triangle_board() -> tuple[Arrangement, Signing | None]:
@@ -35,6 +35,36 @@ def triangle_board() -> tuple[Arrangement, Signing | None]:
             {"id": "ca", "vertices": ["x", "z"]},
         ],
     })
+
+
+def triangle_raw(**line_ab) -> dict:
+    """The triangle board's JSON, signed +1 throughout; keyword arguments
+    replace fields of its line ``ab``."""
+    return {
+        "vertices": ["x", "y", "z"],
+        "hyperedges": [
+            {"id": "ab", "vertices": ["x", "y"], "sign": 1, **line_ab},
+            {"id": "bc", "vertices": ["y", "z"], "sign": 1},
+            {"id": "ca", "vertices": ["x", "z"], "sign": 1},
+        ],
+    }
+
+
+# boards of the wrong JSON types, each with the field its error names
+ILL_TYPED_BOARDS = [
+    ({"hyperedges": [1]}, "hyperedges[0] must be an object"),
+    ({"hyperedges": {"e": 1}}, "hyperedges must be a list"),
+    ({**triangle_raw(), "vertices": "xyz"}, "vertices must be a list"),
+    ({**triangle_raw(), "vertices": None}, "vertices must be a list"),
+    ({**triangle_raw(), "vertices": ["x", "y", 3]}, "vertices must be nonempty strings"),
+    (triangle_raw(vertices="xy"), "vertices of hyperedge 'ab' must be a list"),
+    (triangle_raw(vertices=["x", ""]), "vertices of hyperedge 'ab' must be nonempty strings"),
+    (triangle_raw(sign=True), "sign of 'ab' must be the integer 1 or -1"),
+    (triangle_raw(sign=1.0), "sign of 'ab' must be the integer 1 or -1"),
+    (triangle_raw(sign="1"), "sign of 'ab' must be the integer 1 or -1"),
+    ({"hyperedges": [{"vertices": ["x"]}]}, "hyperedges[0].id must be a nonempty string"),
+    (triangle_raw(id=7), "hyperedges[0].id must be a nonempty string"),
+]
 
 
 def board_from_graph(edges: dict[str, tuple[str, str]]) -> Arrangement:
@@ -169,6 +199,41 @@ def deletion_scan(edges: dict[str, tuple[str, str]]) -> dict[str, tuple[str, str
     return remaining
 
 
+def new_bridges(adj, h_nodes, region, placed, placed_edges):
+    """Bridges created when ``placed`` nodes and ``placed_edges`` join H, by
+    searching all of ``region`` again; the oracle for
+    ``planarity._split_bridge``.
+
+    ``h_nodes`` already includes ``placed``.  Yields (key, attachments,
+    body): chords from a placed node into H, keyed (0, edge id) with the
+    edge id as body, then the components of ``region`` outside H, keyed
+    (1, smallest node) with their node set as body.
+    """
+    chords: dict[str, tuple[str, str]] = {}
+    for node in placed:
+        for other, eid in adj[node]:
+            if other in h_nodes and eid not in placed_edges:
+                chords[eid] = (node, other)
+    for eid, pair in chords.items():
+        yield (0, eid), frozenset(pair), eid
+    seen: set[str] = set()
+    for node in region:
+        if node in h_nodes or node in seen:
+            continue
+        component = {node}
+        attachments: set[str] = set()
+        stack = [node]
+        while stack:
+            for other, _ in adj[stack.pop()]:
+                if other in h_nodes:
+                    attachments.add(other)
+                elif other not in component:
+                    component.add(other)
+                    stack.append(other)
+        seen |= component
+        yield (1, min(component)), frozenset(attachments), component
+
+
 def _rescan_bridges(block_edges, adj, in_h_nodes, in_h_edges):
     """Bridges of the block relative to the embedded subgraph H, from scratch.
 
@@ -247,6 +312,12 @@ def _rescan_bridge_path(attachments, edge_set, interior, block_edges):
     return nodes, edges
 
 
+def _consecutive(cycle: list[str], u: str, v: str) -> bool:
+    n = len(cycle)
+    iu, iv = cycle.index(u), cycle.index(v)
+    return (iu - iv) % n in (1, n - 1)
+
+
 def rescan_embed_block(block: dict[str, tuple[str, str]]) -> list[list[str]] | None:
     """Face insertion that rebuilds every bridge and rescans every face at
     every step; the oracle for the incremental ``planarity._embed_block``.
@@ -256,7 +327,7 @@ def rescan_embed_block(block: dict[str, tuple[str, str]]) -> list[list[str]] | N
         return [[u, v]]
 
     adj = _adjacency(block)
-    cycle = _find_cycle(block)
+    cycle, _ = _find_cycle(adj)
     faces: list[list[str]] = [list(cycle), list(reversed(cycle))]
     h_nodes = set(cycle)
     h_edges = {eid for eid in block

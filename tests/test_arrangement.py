@@ -5,7 +5,13 @@ import random
 
 import pytest
 
-from helpers import brute_force_classical_exists, corpus, triangle_board
+from helpers import (
+    ILL_TYPED_BOARDS,
+    brute_force_classical_exists,
+    corpus,
+    triangle_board,
+    triangle_raw,
+)
 from pseudotelepathy.arrangement import (
     ArrangementError,
     DegreeError,
@@ -111,6 +117,16 @@ class TestValidate:
                 {"id": "e1", "vertices": ["a"]},
                 {"id": "e2", "vertices": ["a"]},
             ]})
+
+    @pytest.mark.parametrize("raw, named", ILL_TYPED_BOARDS)
+    def test_wrong_types_rejected(self, raw, named):
+        with pytest.raises(ArrangementError) as err:
+            validate(raw)
+        assert str(err.value) == named
+
+    def test_signed_triangle_is_valid(self):
+        _, s = validate(triangle_raw())
+        assert s.as_dict() == {"ab": 1, "bc": 1, "ca": 1}
 
     def test_degree_sum_invariant(self):
         for a, _ in corpus(seed=101, count=40):

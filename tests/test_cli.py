@@ -1,14 +1,22 @@
 """End-to-end command-line flows, exit codes, and output determinism."""
 
+import contextlib
+import copy
+import io
 import json
+import random
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import ILL_TYPED_BOARDS
 from pseudotelepathy import cli
 from pseudotelepathy.arrangement import load
 from pseudotelepathy.cli import run
+from pseudotelepathy.generate import random_board
 from pseudotelepathy.realization import synthesize
 
 BOARDS = Path(__file__).resolve().parent.parent / "boards"
@@ -363,9 +371,137 @@ class TestBadArguments:
             assert code == 1 and out == ""
             assert err.count("\n") == 1 and named in err and str(path) in err
 
+    @pytest.mark.parametrize("command", ["validate", "decide"])
+    @pytest.mark.parametrize("raw, named", ILL_TYPED_BOARDS)
+    def test_ill_typed_board(self, capsys, tmp_path, command, raw, named):
+        board = tmp_path / "board.json"
+        board.write_text(json.dumps(raw))
+        code, out, err = invoke(capsys, command, "--arrangement", str(board))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and named in err and str(board) in err
+
     def test_undecodable_board_file(self, capsys, tmp_path):
         board = tmp_path / "board.json"
         board.write_bytes(b"\xff\xfe{")
         code, out, err = invoke(capsys, "validate", "--arrangement", str(board))
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and str(board) in err
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of one in-process call; argparse's own
+    exits (a parse error, ``--help``) are raised as ``SystemExit``."""
+    try:
+        code = run(list(argv))
+    except SystemExit as done:
+        code = ("SystemExit", done.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    """The parser is built once per process and serves every later call as
+    a fresh parser would."""
+
+    CALLS = [
+        ("decide", "--arrangment", str(BOARDS / "triangle.json")),
+        ("decide", "--arrangement", str(BOARDS / "triangle.json")),
+        ("certify", "--arrangement", str(BOARDS / "triangle.json")),
+        ("decide", "--arrangement", str(BOARDS / "square.json")),
+        ("--help",),
+        ("simulate", "--help"),
+    ]
+
+    def test_calls_in_one_process_match_separate_calls(self, capsys):
+        separate = []
+        for argv in self.CALLS:
+            cli._parser.cache_clear()
+            separate.append(outcome(capsys, argv))
+        cli._parser.cache_clear()
+        together = [outcome(capsys, argv) for argv in self.CALLS]
+        assert together == separate
+        assert cli._parser() is cli._parser()
+        codes = [code for code, _, _ in together]
+        assert codes == [("SystemExit", 2), 0, 0, 0, ("SystemExit", 0), ("SystemExit", 0)]
+        assert together[0][1] == "" and "error: the following arguments" in together[0][2]
+        assert together[1][1] == "not magic\n" and together[3][1] == "magic\n"
+        assert together[4][1].startswith("usage: pseudotelepathy")
+
+
+def json_values():
+    scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+               | st.text(max_size=4))
+    return st.recursive(scalars, lambda inner: st.lists(inner, max_size=4)
+                        | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+                        max_leaves=12)
+
+
+def positions(value, path=()):
+    """Every path to a value inside a JSON document, the root excluded."""
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from positions(child, path + (key,))
+
+
+@st.composite
+def mutated_boards(draw):
+    """A valid board with up to three fields replaced, deleted, doubled or,
+    for a number, negated."""
+    board = copy.deepcopy(draw(st.sampled_from(VALID_BOARDS)))
+    for _ in range(draw(st.integers(0, 3))):
+        places = list(positions(board))
+        if not places:
+            break
+        *parent_path, key = draw(st.sampled_from(places))
+        parent = board
+        for step in parent_path:
+            parent = parent[step]
+        action = draw(st.sampled_from(["replace", "delete", "double", "negate"]))
+        if action == "negate":
+            if isinstance(parent[key], (int, float)):
+                parent[key] = -parent[key]
+        elif action == "replace":
+            parent[key] = draw(json_values() | st.sampled_from(["x", "y", "r1", 1, -1, True]))
+        elif action == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.append(copy.deepcopy(parent[key]))
+        else:
+            parent[f"{key}2"] = copy.deepcopy(parent[key])
+    return board
+
+
+VALID_BOARDS = ([json.loads(path.read_text()) for path in sorted(BOARDS.glob("*.json"))]
+                + [random_board(random.Random(seed), 5 + seed, signed=True)
+                   for seed in range(1, 6)])
+
+
+class TestFuzz:
+    """Every document, well-formed or not, ends in exit 0, 1 or 2 with at
+    most one stderr line and no traceback."""
+
+    @pytest.fixture(scope="class")
+    def board_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz") / "board.json"
+
+    def check(self, board_path, document):
+        board_path.write_text(json.dumps(document))
+        for command in ("validate", "decide"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run([command, "--arrangement", str(board_path)])
+            assert code in (0, 1, 2)
+            assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+            assert (code == 0) == (err.getvalue() == "")
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(json_values())
+    def test_arbitrary_json(self, board_path, document):
+        self.check(board_path, document)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(mutated_boards())
+    def test_mutated_boards(self, board_path, document):
+        self.check(board_path, document)

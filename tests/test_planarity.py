@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from helpers import (
     graph_from_edges,
     grid_edges,
     k33_edges,
+    new_bridges,
     oracle_planar,
     random_multigraph,
     rescan_embed_block,
@@ -225,6 +227,18 @@ def minus_edge(pattern, eid):
     return {k: pair for k, pair in pattern.items() if k != eid}
 
 
+# subdivisions of K5 - e and K3,3 - e (planar) and of K5 and K3,3
+KURATOWSKI_SUBDIVISIONS = [
+    (minus_edge(complete_graph_edges(5), "n1n2"), {}, True),
+    (minus_edge(complete_graph_edges(5), "n1n2"), {"n1n3": 2, "n4n5": 1}, True),
+    (minus_edge(complete_graph_edges(5), "n3n4"), {"n1n2": 3, "n2n5": 1}, True),
+    (minus_edge(k33_edges(), "l1r1"), {}, True),
+    (minus_edge(k33_edges(), "l2r3"), {"l1r1": 2, "l3r2": 1}, True),
+    (complete_graph_edges(5), {"n1n2": 1, "n3n5": 2}, False),
+    (k33_edges(), {"l1r1": 1, "l2r3": 3}, False),
+]
+
+
 class TestIncrementalEmbedder:
     """Face insertion with kept bookkeeping picks what a full rescan picks."""
 
@@ -239,18 +253,77 @@ class TestIncrementalEmbedder:
             outcomes += assert_blocks_match_rescan(simple_edges(random_multigraph(rng)))
         assert outcomes.count(True) >= 100 and outcomes.count(False) >= 50
 
-    @pytest.mark.parametrize("pattern, counts, planar", [
-        (minus_edge(complete_graph_edges(5), "n1n2"), {}, True),
-        (minus_edge(complete_graph_edges(5), "n1n2"), {"n1n3": 2, "n4n5": 1}, True),
-        (minus_edge(complete_graph_edges(5), "n3n4"), {"n1n2": 3, "n2n5": 1}, True),
-        (minus_edge(k33_edges(), "l1r1"), {}, True),
-        (minus_edge(k33_edges(), "l2r3"), {"l1r1": 2, "l3r2": 1}, True),
-        (complete_graph_edges(5), {"n1n2": 1, "n3n5": 2}, False),
-        (k33_edges(), {"l1r1": 1, "l2r3": 3}, False),
-    ])
+    @pytest.mark.parametrize("pattern, counts, planar", KURATOWSKI_SUBDIVISIONS)
     def test_kuratowski_subdivisions(self, pattern, counts, planar):
         edges = simple_edges(build(subdivided_board(pattern, counts)))
         assert all(assert_blocks_match_rescan(edges)) == planar
+
+
+@pytest.fixture
+def checked_splits(monkeypatch):
+    """Checks every split of ``_embed_block`` against the full-search oracle.
+
+    Each split must yield the oracle's bridges: the same keys, attachments
+    and interiors.  A component that kept attachment counts and a heap must
+    hold the counts a recount gives and every one of its nodes in the heap.
+    Records, per split, how many components it yielded and how many of
+    them kept counts.
+    """
+    splits = []
+    split = planarity._split_bridge
+
+    def checked(adj, h_nodes, interior, inner, path_edges):
+        expected = {key: (attachments, body) for key, attachments, body in
+                    new_bridges(adj, h_nodes, set(interior.nodes), inner, path_edges)}
+        got = list(split(adj, h_nodes, interior, inner, path_edges))
+        assert len(got) == len(expected)
+        assert {key: (attachments, body if key[0] == 0 else body.nodes)
+                for key, attachments, body in got} == expected
+        components = [body for key, _, body in got if key[0] == 1]
+        for body in components:
+            if body.counts is not None:
+                recount = Counter(other for node in body.nodes
+                                  for other, _ in adj[node] if other not in body.nodes)
+                assert body.counts == recount
+                assert body.nodes <= set(body.heap)
+        splits.append((len(components), sum(b.counts is not None for b in components)))
+        return got
+
+    monkeypatch.setattr(planarity, "_split_bridge", checked)
+    return splits
+
+
+def embed_blocks(edges) -> list[bool]:
+    return [planarity._embed_block(block) is not None
+            for block in planarity._biconnected_blocks(edges)]
+
+
+class TestSplitBridge:
+    """Splitting a placed bridge by side-by-side searches yields the bridges
+    a search of its whole interior finds."""
+
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_grids(self, checked_splits, n):
+        assert embed_blocks(grid_edges(n)) == [True]
+        # a grid split leaves at most one component, the rest of the bridge
+        assert all(found <= 1 for found, _ in checked_splits)
+        assert any(kept for _, kept in checked_splits)
+
+    def test_fuzz_corpus(self, checked_splits):
+        rng = random.Random(20260808)
+        outcomes = []
+        for _ in range(300):
+            outcomes += embed_blocks(simple_edges(random_multigraph(rng)))
+        assert outcomes.count(True) >= 100 and outcomes.count(False) >= 50
+        # splits that finish several components, and that leave one unfinished
+        assert any(found >= 2 for found, _ in checked_splits)
+        assert any(found >= 2 and kept for found, kept in checked_splits)
+
+    @pytest.mark.parametrize("pattern, counts, planar", KURATOWSKI_SUBDIVISIONS)
+    def test_kuratowski_subdivisions(self, checked_splits, pattern, counts, planar):
+        edges = simple_edges(build(subdivided_board(pattern, counts)))
+        assert all(embed_blocks(edges)) == planar
+        assert checked_splits
 
 
 @pytest.fixture
