@@ -181,11 +181,10 @@ def validate(raw: dict) -> tuple[Arrangement, Signing | None]:
         if len(holders) != 2:
             raise DegreeError(f"vertex {v!r} lies in {len(holders)} hyperedges, expected 2")
 
-    if any(len(members) == 1 for _, members in hyperedges):
+    _check_connected(hyperedges, degree)
+    if any(len(members) == 1 for _, members in hyperedges):  # only once every check passed
         warnings.warn("arrangement contains a size-1 hyperedge; the game on it is "
                       "playable but that line constrains a single vertex", stacklevel=2)
-
-    _check_connected(hyperedges, degree)
     arrangement = Arrangement(tuple(sorted(vertices)), tuple(sorted(hyperedges)))
     signing = Signing.from_dict(signs) if signs else None
     return arrangement, signing
@@ -298,23 +297,7 @@ def check_realization(a: Arrangement, s: Signing, c: ClassicalRealization) -> bo
     return True
 
 
-def to_json_dict(a: Arrangement, s: Signing | None = None) -> dict:
-    signs = s.as_dict() if s is not None else {}
-    edges = []
-    for eid, members in a.hyperedges:
-        entry: dict = {"id": eid, "vertices": list(members)}
-        if eid in signs:
-            entry["sign"] = signs[eid]
-        edges.append(entry)
-    return {"vertices": list(a.vertices), "hyperedges": edges}
-
-
 def load(path) -> tuple[Arrangement, Signing | None]:
     with open(path, encoding="utf-8") as fh:
         return validate(json.load(fh))
 
-
-def dump(a: Arrangement, s: Signing | None, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_json_dict(a, s), fh, indent=2, sort_keys=True)
-        fh.write("\n")

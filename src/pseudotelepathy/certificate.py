@@ -292,16 +292,20 @@ def check_trace(
     """Adversarial replay; returns the final sign or raises IllegalStep.
 
     Validates that the rotation covers exactly the graph's edge-ends (the
-    words must reflect the true incidence structure), that the trace's
-    initial state is the one induced by (g, r, signs), that every step is
-    legal, that the end state is a single node with an empty word, and that
-    the recorded final sign matches.  Planarity of r is deliberately not
+    words must reflect the true incidence structure) and the signs exactly
+    its nodes, that the trace's initial state is the one induced by
+    (g, r, signs), that every step is legal, that the end state is a single
+    node with an empty word, and that the recorded final sign matches.  Planarity of r is deliberately not
     required: a complete legal replay is sound from any covering start.
     """
     try:
         check_coverage(g, r)
     except CoverageError as err:
         raise IllegalStep(-1, str(err)) from None
+    missing, unknown = sorted(set(g.nodes) - set(signs)), sorted(set(signs) - set(g.nodes))
+    if missing or unknown:
+        raise IllegalStep(-1, f"signs must cover exactly the graph nodes: "
+                              f"missing {missing}, unknown {unknown}")
     words = _initial_words(g, r)
     if trace.initial_words != tuple(sorted((n, tuple(w)) for n, w in words.items())):
         raise IllegalStep(-1, "initial words do not match the rotation system")

@@ -14,6 +14,7 @@ import functools
 import json
 import random
 import sys
+import warnings
 
 from pseudotelepathy import arrangement as arr
 from pseudotelepathy import game
@@ -67,9 +68,12 @@ def _load_json(path, what):
 def _emit(text: str, output: str | None) -> None:
     if output is None or output == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as err:
+        raise SystemExit(_fail(f"cannot write {output}: {err}"))
 
 
 def _json_text(payload) -> str:
@@ -265,6 +269,8 @@ def _read_strategy(payload, path, board, signing, literal):
 def cmd_simulate(args) -> int:
     if not args.exact and args.trials < 1:
         return _fail(f"--trials must be at least 1, got {args.trials}")
+    if not args.exact and args.seed < 0:
+        return _fail(f"--seed must be at least 0, got {args.seed}")
     board, signing = _load_board(args.arrangement)
     if signing is None:
         signing = arr.all_plus_signing(board)
@@ -308,11 +314,19 @@ def cmd_gen(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors follow the exit codes: one
+    stderr line and exit 1, not a usage block and exit 2."""
+
+    def error(self, message):
+        raise SystemExit(_fail(f"{self.prog}: error: {message}"))
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and then kept: parsing
     leaves it unchanged, and building it costs far more than a parse."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pseudotelepathy",
         description="decide, realize, certify, and simulate parity game boards",
     )
@@ -364,8 +378,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else 1
@@ -380,7 +394,14 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    """Run the command line; its warnings follow the one-line rule: each
+    distinct one as a ``warning:`` line after a success, none after a failure."""
+    with warnings.catch_warnings(record=True) as caught:
+        code = run(sys.argv[1:])
+    if code == 0:
+        for message in dict.fromkeys(str(w.message) for w in caught):
+            print(f"warning: {message}", file=sys.stderr)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

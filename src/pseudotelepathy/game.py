@@ -38,7 +38,9 @@ from pseudotelepathy.arrangement import Arrangement, ClassicalRealization, Signi
 from pseudotelepathy.pauli import (
     DimensionMismatch,
     PauliOperator,
+    Row,
     commutes,
+    multiply_rows,
     product_of,
 )
 from pseudotelepathy.realization import QuantumRealization
@@ -77,13 +79,6 @@ def all_queries(a: Arrangement) -> list[Query]:
     return [Query(v, e) for v in a.vertices for e in a.edges_of_vertex(v)]
 
 
-Row = tuple[int, int, int]  # x mask, z mask, phase exponent: one Pauli of the tableau
-
-
-def _mask(bits: tuple[int, ...]) -> int:
-    return sum(bit << k for k, bit in enumerate(bits))
-
-
 def _row(p: PauliOperator, side: str, n_qubits: int) -> Row:
     """The observable p on one side of the 2n-qubit state, as a tableau row."""
     if p.n_qubits != n_qubits:
@@ -91,17 +86,7 @@ def _row(p: PauliOperator, side: str, n_qubits: int) -> Row:
     if not p.is_observable():
         raise ValueError(f"{p} is not an observable")
     shift = 0 if side == ALICE else n_qubits
-    return _mask(p.x_bits) << shift, _mask(p.z_bits) << shift, p.phase_exp
-
-
-def _row_product(p: Row, q: Row) -> Row:
-    """p*q by the Hermitian phase rule of ``pauli.multiply``, on bit masks."""
-    x1, z1, k1 = p
-    x2, z2, k2 = q
-    x, z = x1 ^ x2, z1 ^ z2
-    k = (k1 + k2 + (x1 & z1).bit_count() + (x2 & z2).bit_count() - (x & z).bit_count()
-         + 2 * (z1 & x2).bit_count())
-    return x, z, k % 4
+    return p.x << shift, p.z << shift, p.phase_exp
 
 
 @dataclass
@@ -159,7 +144,7 @@ def measure(state: StabilizerState, row: Row, rng: np.random.Generator) -> int:
         product = (0, 0, 0)
         for (dx, dz), stabilizer in zip(destabilizers, stabilizers):
             if ((dx & z) ^ (dz & x)).bit_count() & 1:
-                product = _row_product(product, stabilizer)
+                product = multiply_rows(product, stabilizer)
         if product[0] != x or product[1] != z:
             raise AssertionError("internal error: a commuting observable is not "
                                  "in the stabilizer group")
@@ -168,7 +153,7 @@ def measure(state: StabilizerState, row: Row, rng: np.random.Generator) -> int:
     for i in range(pivot + 1, len(stabilizers)):
         sx, sz, _ = stabilizers[i]
         if ((sx & z) ^ (sz & x)).bit_count() & 1:
-            stabilizers[i] = _row_product(stabilizers[i], first)
+            stabilizers[i] = multiply_rows(stabilizers[i], first)
     for i, (dx, dz) in enumerate(destabilizers):
         if ((dx & z) ^ (dz & x)).bit_count() & 1:
             destabilizers[i] = (dx ^ first[0], dz ^ first[1])
@@ -393,8 +378,8 @@ def exhaustive_classical_maximum(a: Arrangement, s: Signing) -> tuple[Fraction, 
         for eid, members in a.hyperedges:
             target = s.sign(eid)
             line_best, line_coloring = -1, None
-            for colors_mask in range(1 << len(members)):
-                coloring = {u: 1 - 2 * ((colors_mask >> k) & 1)
+            for colors in range(1 << len(members)):
+                coloring = {u: 1 - 2 * ((colors >> k) & 1)
                             for k, u in enumerate(members)}
                 prod = 1
                 for u in members:

@@ -1,14 +1,17 @@
 """Exact symbolic algebra for the n-qubit Pauli group.
 
 Operators are stored in the symplectic representation: a phase (a power of
-the imaginary unit) together with per-qubit X/Z bits, where qubit k carries
+the imaginary unit) together with an X mask and a Z mask, two integers
+whose bit k belongs to qubit k (the k-th letter of the word), which carries
 
     I if (x_k, z_k) = (0, 0),    X if (1, 0),
     Z if (0, 1),                 Y if (1, 1),
 
-and Y is the Hermitian Pauli matrix (not X*Z).  All arithmetic is integer
-arithmetic mod 2 and mod 4; nothing in this module touches floating point,
-so products, commutators, and observability checks are certificate-grade.
+and Y is the Hermitian Pauli matrix (not X*Z).  The triple (x, z, phase)
+is also a row of the game's stabilizer tableau, and :func:`multiply_rows`
+is the one product rule for both.  All arithmetic is integer arithmetic
+mod 2 and mod 4; nothing in this module touches floating point, so
+products, commutators, and observability checks are certificate-grade.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ _SINGLE_QUBIT_MATRIX = {
 
 MAX_DENSE_QUBITS = 8
 
+Row = tuple[int, int, int]  # x mask, z mask, phase exponent
+
 
 class DimensionMismatch(ValueError):
     """Operands act on different numbers of qubits."""
@@ -52,19 +57,20 @@ class PauliOperator:
 
     ``phase_exp`` is the exponent k of the global phase i**k, so the
     operator is i**k times a tensor product of Hermitian Pauli matrices.
-    Observables are exactly the elements with real phase (k even).
+    Observables are exactly the elements with real phase (k even).  Bit k
+    of the masks ``x`` and ``z`` gives the letter on qubit k.
     """
 
     n_qubits: int
     phase_exp: int
-    x_bits: tuple[int, ...]
-    z_bits: tuple[int, ...]
+    x: int
+    z: int
 
     def __post_init__(self):
         if self.n_qubits < 1:
             raise ValueError("need at least one qubit")
-        if len(self.x_bits) != self.n_qubits or len(self.z_bits) != self.n_qubits:
-            raise ValueError("bit vectors must have length n_qubits")
+        if not (0 <= self.x < 1 << self.n_qubits and 0 <= self.z < 1 << self.n_qubits):
+            raise ValueError("masks must be nonnegative and fit in n_qubits bits")
         if self.phase_exp not in (0, 1, 2, 3):
             raise ValueError("phase exponent must be reduced mod 4")
 
@@ -77,32 +83,30 @@ class PauliOperator:
         return self.phase_exp % 2 == 0
 
     def is_identity(self) -> bool:
-        return not any(self.x_bits) and not any(self.z_bits)
+        return not self.x | self.z
 
     def negate(self) -> "PauliOperator":
-        return PauliOperator(self.n_qubits, (self.phase_exp + 2) % 4,
-                             self.x_bits, self.z_bits)
+        return PauliOperator(self.n_qubits, (self.phase_exp + 2) % 4, self.x, self.z)
 
     def transpose(self) -> "PauliOperator":
         """Symbolic transpose: Y is antisymmetric, I/X/Z are symmetric."""
-        n_y = sum(x & z for x, z in zip(self.x_bits, self.z_bits))
-        k = (self.phase_exp + 2 * (n_y % 2)) % 4
-        return PauliOperator(self.n_qubits, k, self.x_bits, self.z_bits)
-
-    def weight(self) -> int:
-        """Number of non-identity tensor factors."""
-        return sum(x | z for x, z in zip(self.x_bits, self.z_bits))
+        k = (self.phase_exp + 2 * (self.x & self.z).bit_count()) % 4
+        return PauliOperator(self.n_qubits, k, self.x, self.z)
 
     def __str__(self) -> str:
-        word = "".join(_AXIS_CHAR[x, z] for x, z in zip(self.x_bits, self.z_bits))
-        return _PHASE_STR[self.phase_exp] + word
+        return _PHASE_STR[self.phase_exp] + _letters(self)
 
     def __repr__(self) -> str:
         return f"PauliOperator({str(self)!r})"
 
 
+def _letters(p: PauliOperator) -> str:
+    """The tensor factors as a word over I, X, Y, Z, qubit 0 first."""
+    return "".join(_AXIS_CHAR[p.x >> k & 1, p.z >> k & 1] for k in range(p.n_qubits))
+
+
 def identity(n_qubits: int) -> PauliOperator:
-    return PauliOperator(n_qubits, 0, (0,) * n_qubits, (0,) * n_qubits)
+    return PauliOperator(n_qubits, 0, 0, 0)
 
 
 def from_string(text: str) -> PauliOperator:
@@ -116,13 +120,14 @@ def from_string(text: str) -> PauliOperator:
             break
     if not s:
         raise PauliParseError(f"no Pauli word in {text!r}")
-    try:
-        axes = [_CHAR_AXIS[c] for c in s]
-    except KeyError as bad:
-        raise PauliParseError(f"invalid Pauli letter {bad.args[0]!r} in {text!r}") from None
-    xs = tuple(a[0] for a in axes)
-    zs = tuple(a[1] for a in axes)
-    return PauliOperator(len(axes), phase_exp, xs, zs)
+    x = z = 0
+    for k, c in enumerate(s):
+        if c not in _CHAR_AXIS:
+            raise PauliParseError(f"invalid Pauli letter {c!r} in {text!r}")
+        x_k, z_k = _CHAR_AXIS[c]
+        x |= x_k << k
+        z |= z_k << k
+    return PauliOperator(len(s), phase_exp, x, z)
 
 
 def _check_same_width(p: PauliOperator, q: PauliOperator):
@@ -130,30 +135,32 @@ def _check_same_width(p: PauliOperator, q: PauliOperator):
         raise DimensionMismatch(f"{p.n_qubits} qubits vs {q.n_qubits} qubits")
 
 
-def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
-    """Group product p*q with exact phase tracking.
+def multiply_rows(p: Row, q: Row) -> Row:
+    """Product p*q of two Paulis given as (x mask, z mask, phase exponent).
 
     Per qubit, writing each Hermitian factor as i**(x*z) X**x Z**z and
     commuting Z past X picks up (-1)**(z_p * x_q); converting the result
     back to the Hermitian convention removes i**(x*z) of the product bits.
     """
+    x1, z1, k1 = p
+    x2, z2, k2 = q
+    x, z = x1 ^ x2, z1 ^ z2
+    k = (k1 + k2 + (x1 & z1).bit_count() + (x2 & z2).bit_count() - (x & z).bit_count()
+         + 2 * (z1 & x2).bit_count())
+    return x, z, k % 4
+
+
+def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
+    """Group product p*q with exact phase tracking."""
     _check_same_width(p, q)
-    k = p.phase_exp + q.phase_exp
-    xs, zs = [], []
-    for x1, z1, x2, z2 in zip(p.x_bits, p.z_bits, q.x_bits, q.z_bits):
-        x, z = x1 ^ x2, z1 ^ z2
-        k += x1 * z1 + x2 * z2 - x * z + 2 * z1 * x2
-        xs.append(x)
-        zs.append(z)
-    return PauliOperator(p.n_qubits, k % 4, tuple(xs), tuple(zs))
+    x, z, k = multiply_rows((p.x, p.z, p.phase_exp), (q.x, q.z, q.phase_exp))
+    return PauliOperator(p.n_qubits, k, x, z)
 
 
 def commutes(p: PauliOperator, q: PauliOperator) -> bool:
     """True iff the symplectic form sum(x_p z_q + z_p x_q) vanishes mod 2."""
     _check_same_width(p, q)
-    form = sum(xp * zq + zp * xq for xp, zp, xq, zq
-               in zip(p.x_bits, p.z_bits, q.x_bits, q.z_bits))
-    return form % 2 == 0
+    return not ((p.x & q.z) ^ (p.z & q.x)).bit_count() & 1
 
 
 def product_of(seq: Iterable[PauliOperator], n_qubits: int | None = None) -> PauliOperator:
@@ -174,33 +181,29 @@ def dense_matrix(p: PauliOperator) -> np.ndarray:
     if p.n_qubits > MAX_DENSE_QUBITS:
         raise TooManyQubits(f"{p.n_qubits} qubits exceeds guard of {MAX_DENSE_QUBITS}")
     m = np.eye(1, dtype=complex)
-    for x, z in zip(p.x_bits, p.z_bits):
-        m = np.kron(m, _SINGLE_QUBIT_MATRIX[_AXIS_CHAR[x, z]])
+    for letter in _letters(p):
+        m = np.kron(m, _SINGLE_QUBIT_MATRIX[letter])
     return p.phase * m
 
 
 def state_action(p: PauliOperator) -> tuple[int, np.ndarray]:
     """Action on computational basis states, without building the dense matrix.
 
-    Returns ``(flip_mask, coeffs)`` such that P|j> = coeffs[j] |j XOR flip_mask>.
+    Returns ``(flip, coeffs)`` such that P|j> = coeffs[j] |j XOR flip>.
     Bit 0 of an index corresponds to the last tensor factor.  The game
     samples on a stabilizer tableau; this serves the dense statevector that
     checks it.
     """
     n = p.n_qubits
-    flip_mask = 0
-    for pos, x in enumerate(p.x_bits):
-        if x:
-            flip_mask |= 1 << (n - 1 - pos)
     dim = 1 << n
+    flip = 0
     coeffs = np.full(dim, p.phase, dtype=complex)
-    for pos, (x, z) in enumerate(zip(p.x_bits, p.z_bits)):
+    for pos in range(n):
         bit = 1 << (n - 1 - pos)
+        x, z = p.x >> pos & 1, p.z >> pos & 1
+        flip |= bit * x
         if x and z:  # Y|b> = i(-1)^b |1-b>
-            js = np.arange(dim)
-            coeffs *= np.where(js & bit, -1j, 1j)
+            coeffs *= np.where(np.arange(dim) & bit, -1j, 1j)
         elif z:  # Z|b> = (-1)^b |b>
-            js = np.arange(dim)
-            coeffs *= np.where(js & bit, -1.0, 1.0)
-    return flip_mask, coeffs
-
+            coeffs *= np.where(np.arange(dim) & bit, -1.0, 1.0)
+    return flip, coeffs

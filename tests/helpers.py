@@ -50,6 +50,18 @@ def triangle_raw(**line_ab) -> dict:
     }
 
 
+def board_json(a: Arrangement, s: Signing | None = None) -> dict:
+    """The board's JSON document, which ``validate`` reads back as (a, s)."""
+    signs = s.as_dict() if s is not None else {}
+    edges = []
+    for eid, members in a.hyperedges:
+        entry: dict = {"id": eid, "vertices": list(members)}
+        if eid in signs:
+            entry["sign"] = signs[eid]
+        edges.append(entry)
+    return {"vertices": list(a.vertices), "hyperedges": edges}
+
+
 # boards of the wrong JSON types, each with the field its error names
 ILL_TYPED_BOARDS = [
     ({"hyperedges": [1]}, "hyperedges[0] must be an object"),

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     ILL_TYPED_BOARDS,
+    board_json,
     brute_force_classical_exists,
     corpus,
     triangle_board,
@@ -25,7 +26,6 @@ from pseudotelepathy.arrangement import (
     classical_realize,
     is_classically_realizable,
     parity,
-    to_json_dict,
     validate,
 )
 from pseudotelepathy.generate import random_board, random_signing
@@ -209,14 +209,14 @@ class TestClassicalRealize:
 class TestJson:
     def test_roundtrip(self, tmp_path):
         a, s, _ = builtin_square()
-        payload = to_json_dict(a, s)
+        payload = board_json(a, s)
         text = json.dumps(payload)
         a2, s2 = validate(json.loads(text))
         assert a2 == a and s2 == s
 
     def test_unsigned_roundtrip(self):
         a, _ = triangle_board()
-        a2, s2 = validate(to_json_dict(a))
+        a2, s2 = validate(board_json(a))
         assert a2 == a and s2 is None
 
 

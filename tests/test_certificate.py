@@ -218,6 +218,19 @@ class TestCheckerRejections:
             with pytest.raises(IllegalStep):
                 check_trace(g, r, signs, bad)
 
+    def test_signs_must_cover_exactly_the_nodes(self):
+        g, r, signs, trace = self._trace()
+        first = min(signs)
+        for bad_signs, named in (
+                ({n: v for n, v in signs.items() if n != first}, f"missing ['{first}']"),
+                ({**signs, "zz": 1}, "unknown ['zz']")):
+            # the trace agrees with the signs, so only the coverage check can fail
+            bad = ContractionTrace(trace.initial_words, tuple(sorted(bad_signs.items())),
+                                   trace.steps, trace.final_sign)
+            with pytest.raises(IllegalStep) as err:
+                check_trace(g, r, bad_signs, bad)
+            assert err.value.index == -1 and named in err.value.reason
+
     def test_mutation_battery(self):
         """100 corrupted traces across the corpus are all rejected."""
         rejected = 0

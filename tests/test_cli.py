@@ -4,7 +4,10 @@ import contextlib
 import copy
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,6 +19,7 @@ from helpers import ILL_TYPED_BOARDS
 from pseudotelepathy import cli
 from pseudotelepathy.arrangement import load
 from pseudotelepathy.cli import run
+from pseudotelepathy.game import ClassicalStrategy
 from pseudotelepathy.generate import random_board
 from pseudotelepathy.realization import synthesize
 
@@ -129,6 +133,10 @@ class TestCertify:
          "certificate.initial.signs['ab'] must be 1 or -1"),
         (lambda p: p["certificate"].update(final_sign=3), "certificate.final_sign"),
         (lambda p: p.pop("signs"), "signs is missing"),
+        (lambda p: [p["signs"].pop("ab"), p["certificate"]["initial"]["signs"].pop("ab")],
+         "signs must cover exactly the graph nodes: missing ['ab']"),
+        (lambda p: [p["signs"].update(zz=1), p["certificate"]["initial"]["signs"].update(zz=1)],
+         "signs must cover exactly the graph nodes: missing [], unknown ['zz']"),
     ])
     def test_malformed_payload_exits_two(self, capsys, tmp_path, tamper, named):
         cert = tmp_path / "cert.json"
@@ -308,6 +316,11 @@ class TestGen:
         assert code == 0
         assert out.strip() in ("magic", "not magic")
 
+    def test_negative_seed_is_a_seed(self, capsys):
+        code, out, err = invoke(capsys, "gen", "--hyperedges", "5", "--seed", "-1")
+        assert code == 0 and err == ""
+        assert json.loads(out) == random_board(random.Random(-1), 5, None)
+
     def test_gen_deterministic(self, capsys):
         a = invoke(capsys, "gen", "--hyperedges", "5", "--seed", "8")
         b = invoke(capsys, "gen", "--hyperedges", "5", "--seed", "8")
@@ -334,6 +347,19 @@ class TestBadArguments:
           "--check", "/no/such/certificate.json"), "/no/such/certificate.json"),
         (("gen", "--hyperedges", "3", "--extra-vertices", "-5", "--seed", "1"),
          "--extra-vertices must be at least 0, got -5"),
+        (("simulate", "--arrangement", str(BOARDS / "square.json"), "--seed", "-1"),
+         "--seed must be at least 0, got -1"),
+        (("validate", "--arrangement", str(BOARDS / "square.json"),
+          "--output", "/no/such/dir/out.json"), "cannot write /no/such/dir/out.json"),
+        (("validate", "--arrangement", str(BOARDS / "square.json"), "--output", str(BOARDS)),
+         f"cannot write {BOARDS}"),
+        (("decide", "--arrangement", str(BOARDS / "triangle.json"),
+          "--certificate", "/no/such/dir/x"), "cannot write /no/such/dir/x"),
+        (("decide", "--arrangment", "x"),
+         "pseudotelepathy decide: error: the following arguments are required: --arrangement"),
+        ((), "pseudotelepathy: error: the following arguments are required: command"),
+        (("simulate", "--arrangement", str(BOARDS / "square.json"), "--trials", "abc"),
+         "pseudotelepathy simulate: error: argument --trials: invalid int value: 'abc'"),
     ])
     def test_one_line_exit_one(self, capsys, argv, named):
         code, out, err = invoke(capsys, *argv)
@@ -388,15 +414,45 @@ class TestBadArguments:
         assert err.count("\n") == 1 and str(board) in err
 
 
-def outcome(capsys, argv):
-    """Exit code, stdout and stderr of one in-process call; argparse's own
-    exits (a parse error, ``--help``) are raised as ``SystemExit``."""
-    try:
-        code = run(list(argv))
-    except SystemExit as done:
-        code = ("SystemExit", done.code)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
+def run_process(*argv):
+    """Exit code, stdout and stderr of the command line in a new interpreter,
+    which prints warnings itself instead of leaving them to pytest."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-m", "pseudotelepathy.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestWarningsInAProcess:
+    """A size-1 line adds one ``warning:`` line to a run that succeeds and
+    nothing to one that fails."""
+
+    GEN = ("gen", "--hyperedges", "3", "--extra-vertices", "0", "--seed", "1")
+
+    def test_successful_run_warns_in_one_line(self, capsys):
+        code, out, err = run_process(*self.GEN)
+        assert code == 0
+        assert err == ("warning: arrangement contains a size-1 hyperedge; the game on it "
+                       "is playable but that line constrains a single vertex\n")
+        with pytest.warns(UserWarning, match="size-1 hyperedge"):
+            assert invoke(capsys, *self.GEN) == (0, out, "")
+
+    def test_failing_board_prints_only_its_error(self, tmp_path):
+        board = tmp_path / "board.json"
+        board.write_text(json.dumps({"vertices": ["a", "b"], "hyperedges": [
+            {"id": "e1", "vertices": ["a"]}, {"id": "e2", "vertices": ["a"]},
+            {"id": "e3", "vertices": ["b"]}, {"id": "e4", "vertices": ["b"]}]}))
+        code, out, err = run_process("validate", "--arrangement", str(board))
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "Disconnected" in err
+
+    def test_failing_run_on_a_valid_board_prints_only_its_error(self, tmp_path):
+        board = tmp_path / "board.json"
+        run_process(*self.GEN, "--output", str(board))
+        code, out, err = run_process("decide", "--arrangement", str(board),
+                                     "--certificate", "/no/such/dir/x")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "cannot write /no/such/dir/x" in err
 
 
 class TestParserReuse:
@@ -416,14 +472,15 @@ class TestParserReuse:
         separate = []
         for argv in self.CALLS:
             cli._parser.cache_clear()
-            separate.append(outcome(capsys, argv))
+            separate.append(invoke(capsys, *argv))
         cli._parser.cache_clear()
-        together = [outcome(capsys, argv) for argv in self.CALLS]
+        together = [invoke(capsys, *argv) for argv in self.CALLS]
         assert together == separate
         assert cli._parser() is cli._parser()
         codes = [code for code, _, _ in together]
-        assert codes == [("SystemExit", 2), 0, 0, 0, ("SystemExit", 0), ("SystemExit", 0)]
-        assert together[0][1] == "" and "error: the following arguments" in together[0][2]
+        assert codes == [1, 0, 0, 0, 0, 0]
+        assert together[0][1] == "" and together[0][2].count("\n") == 1
+        assert "error: the following arguments" in together[0][2]
         assert together[1][1] == "not magic\n" and together[3][1] == "magic\n"
         assert together[4][1].startswith("usage: pseudotelepathy")
 
@@ -445,17 +502,22 @@ def positions(value, path=()):
         yield from positions(child, path + (key,))
 
 
+BOARD_TOKENS = ("x", "y", "r1", 1, -1, True)
+CERTIFICATE_TOKENS = ("ab", "bc", "contract", "cancel", 0, 1, -1, True, ["ab", 0])
+STRATEGY_TOKENS = ("11", "r1", "+XZ", "-YY", "Z", "+IIZ", 1, -1, True)
+
+
 @st.composite
-def mutated_boards(draw):
-    """A valid board with up to three fields replaced, deleted, doubled or,
-    for a number, negated."""
-    board = copy.deepcopy(draw(st.sampled_from(VALID_BOARDS)))
+def mutated(draw, document, tokens=BOARD_TOKENS):
+    """``document`` with up to three fields replaced (by any JSON value or
+    one of ``tokens``), deleted, doubled or, for a number, negated."""
+    document = copy.deepcopy(document)
     for _ in range(draw(st.integers(0, 3))):
-        places = list(positions(board))
+        places = list(positions(document))
         if not places:
             break
         *parent_path, key = draw(st.sampled_from(places))
-        parent = board
+        parent = document
         for step in parent_path:
             parent = parent[step]
         action = draw(st.sampled_from(["replace", "delete", "double", "negate"]))
@@ -463,19 +525,36 @@ def mutated_boards(draw):
             if isinstance(parent[key], (int, float)):
                 parent[key] = -parent[key]
         elif action == "replace":
-            parent[key] = draw(json_values() | st.sampled_from(["x", "y", "r1", 1, -1, True]))
+            parent[key] = draw(json_values() | st.sampled_from(tokens))
         elif action == "delete":
             del parent[key]
         elif isinstance(parent, list):
             parent.append(copy.deepcopy(parent[key]))
         else:
             parent[f"{key}2"] = copy.deepcopy(parent[key])
-    return board
+    return document
 
 
 VALID_BOARDS = ([json.loads(path.read_text()) for path in sorted(BOARDS.glob("*.json"))]
                 + [random_board(random.Random(seed), 5 + seed, signed=True)
                    for seed in range(1, 6)])
+
+
+def mutated_boards():
+    """A valid board with up to three fields mutated (see ``mutated``)."""
+    return st.sampled_from(VALID_BOARDS).flatmap(mutated)
+
+
+def check_contract(argv):
+    """``run(argv)`` ends in exit 0, 1 or 2 with no traceback, and writes
+    one stderr line exactly when it fails."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(list(argv))
+    assert code in (0, 1, 2)
+    assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
+    assert (code == 0) == (err.getvalue() == "")
+    return code, out.getvalue()
 
 
 class TestFuzz:
@@ -489,12 +568,7 @@ class TestFuzz:
     def check(self, board_path, document):
         board_path.write_text(json.dumps(document))
         for command in ("validate", "decide"):
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = run([command, "--arrangement", str(board_path)])
-            assert code in (0, 1, 2)
-            assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
-            assert (code == 0) == (err.getvalue() == "")
+            check_contract([command, "--arrangement", str(board_path)])
 
     @settings(derandomize=True, database=None, max_examples=100, deadline=None)
     @given(json_values())
@@ -505,3 +579,50 @@ class TestFuzz:
     @given(mutated_boards())
     def test_mutated_boards(self, board_path, document):
         self.check(board_path, document)
+
+    @pytest.fixture(scope="class")
+    def certified(self, tmp_path_factory):
+        """Each nonmagic valid board's path with its ``certify`` payload."""
+        folder = tmp_path_factory.mktemp("certified")
+        cases = []
+        for k, raw in enumerate(VALID_BOARDS):
+            path = folder / f"board{k}.json"
+            path.write_text(json.dumps(raw))
+            code, out = check_contract(["certify", "--arrangement", str(path)])
+            if code == 0:
+                cases.append((path, json.loads(out)))
+        assert len(cases) >= 3
+        return cases
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.data())
+    def test_mutated_certificates(self, certified, board_path, data):
+        board, payload = data.draw(st.sampled_from(certified))
+        board_path.write_text(json.dumps(data.draw(mutated(payload, CERTIFICATE_TOKENS))))
+        check_contract(["certify", "--arrangement", str(board), "--check", str(board_path)])
+
+    @pytest.fixture(scope="class")
+    def strategies(self):
+        """Valid ``simulate --strategy`` files, quantum and classical, by board."""
+        square, triangle = str(BOARDS / "square.json"), str(BOARDS / "triangle.json")
+        cases = []
+        for board in (square, str(BOARDS / "pentagram.json")):
+            _, out = check_contract(["synthesize", "--arrangement", board])
+            cases.append((board, json.loads(out)["realization"]))
+        colors = {v: 1 for v in "xyz"}
+        cases.append((triangle, {"alice": colors, "bob": {
+            "ab": {"x": 1, "y": 1}, "bc": {"y": 1, "z": 1}, "ca": {"x": 1, "z": 1}}}))
+        a, s = load(square)
+        best = ClassicalStrategy.best_response(a, s, {v: 1 for v in a.vertices})
+        cases.append((square, {"alice": dict(best.alice),
+                               "bob": {e: dict(c) for e, c in best.bob}}))
+        return cases
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.data())
+    def test_mutated_strategy_files(self, strategies, board_path, data):
+        board, strategy = data.draw(st.sampled_from(strategies))
+        board_path.write_text(json.dumps(data.draw(mutated(strategy, STRATEGY_TOKENS))))
+        for extra in (("--exact",), ("--trials", "10")):
+            check_contract(["simulate", "--arrangement", board, "--strategy", str(board_path),
+                            *extra])

@@ -34,9 +34,7 @@ from pseudotelepathy.game import (
     Query,
     QuantumStrategy,
     StabilizerState,
-    _mask,
     _row,
-    _row_product,
     all_queries,
     exact_query_win_probability,
     exact_win_probability,
@@ -51,7 +49,6 @@ from pseudotelepathy.pauli import (
     PauliOperator,
     dense_matrix,
     from_string,
-    multiply,
 )
 from pseudotelepathy.realization import (
     QuantumRealization,
@@ -149,13 +146,7 @@ def p_plus(state, row) -> Fraction:
 def tableau_matrix(row, n_qubits):
     """Dense matrix of a tableau row on the 2n qubits (Alice's first)."""
     x, z, k = row
-    bits = range(2 * n_qubits)
-    return dense_matrix(PauliOperator(2 * n_qubits, k, tuple((x >> b) & 1 for b in bits),
-                                      tuple((z >> b) & 1 for b in bits)))
-
-
-def as_row(p: PauliOperator):
-    return _mask(p.x_bits), _mask(p.z_bits), p.phase_exp
+    return dense_matrix(PauliOperator(2 * n_qubits, k, x, z))
 
 
 def anticommute(p, q) -> bool:
@@ -175,15 +166,6 @@ class TestSharedState:
                 for j, stabilizer in enumerate(state.stabilizers):
                     assert anticommute(d, stabilizer) == (i == j)
                 assert not any(anticommute(d, e) for e in state.destabilizers)
-
-    def test_row_product_matches_pauli_multiply(self):
-        n = 2
-        words = ["".join(w) for w in itertools.product("IXYZ", repeat=n)]
-        ops = [PauliOperator(n, k, p.x_bits, p.z_bits)
-               for p in map(from_string, words) for k in range(4)]
-        for p, q in itertools.product(ops, repeat=2):
-            product = multiply(p, q)
-            assert _row_product(as_row(p), as_row(q)) == as_row(product)
 
 
 class TestMeasure:

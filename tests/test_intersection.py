@@ -2,8 +2,8 @@
 
 import pytest
 
-from helpers import corpus, triangle_board
-from pseudotelepathy.arrangement import to_json_dict, validate
+from helpers import board_json, corpus, triangle_board
+from pseudotelepathy.arrangement import validate
 from pseudotelepathy.intersection import (
     CoverageError,
     RotationSystem,
@@ -49,7 +49,7 @@ class TestBuild:
     @pytest.mark.filterwarnings("ignore:arrangement contains a size-1 hyperedge")
     def test_rebuild_from_serialization_is_identical(self):
         for a, _ in corpus(seed=17, count=20):
-            a2, _ = validate(to_json_dict(a))
+            a2, _ = validate(board_json(a))
             assert build(a2) == build(a)
 
 

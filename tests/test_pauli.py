@@ -25,9 +25,34 @@ def random_pauli(rng, n):
     return PauliOperator(
         n,
         rng.randrange(4),
-        tuple(rng.randrange(2) for _ in range(n)),
-        tuple(rng.randrange(2) for _ in range(n)),
+        sum(rng.randrange(2) << k for k in range(n)),
+        sum(rng.randrange(2) << k for k in range(n)),
     )
+
+
+def every_pauli(n):
+    """All 4**n words on n qubits, each with all four phases."""
+    return [PauliOperator(n, k, x, z)
+            for k, x, z in itertools.product(range(4), range(1 << n), range(1 << n))]
+
+
+class TestOperator:
+    def test_rejects_wide_or_negative_x_and_z(self):
+        for x, z in ((4, 0), (0, 4), (-1, 0), (0, -1), (1 << 40, 0)):
+            with pytest.raises(ValueError, match="masks"):
+                PauliOperator(2, 0, x, z)
+        assert str(PauliOperator(2, 0, 3, 2)) == "+XY"
+
+    def test_phase_and_width_checked(self):
+        for k in (-1, 4):
+            with pytest.raises(ValueError, match="phase"):
+                PauliOperator(1, k, 0, 0)
+        with pytest.raises(ValueError, match="qubit"):
+            PauliOperator(0, 0, 0, 0)
+
+    def test_qubit_k_is_bit_k(self):
+        p = from_string("-XZYI")
+        assert (p.x, p.z, p.phase_exp) == (0b0101, 0b0110, 2)
 
 
 class TestMultiply:
@@ -47,13 +72,20 @@ class TestMultiply:
         for _ in range(200):
             p = random_pauli(rng, rng.randrange(1, 4))
             if not p.is_observable():
-                p = PauliOperator(p.n_qubits, 0, p.x_bits, p.z_bits)
+                p = PauliOperator(p.n_qubits, 0, p.x, p.z)
             sq = multiply(p, p)
             assert sq.is_identity() and sq.phase_exp == 0
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             multiply(from_string("X"), from_string("XX"))
+
+    def test_every_two_qubit_product_matches_dense(self):
+        ops = every_pauli(2)
+        dense = {p: dense_matrix(p) for p in ops}
+        assert len(ops) == 64
+        for p, q in itertools.product(ops, repeat=2):
+            np.testing.assert_array_equal(dense[multiply(p, q)], dense[p] @ dense[q])
 
     def test_associative_and_matches_dense(self):
         rng = random.Random(13)
@@ -175,9 +207,7 @@ class TestStateAction:
             np.testing.assert_allclose(out, dense_matrix(p) @ vec, atol=1e-12)
 
     def test_exhaustive_two_qubits(self):
-        for k, xs, zs in itertools.product(range(4), itertools.product((0, 1), repeat=2),
-                                           itertools.product((0, 1), repeat=2)):
-            p = PauliOperator(2, k, xs, zs)
+        for p in every_pauli(2):
             flip, coeffs = state_action(p)
             m = np.zeros((4, 4), dtype=complex)
             for j in range(4):
