@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import json
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+
+from pseudotelepathy.intersection import adjacency, bfs_tree
 
 
 class ArrangementError(ValueError):
@@ -104,11 +105,6 @@ class ClassicalRealization:
     def as_dict(self) -> dict[str, int]:
         return dict(self.labels)
 
-    _label_map = cached_property(as_dict)
-
-    def label(self, v: str) -> int:
-        return self._label_map[v]
-
 
 def validate(raw: dict) -> tuple[Arrangement, Signing | None]:
     """Canonicalize a raw board description and check the structural axioms.
@@ -194,23 +190,7 @@ def _check_connected(hyperedges, degree):
     """Connectivity of the dual multigraph: hyperedges joined by shared vertices."""
     if not hyperedges:
         raise Disconnected("arrangement has no hyperedges")
-    adjacency: dict[str, set[str]] = {eid: set() for eid, _ in hyperedges}
-    for holders in degree.values():
-        a, b = holders
-        if a == b:
-            raise DegreeError("vertex repeated inside one hyperedge")
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    start = hyperedges[0][0]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        for other in adjacency[node]:
-            if other not in seen:
-                seen.add(other)
-                queue.append(other)
-    if len(seen) != len(adjacency):
+    if len(bfs_tree(adjacency(degree), hyperedges[0][0])) != len(hyperedges):
         raise Disconnected("hypergraph splits into independent pieces")
 
 
@@ -231,56 +211,41 @@ def is_classically_realizable(a: Arrangement, s: Signing) -> bool:
     return parity(s) == 1
 
 
-def dual_path(a: Arrangement, start: str, goal: str) -> list[str]:
-    """Vertices along a shortest hyperedge-to-hyperedge path in the dual.
+def flip_set(a: Arrangement, lines: list[str]) -> list[str]:
+    """Vertices whose sign flips change the product of exactly ``lines``.
 
-    Breadth-first with lexicographic tie-breaking; returns the arrangement
-    vertices realizing each hop.  Empty when start == goal.
+    ``lines`` must hold an even number of hyperedge ids T.  The result is
+    the T-join of the dual's breadth-first spanning tree from the smallest
+    line: a tree edge is taken exactly when the subtree below it holds an
+    odd number of T, found in one bottom-up pass.  A line then meets an odd
+    number of taken edges iff it is in T.  An empty T builds no tree.
     """
-    if start == goal:
+    odd = set(lines)
+    if len(odd) % 2:
+        raise ValueError("an odd number of lines cannot change sign alone")
+    if not odd:
         return []
-    hops: dict[str, list[tuple[str, str]]] = {eid: [] for eid in a.hyperedge_ids()}
-    for v in a.vertices:
-        e1, e2 = a.edges_of_vertex(v)
-        hops[e1].append((e2, v))
-        hops[e2].append((e1, v))
-    for eid in hops:
-        hops[eid].sort()
-    parent: dict[str, tuple[str, str]] = {}
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        node = queue.popleft()
-        if node == goal:
-            break
-        for other, via in hops[node]:
-            if other not in seen:
-                seen.add(other)
-                parent[other] = (node, via)
-                queue.append(other)
-    path: list[str] = []
-    node = goal
-    while node != start:
-        node, via = parent[node]
-        path.append(via)
-    path.reverse()
-    return path
+    dual = adjacency({v: a.edges_of_vertex(v) for v in a.vertices})
+    flips = []
+    for node, link in reversed(bfs_tree(dual, a.hyperedges[0][0]).items()):
+        if link is not None and node in odd:
+            parent, vertex = link
+            flips.append(vertex)
+            odd ^= {parent}
+    return flips
 
 
 def classical_realize(a: Arrangement, s: Signing) -> ClassicalRealization:
     """Construct a vertex labeling matching the signing; parity must be +1.
 
-    Starts from the all-+1 labeling and, for each pair of -1 lines, flips the
-    labels along a dual path joining them: interior lines lose two member
-    labels' signs at once, so only the pair's two line products flip.
+    Starts from the all-+1 labeling and flips the labels of the
+    :func:`flip_set` of the -1 lines, so exactly their products become -1.
     """
     if parity(s) != 1:
         raise OddParity("no classical realization exists for odd parity")
     labels = {v: 1 for v in a.vertices}
-    negatives = sorted(eid for eid, sign in s.signs if sign == -1)
-    for i in range(0, len(negatives), 2):
-        for v in dual_path(a, negatives[i], negatives[i + 1]):
-            labels[v] = -labels[v]
+    for v in flip_set(a, [eid for eid, sign in s.signs if sign == -1]):
+        labels[v] = -1
     return ClassicalRealization.from_dict(labels)
 
 

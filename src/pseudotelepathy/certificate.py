@@ -33,13 +33,14 @@ type-checked field by field before any replay (:func:`read_payload`).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from pseudotelepathy.intersection import (
     CoverageError,
     IntersectionGraph,
     RotationSystem,
+    adjacency,
+    bfs_tree,
     check_coverage,
 )
 from pseudotelepathy.planarity import verify_embedding
@@ -240,24 +241,10 @@ def generate_trace(
     state = _WordState(words, signs)
     steps: list[tuple[str, str]] = []
 
-    hops: dict[str, list[tuple[str, str]]] = {n: [] for n in g.nodes}
-    for eid, u, v in g.edges:
-        if u != v:
-            hops[u].append((v, eid))
-            hops[v].append((u, eid))
-    for entries in hops.values():
-        entries.sort()
-    root = min(g.nodes)
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        node = queue.popleft()
-        for other, eid in hops[node]:
-            if other not in seen:
-                seen.add(other)
-                queue.append(other)
-                steps.append((CONTRACT, eid))
-                state.contract(eid, len(steps) - 1)
+    tree = bfs_tree(adjacency(g.endpoints()), min(g.nodes))
+    for _, eid in list(tree.values())[1:]:  # the root comes first, with no edge
+        steps.append((CONTRACT, eid))
+        state.contract(eid, len(steps) - 1)
 
     # Cancel the leftmost adjacent pair each time, in one stack pass: after a
     # cancel at i no pair starts before i - 1, so the stack (the reduced

@@ -150,13 +150,7 @@ def cmd_certify(args) -> int:
         except MalformedCertificate as err:
             print(f"malformed certificate {args.check}: {err}", file=sys.stderr)
             return 2
-        try:
-            sign = check_trace(graph, embedding, signs, trace)
-        except IllegalStep as err:
-            print(f"certificate rejected at step {err.index}: {err.reason}",
-                  file=sys.stderr)
-            return 2
-        print(sign)
+        print(check_trace(graph, embedding, signs, trace))
         return 0
     verdict = synthesize(board)
     if verdict.magic:
@@ -378,6 +372,19 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
+    """Run one command line and return its exit code.  Its warnings follow
+    the one-line rule: each distinct one as a ``warning:`` line after a
+    success, none after a failure."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # a repeated call warns again
+        code = _dispatch(argv)
+    if code == 0:
+        for message in dict.fromkeys(str(w.message) for w in caught):
+            print(f"warning: {message}", file=sys.stderr)
+    return code
+
+
+def _dispatch(argv) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
@@ -394,14 +401,7 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    """Run the command line; its warnings follow the one-line rule: each
-    distinct one as a ``warning:`` line after a success, none after a failure."""
-    with warnings.catch_warnings(record=True) as caught:
-        code = run(sys.argv[1:])
-    if code == 0:
-        for message in dict.fromkeys(str(w.message) for w in caught):
-            print(f"warning: {message}", file=sys.stderr)
-    sys.exit(code)
+    sys.exit(run(sys.argv[1:]))
 
 
 if __name__ == "__main__":

@@ -11,9 +11,12 @@ V - E + F = 2 certifies genus zero.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from pseudotelepathy.arrangement import Arrangement
+if TYPE_CHECKING:  # arrangement imports this module for its graph search
+    from pseudotelepathy.arrangement import Arrangement
 
 # A dart is one end of an edge: (edge_id, end) with end 0 at endpoints[0]
 # and end 1 at endpoints[1].  A self-loop owns both darts at the same node.
@@ -65,7 +68,7 @@ class RotationSystem:
 
     @classmethod
     def from_json_dict(cls, raw: dict) -> "RotationSystem":
-        return cls.from_dict({n: [(e, int(end)) for e, end in ds] for n, ds in raw.items()})
+        return cls.from_dict({n: [(e, end) for e, end in ds] for n, ds in raw.items()})
 
 
 def build(a: Arrangement) -> IntersectionGraph:
@@ -75,6 +78,35 @@ def build(a: Arrangement) -> IntersectionGraph:
         e1, e2 = a.edges_of_vertex(v)
         edges.append((v, e1, e2))
     return IntersectionGraph(tuple(sorted(a.hyperedge_ids())), tuple(sorted(edges)))
+
+
+def adjacency(edges: dict[str, tuple[str, str]]) -> dict[str, list[tuple[str, str]]]:
+    """(other end, edge id) pairs at each node, sorted; nodes without edges
+    are absent and a self-loop is listed twice at its node."""
+    adj: dict[str, list[tuple[str, str]]] = {}
+    for eid, (u, v) in edges.items():
+        adj.setdefault(u, []).append((v, eid))
+        adj.setdefault(v, []).append((u, eid))
+    for entries in adj.values():
+        entries.sort()
+    return adj
+
+
+def bfs_tree(adj: dict[str, list[tuple[str, str]]],
+             root: str) -> dict[str, tuple[str, str] | None]:
+    """Breadth-first spanning tree of root's component, in discovery order:
+    each node maps to (parent, edge id) by which it was reached, the root to
+    None.  Neighbours are taken in ``adj`` order, so the tree is deterministic.
+    """
+    tree: dict[str, tuple[str, str] | None] = {root: None}
+    queue = deque([root])
+    while queue:
+        node = queue.popleft()
+        for other, eid in adj.get(node, ()):
+            if other not in tree:
+                tree[other] = (node, eid)
+                queue.append(other)
+    return tree
 
 
 def check_coverage(g: IntersectionGraph, r: RotationSystem) -> None:

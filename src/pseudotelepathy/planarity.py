@@ -47,6 +47,8 @@ from dataclasses import dataclass
 from pseudotelepathy.intersection import (
     IntersectionGraph,
     RotationSystem,
+    adjacency,
+    bfs_tree,
     trace_faces,
 )
 
@@ -176,12 +178,15 @@ def verify_witness(g: IntersectionGraph, w: KuratowskiWitness) -> bool:
 
 def test_planarity(g: IntersectionGraph) -> PlanarityResult:
     """Decide planarity of a connected multigraph, with a certified outcome."""
-    _require_connected(g)
+    if not g.nodes:
+        raise ValueError("graph has no nodes")
+    endpoints = g.endpoints()
+    if len(bfs_tree(adjacency(endpoints), g.nodes[0])) != len(g.nodes):
+        raise ValueError("graph must be connected")
     if not g.edges:  # a single bare node; connectivity rules out more
         return PlanarityResult(
             embedding=RotationSystem.from_dict({g.nodes[0]: []}), witness=None)
 
-    endpoints = g.endpoints()
     loops = sorted(eid for eid, (u, v) in endpoints.items() if u == v)
     groups: dict[tuple[str, str], list[str]] = {}
     for eid, (u, v) in sorted(endpoints.items()):
@@ -202,42 +207,13 @@ def test_planarity(g: IntersectionGraph) -> PlanarityResult:
     return PlanarityResult(embedding=rotation, witness=None)
 
 
-def _require_connected(g: IntersectionGraph) -> None:
-    if not g.nodes:
-        raise ValueError("graph has no nodes")
-    reach = {g.nodes[0]}
-    frontier = deque(reach)
-    neighbors: dict[str, set[str]] = {n: set() for n in g.nodes}
-    for _, u, v in g.edges:
-        neighbors[u].add(v)
-        neighbors[v].add(u)
-    while frontier:
-        n = frontier.popleft()
-        for m in neighbors[n]:
-            if m not in reach:
-                reach.add(m)
-                frontier.append(m)
-    if len(reach) != len(g.nodes):
-        raise ValueError("graph must be connected")
-
-
 # ---------------------------------------------------------------------------
 # Planar embedding of a simple graph by face insertion, block by block.
 
 
-def _adjacency(edges: dict[str, tuple[str, str]]) -> dict[str, list[tuple[str, str]]]:
-    adj: dict[str, list[tuple[str, str]]] = {}
-    for eid, (u, v) in edges.items():
-        adj.setdefault(u, []).append((v, eid))
-        adj.setdefault(v, []).append((u, eid))
-    for entries in adj.values():
-        entries.sort()
-    return adj
-
-
 def _biconnected_blocks(edges: dict[str, tuple[str, str]]) -> list[dict[str, tuple[str, str]]]:
     """Partition edges into biconnected blocks (iterative lowpoint DFS)."""
-    adj = _adjacency(edges)
+    adj = adjacency(edges)
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     stack: list[str] = []
@@ -487,7 +463,7 @@ def _embed_block(block: dict[str, tuple[str, str]]) -> list[list[str]] | None:
         (u, v), = block.values()
         return [[u, v]]
 
-    adj = _adjacency(block)
+    adj = adjacency(block)
     cycle, cycle_edges = _find_cycle(adj)
     faces: list[list[str]] = [list(cycle), list(reversed(cycle))]
     node_faces = {n: {0, 1} for n in cycle}
@@ -606,13 +582,15 @@ def _rotation_from_faces(g, block_faces, simple_edges, groups, loops, endpoints)
 
     for block, faces in sorted(block_faces, key=lambda bf: min(bf[0])):
         succ: dict[str, dict[tuple[str, int], tuple[str, int]]] = {}
-        pair_edge = {tuple(sorted(pair)): eid for eid, pair in block.items()}
+        pair_edge = {}
+        for eid, (u, v) in block.items():
+            pair_edge[u, v] = pair_edge[v, u] = eid
         for face in faces:
             m = len(face)
             for i in range(m):
                 u, v, w = face[i], face[(i + 1) % m], face[(i + 2) % m]
-                e_in = pair_edge[tuple(sorted((u, v)))]
-                e_out = pair_edge[tuple(sorted((v, w)))]
+                e_in = pair_edge[u, v]
+                e_out = pair_edge[v, w]
                 succ.setdefault(v, {})[dart(e_in, v)] = dart(e_out, v)
         for node, table in succ.items():
             start = min(table)
@@ -722,7 +700,7 @@ def _read_off(remaining: dict[str, tuple[str, str]]) -> KuratowskiWitness:
     branch = sorted(n for n, d in degree.items() if d >= 3)
 
     paths: dict[tuple[str, str], tuple[str, ...]] = {}
-    adj = _adjacency(remaining)
+    adj = adjacency(remaining)
     for b in branch:
         for other, eid in adj[b]:
             chain = [eid]

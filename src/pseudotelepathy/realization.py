@@ -27,7 +27,7 @@ from pseudotelepathy.arrangement import (
     Signing,
     all_plus_signing,
     classical_realize,
-    dual_path,
+    flip_set,
     parity,
     validate,
 )
@@ -278,18 +278,16 @@ def resign_realization(
 ) -> QuantumRealization:
     """Adapt a realization to any signing of equal parity.
 
-    For each pair of lines whose sign differs, negating the operators along
-    a dual path joining them flips exactly those two line products while
+    Negating the operators of the :func:`~pseudotelepathy.arrangement.flip_set`
+    of the lines whose sign differs flips exactly those line products while
     preserving order two and commutation.
     """
     if parity(old) != parity(new):
         raise ValueError("signings differ in parity; no realization transfer exists")
     ops = r.as_dict()
     olds, news = old.as_dict(), new.as_dict()
-    differing = sorted(eid for eid in olds if olds[eid] != news[eid])
-    for i in range(0, len(differing), 2):
-        for v in dual_path(a, differing[i], differing[i + 1]):
-            ops[v] = ops[v].negate()
+    for v in flip_set(a, [eid for eid in olds if olds[eid] != news[eid]]):
+        ops[v] = ops[v].negate()
     return QuantumRealization.from_dict(r.n_qubits, ops)
 
 

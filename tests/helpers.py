@@ -21,9 +21,9 @@ from pseudotelepathy.arrangement import Arrangement, Signing, validate
 from pseudotelepathy.certificate import CANCEL, CONTRACT
 from pseudotelepathy.game import ALICE, BOB, Query
 from pseudotelepathy.generate import random_arrangement
-from pseudotelepathy.intersection import IntersectionGraph, RotationSystem, trace_faces
+from pseudotelepathy.intersection import IntersectionGraph, RotationSystem, adjacency, trace_faces
 from pseudotelepathy.pauli import DimensionMismatch, PauliOperator, state_action
-from pseudotelepathy.planarity import _adjacency, _find_cycle, _is_planar_simple
+from pseudotelepathy.planarity import _find_cycle, _is_planar_simple
 
 
 def triangle_board() -> tuple[Arrangement, Signing | None]:
@@ -338,7 +338,7 @@ def rescan_embed_block(block: dict[str, tuple[str, str]]) -> list[list[str]] | N
         (u, v), = block.values()
         return [[u, v]]
 
-    adj = _adjacency(block)
+    adj = adjacency(block)
     cycle, _ = _find_cycle(adj)
     faces: list[list[str]] = [list(cycle), list(reversed(cycle))]
     h_nodes = set(cycle)

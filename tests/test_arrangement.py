@@ -24,6 +24,7 @@ from pseudotelepathy.arrangement import (
     all_plus_signing,
     check_realization,
     classical_realize,
+    flip_set,
     is_classically_realizable,
     parity,
     validate,
@@ -204,6 +205,22 @@ class TestClassicalRealize:
         for a, _ in corpus(seed=7, count=50):
             s = random_signing(rng, a, target_parity=1)
             assert check_realization(a, s, classical_realize(a, s))
+
+    def test_flip_set_changes_exactly_the_chosen_lines(self):
+        rng = random.Random(5)
+        for a, _ in corpus(seed=11, count=50, dense=True):
+            ids = a.hyperedge_ids()
+            lines = rng.sample(ids, 2 * rng.randrange(len(ids) // 2 + 1))
+            flips = flip_set(a, lines)
+            assert len(set(flips)) == len(flips)
+            changed = {eid for eid, members in a.hyperedges
+                       if len(set(members) & set(flips)) % 2}
+            assert changed == set(lines)
+
+    def test_flip_set_of_an_odd_set_raises(self):
+        a, _ = triangle_board()
+        with pytest.raises(ValueError, match="odd number of lines"):
+            flip_set(a, ["ab"])
 
 
 class TestJson:

@@ -24,6 +24,8 @@ from pseudotelepathy.generate import random_board
 from pseudotelepathy.realization import synthesize
 
 BOARDS = Path(__file__).resolve().parent.parent / "boards"
+SIZE_ONE_WARNING = ("warning: arrangement contains a size-1 hyperedge; the game on it "
+                    "is playable but that line constrains a single vertex\n")
 
 
 def invoke(capsys, *argv):
@@ -113,10 +115,11 @@ class TestCertify:
         payload = json.loads(cert.read_text())
         payload["certificate"]["final_sign"] *= -1
         cert.write_text(json.dumps(payload))
-        code, _, err = invoke(capsys, "certify", "--arrangement",
-                              str(BOARDS / "triangle.json"), "--check", str(cert))
-        assert code == 2
-        assert "rejected" in err
+        code, out, err = invoke(capsys, "certify", "--arrangement",
+                                str(BOARDS / "triangle.json"), "--check", str(cert))
+        assert code == 2 and out == ""
+        assert err == ("certificate rejected at step 3: "
+                       "recorded final sign disagrees with the replay\n")
 
     @pytest.mark.parametrize("tamper, named", [
         (lambda p: p["certificate"].pop("initial"), "certificate.initial is missing"),
@@ -318,7 +321,7 @@ class TestGen:
 
     def test_negative_seed_is_a_seed(self, capsys):
         code, out, err = invoke(capsys, "gen", "--hyperedges", "5", "--seed", "-1")
-        assert code == 0 and err == ""
+        assert code == 0 and err == SIZE_ONE_WARNING  # the board has a one-vertex line
         assert json.loads(out) == random_board(random.Random(-1), 5, None)
 
     def test_gen_deterministic(self, capsys):
@@ -431,11 +434,8 @@ class TestWarningsInAProcess:
 
     def test_successful_run_warns_in_one_line(self, capsys):
         code, out, err = run_process(*self.GEN)
-        assert code == 0
-        assert err == ("warning: arrangement contains a size-1 hyperedge; the game on it "
-                       "is playable but that line constrains a single vertex\n")
-        with pytest.warns(UserWarning, match="size-1 hyperedge"):
-            assert invoke(capsys, *self.GEN) == (0, out, "")
+        assert code == 0 and err == SIZE_ONE_WARNING
+        assert invoke(capsys, *self.GEN) == (0, out, err)
 
     def test_failing_board_prints_only_its_error(self, tmp_path):
         board = tmp_path / "board.json"
@@ -453,6 +453,17 @@ class TestWarningsInAProcess:
                                      "--certificate", "/no/such/dir/x")
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and "cannot write /no/such/dir/x" in err
+
+    def test_repeated_in_process_runs_warn_each_time(self, capsys, tmp_path):
+        board = tmp_path / "board.json"
+        assert invoke(capsys, *self.GEN, "--output", str(board)) == (0, "", SIZE_ONE_WARNING)
+        for _ in range(2):
+            code, out, err = invoke(capsys, "decide", "--arrangement", str(board))
+            assert (code, err) == (0, SIZE_ONE_WARNING) and out in ("magic\n", "not magic\n")
+            code, out, err = invoke(capsys, "decide", "--arrangement", str(board),
+                                    "--certificate", str(tmp_path / "no" / "x"))
+            assert code == 1 and out == ""
+            assert err.count("\n") == 1 and not err.startswith("warning:")
 
 
 class TestParserReuse:
@@ -547,13 +558,17 @@ def mutated_boards():
 
 def check_contract(argv):
     """``run(argv)`` ends in exit 0, 1 or 2 with no traceback, and writes
-    one stderr line exactly when it fails."""
+    one stderr line when it fails; a success writes only ``warning:`` lines."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run(list(argv))
     assert code in (0, 1, 2)
     assert err.getvalue().count("\n") <= 1 and "Traceback" not in err.getvalue()
-    assert (code == 0) == (err.getvalue() == "")
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert all(line.startswith("warning: ") for line in lines)
+    else:
+        assert len(lines) == 1 and not lines[0].startswith("warning: ")
     return code, out.getvalue()
 
 

@@ -24,7 +24,7 @@ from helpers import (
 )
 import pseudotelepathy
 from pseudotelepathy import planarity
-from pseudotelepathy.intersection import CoverageError, RotationSystem, build
+from pseudotelepathy.intersection import CoverageError, IntersectionGraph, RotationSystem, build
 from pseudotelepathy.planarity import (
     K5,
     K33,
@@ -76,11 +76,21 @@ class TestKnownGraphs:
             assert not decide_planarity(build(a)).is_planar
 
     def test_single_bare_node(self):
-        from pseudotelepathy.intersection import IntersectionGraph
-
         g = IntersectionGraph(("only",), ())
         res = decide_planarity(g)
         assert res.is_planar and verify_embedding(g, res.embedding)
+
+    def test_empty_graph_rejected(self):
+        with pytest.raises(ValueError, match="graph has no nodes"):
+            decide_planarity(IntersectionGraph((), ()))
+
+    @pytest.mark.parametrize("g", [
+        IntersectionGraph(("a", "b"), ()),
+        graph_from_edges({"e1": ("a", "b"), "e2": ("c", "d"), "e3": ("c", "c")}),
+    ], ids=["bare-nodes", "two-pieces"])
+    def test_disconnected_graph_rejected(self, g):
+        with pytest.raises(ValueError, match="graph must be connected"):
+            decide_planarity(g)
 
 
 class TestVerifyEmbedding:
