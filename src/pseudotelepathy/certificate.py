@@ -39,8 +39,6 @@ from pseudotelepathy.intersection import (
     CoverageError,
     IntersectionGraph,
     RotationSystem,
-    adjacency,
-    bfs_tree,
     check_coverage,
 )
 from pseudotelepathy.planarity import verify_embedding
@@ -241,8 +239,7 @@ def generate_trace(
     state = _WordState(words, signs)
     steps: list[tuple[str, str]] = []
 
-    tree = bfs_tree(adjacency(g.endpoints()), min(g.nodes))
-    for _, eid in list(tree.values())[1:]:  # the root comes first, with no edge
+    for _, eid in list(g.tree.values())[1:]:  # the root comes first, with no edge
         steps.append((CONTRACT, eid))
         state.contract(eid, len(steps) - 1)
 

@@ -170,24 +170,31 @@ def _bob_operator(op: PauliOperator, literal: bool) -> PauliOperator:
 def play_quantum(a: Arrangement, s: Signing, strategy: QuantumStrategy, query: Query,
                  rng: np.random.Generator) -> Transcript:
     """One round of the quantum strategy, sampling each measurement."""
+    return _score(a, s, query, *_measure_round(a, strategy, query, rng))
+
+
+def _measure_round(a, strategy, query, rng) -> tuple[int, dict[str, int]]:
+    """Alice's outcome and Bob's coloring in one sampled quantum round."""
     rows = strategy.rows
     state = StabilizerState.maximally_entangled(strategy.realization.n_qubits)
     alice_color = measure(state, rows[query.vertex][0], rng)
     coloring = {u: measure(state, rows[u][1], rng) for u in a.members(query.hyperedge)}
-    return _score(a, s, query, alice_color, coloring)
+    return alice_color, coloring
 
 
-def _score(a, s, query, alice_color, coloring) -> Transcript:
+def _judge(a, s, query, alice_color, coloring) -> tuple[bool, bool]:
+    """The referee's two checks: Bob's colors multiply to the line's sign,
+    and Bob agrees with Alice at the shared vertex."""
     prod = 1
     for u in a.members(query.hyperedge):
         prod *= coloring[u]
-    return Transcript(
-        query=query,
-        alice_color=alice_color,
-        bob_coloring=tuple(sorted(coloring.items())),
-        parity_ok=prod == s.sign(query.hyperedge),
-        consistency_ok=coloring[query.vertex] == alice_color,
-    )
+    return prod == s.sign(query.hyperedge), coloring[query.vertex] == alice_color
+
+
+def _score(a, s, query, alice_color, coloring) -> Transcript:
+    parity_ok, consistency_ok = _judge(a, s, query, alice_color, coloring)
+    return Transcript(query, alice_color, tuple(sorted(coloring.items())),
+                      parity_ok, consistency_ok)
 
 
 @dataclass(frozen=True)
@@ -248,8 +255,8 @@ class ClassicalStrategy:
         return dict(self.alice)
 
     @cached_property
-    def _bob_map(self) -> dict[str, tuple[tuple[str, int], ...]]:
-        return dict(self.bob)
+    def _bob_map(self) -> dict[str, dict[str, int]]:
+        return {e: dict(coloring) for e, coloring in self.bob}
 
     def alice_color(self, v: str) -> int:
         return self._alice_map[v]
@@ -290,7 +297,9 @@ def exact_line_win_probabilities(
     """
     members = a.members(hyperedge)
     if isinstance(strategy, ClassicalStrategy):
-        return {v: Fraction(play_classical(a, s, strategy, Query(v, hyperedge)).won)
+        coloring = strategy._bob_map[hyperedge]
+        return {v: Fraction(all(_judge(a, s, Query(v, hyperedge), strategy._alice_map[v],
+                                       coloring)))
                 for v in members}
 
     line = [strategy.realization.operator(u) for u in members]
@@ -342,15 +351,18 @@ def monte_carlo(strategy, a: Arrangement, s: Signing, trials: int,
     if trials < 1:
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
+    classical = isinstance(strategy, ClassicalStrategy)
     wins = 0
     counts: dict[tuple[str, str], list[int]] = {}
     for _ in range(trials):
         query = referee_draw(a, rng)
-        if isinstance(strategy, ClassicalStrategy):
-            transcript = play_classical(a, s, strategy, query)
+        # only the win bit counts, so no Transcript and no copied coloring
+        if classical:
+            alice_color = strategy._alice_map[query.vertex]
+            coloring = strategy._bob_map[query.hyperedge]
         else:
-            transcript = play_quantum(a, s, strategy, query, rng)
-        won = transcript.won
+            alice_color, coloring = _measure_round(a, strategy, query, rng)
+        won = all(_judge(a, s, query, alice_color, coloring))
         wins += won
         bucket = counts.setdefault((query.vertex, query.hyperedge), [0, 0])
         bucket[0] += won

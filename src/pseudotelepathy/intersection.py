@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # arrangement imports this module for its graph search
@@ -48,6 +49,12 @@ class IntersectionGraph:
 
     def degree(self, node: str) -> int:
         return sum((u == node) + (v == node) for _, u, v in self.edges)
+
+    @cached_property
+    def tree(self) -> dict[str, tuple[str, str] | None]:
+        """``bfs_tree`` of the graph from its smallest node, built once per
+        graph; callers only read it."""
+        return bfs_tree(adjacency(self.endpoints()), min(self.nodes))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,14 @@ Witness extraction keeps the edge-minimal nonplanar subgraph that deleting
 edges in sorted order would leave, found by galloping and bisection over
 suffixes of that order in O(k log m) planarity tests for a k-edge witness
 (none when the graph already has the degree profile of a subdivision).
-That subgraph is exactly a K5 or K3,3 subdivision, read off by walking its
+A test embeds only the blocks that may be nonplanar, those with at least 9
+edges and 5 nodes of degree >= 3, and stops at the first that fails.  Each
+kept edge then shrinks the rest of the order to the block its test failed
+on: that test's graph has no other nonplanar block, and every later graph
+of the scan is a subgraph of it, so every edge outside that block is one
+the scan deletes.  The witness is the scan's, edge for edge, while the
+tests shrink to one nonplanar block after the first kept edge.  The kept
+subgraph is exactly a K5 or K3,3 subdivision, read off by walking its
 degree-2 chains.
 
 Parallel edges and self-loops never affect planarity, so they are stripped
@@ -48,7 +55,6 @@ from pseudotelepathy.intersection import (
     IntersectionGraph,
     RotationSystem,
     adjacency,
-    bfs_tree,
     trace_faces,
 )
 
@@ -180,9 +186,9 @@ def test_planarity(g: IntersectionGraph) -> PlanarityResult:
     """Decide planarity of a connected multigraph, with a certified outcome."""
     if not g.nodes:
         raise ValueError("graph has no nodes")
-    endpoints = g.endpoints()
-    if len(bfs_tree(adjacency(endpoints), g.nodes[0])) != len(g.nodes):
+    if len(g.tree) != len(g.nodes):
         raise ValueError("graph must be connected")
+    endpoints = g.endpoints()
     if not g.edges:  # a single bare node; connectivity rules out more
         return PlanarityResult(
             embedding=RotationSystem.from_dict({g.nodes[0]: []}), witness=None)
@@ -218,41 +224,38 @@ def _biconnected_blocks(edges: dict[str, tuple[str, str]]) -> list[dict[str, tup
     low: dict[str, int] = {}
     stack: list[str] = []
     blocks: list[dict[str, tuple[str, str]]] = []
-    counter = 0
 
     for root in sorted(adj):
         if root in index:
             continue
-        work: list[tuple[str, str | None, int]] = [(root, None, 0)]
-        index[root] = low[root] = counter
-        counter += 1
+        index[root] = low[root] = len(index)
+        # (node, edge from its parent, its neighbours still to try, the
+        # length of ``stack`` before that edge)
+        work = [(root, None, iter(adj[root]), 0)]
         while work:
-            node, via_edge, i = work.pop()
-            entries = adj[node]
-            if i < len(entries):
-                work.append((node, via_edge, i + 1))
-                other, eid = entries[i]
+            node, via_edge, entries, base = work[-1]
+            for other, eid in entries:
                 if eid == via_edge:
                     continue
                 if other not in index:
-                    index[other] = low[other] = counter
-                    counter += 1
+                    index[other] = low[other] = len(index)
+                    work.append((other, eid, iter(adj[other]), len(stack)))
                     stack.append(eid)
-                    work.append((other, eid, 0))
-                elif index[other] < index[node]:
+                    break
+                if index[other] < index[node]:
                     stack.append(eid)
-                    low[node] = min(low[node], index[other])
-            elif via_edge is not None:
+                    if index[other] < low[node]:
+                        low[node] = index[other]
+            else:
+                work.pop()
+                if via_edge is None:
+                    continue
                 parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+                if low[node] < low[parent]:
+                    low[parent] = low[node]
                 if low[node] >= index[parent]:
-                    block: dict[str, tuple[str, str]] = {}
-                    while True:
-                        top = stack.pop()
-                        block[top] = edges[top]
-                        if top == via_edge:
-                            break
-                    blocks.append(block)
+                    blocks.append({eid: edges[eid] for eid in reversed(stack[base:])})
+                    del stack[base:]
     return blocks
 
 
@@ -564,10 +567,6 @@ def _embed_simple_graph(edges: dict[str, tuple[str, str]]):
     return block_faces
 
 
-def _is_planar_simple(edges: dict[str, tuple[str, str]]) -> bool:
-    return _embed_simple_graph(edges) is not None
-
-
 def _rotation_from_faces(g, block_faces, simple_edges, groups, loops, endpoints):
     """Assemble the full-multigraph rotation from per-block faces.
 
@@ -630,8 +629,6 @@ def _rotation_from_faces(g, block_faces, simple_edges, groups, loops, endpoints)
 
 def _extract_witness(simple_edges: dict[str, tuple[str, str]]) -> KuratowskiWitness:
     """Kuratowski subdivision inside a connected nonplanar simple graph."""
-    if _is_subdivision_profile(simple_edges):
-        return _read_off(simple_edges)
     return _read_off(_minimal_nonplanar(simple_edges))
 
 
@@ -655,43 +652,90 @@ def _is_subdivision_profile(edges: dict[str, tuple[str, str]]) -> bool:
     return branch in ([4] * 5, [3] * 6)
 
 
-def _minimal_nonplanar(edges: dict[str, tuple[str, str]]) -> dict[str, tuple[str, str]]:
-    """The edge-minimal nonplanar subgraph that deleting each edge in sorted
-    order, whenever the rest stays nonplanar, would leave.
+def _may_be_nonplanar(block: dict[str, tuple[str, str]]) -> bool:
+    """False for a block that is planar without embedding it.
 
-    Invariant: ``kept`` plus ``order[lo:]`` is nonplanar.  Nonplanarity is
+    A nonplanar simple graph has at least 9 edges (K3,3 has 9, K5 10).  A
+    block with fewer than 5 nodes of degree >= 3 in it smooths to a
+    multigraph on at most 4 branch nodes (a single edge or a cycle to none),
+    whose simple part lies in K4.
+    """
+    return len(block) >= 9 and sum(d >= 3 for d in _degrees(block).values()) >= 5
+
+
+def _nonplanar_block(edges: dict[str, tuple[str, str]]) -> dict[str, tuple[str, str]] | None:
+    """The first block of a simple graph that fails to embed, or None if the
+    graph is planar.  Blocks that cannot be nonplanar are not embedded."""
+    for block in _biconnected_blocks(edges):
+        if _may_be_nonplanar(block) and _embed_block(block) is None:
+            return block
+    return None
+
+
+def _minimal_nonplanar(edges: dict[str, tuple[str, str]]) -> dict[str, tuple[str, str]]:
+    """The edge-minimal nonplanar subgraph of a connected nonplanar simple
+    graph that deleting each edge in sorted order, whenever the rest stays
+    nonplanar, would leave.
+
+    Invariant: ``kept`` plus ``order`` is nonplanar.  Nonplanarity is
     monotone under adding edges, so the next edge that scan keeps is
-    ``order[j]`` for the largest j with ``kept + order[j:]`` still nonplanar,
-    found by galloping from lo and then bisecting: O(k log m) planarity
-    tests for a k-edge result.
+    ``order[j]`` for the largest j with ``kept + order[j:]`` still nonplanar.
+    A probe at j costs about ``len(kept) + len(order) - j``.  The search
+    probes j = 1 first, since once ``order`` is down to one block its first
+    edge is mostly kept; past that it gallops in from the end, starting
+    ``len(kept)`` from it, where probes are cheap, and then bisects.  A round
+    thus makes O(log m) probes on the m edges of ``order``, and the search
+    O(k log m) for a k-edge result.
+
+    Once ``order[j]`` is kept, the rest of ``order`` shrinks to the edges of
+    the block that the probe at j failed on.  This is exact.  That block is
+    the probe graph's only nonplanar block, since deleting ``order[j]``,
+    which lies in one block, leaves the graph planar.  Every graph the scan
+    tests later is a subgraph of the probe graph, so any Kuratowski
+    subdivision it holds, being biconnected, lies inside that block.  An
+    edge outside it is therefore deleted by the scan whatever comes before
+    it, and dropping it changes none of the scan's other answers.  From the
+    second round on, ``kept + order`` is that block; so, like the connected
+    input, it has the degree profile of a subdivision only when it is a K5
+    or K3,3 subdivision, which the scan keeps whole.
     """
     order = sorted(edges)
     kept: dict[str, tuple[str, str]] = {}
 
-    def nonplanar_from(j: int) -> bool:
+    def suffix(j: int) -> dict[str, tuple[str, str]]:
         trial = dict(kept)
         trial.update((eid, edges[eid]) for eid in order[j:])
-        return not _is_planar_simple(trial)
+        return trial
 
-    lo = 0
-    while True:
-        good, bad, step = lo, len(order) + 1, 1
-        while good < len(order):
-            probe = min(lo + step, len(order))
-            if not nonplanar_from(probe):
-                bad = probe
-                break
-            good, step = probe, 2 * step
+    core = rest = suffix(0)  # holds every Kuratowski subdivision still left
+    while not _is_subdivision_profile(rest):
+        good, bad = 0, len(order) + 1
+        found = _nonplanar_block(suffix(1))
+        if found is None:
+            bad = 1
+        else:
+            good, core = 1, found
+            gap = len(kept)
+            while len(order) - gap > good:
+                probe = len(order) - gap
+                found = _nonplanar_block(suffix(probe))
+                if found is not None:
+                    good, core = probe, found
+                    break
+                bad, gap = probe, 2 * gap + 1
         while bad - good > 1:
             mid = (good + bad) // 2
-            if nonplanar_from(mid):
-                good = mid
-            else:
+            found = _nonplanar_block(suffix(mid))
+            if found is None:
                 bad = mid
+            else:
+                good, core = mid, found
         if good == len(order):
             return kept
         kept[order[good]] = edges[order[good]]
-        lo = good + 1
+        order = [eid for eid in order[good + 1:] if eid in core]
+        rest = suffix(0)
+    return rest
 
 
 def _read_off(remaining: dict[str, tuple[str, str]]) -> KuratowskiWitness:

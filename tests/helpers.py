@@ -23,7 +23,7 @@ from pseudotelepathy.game import ALICE, BOB, Query
 from pseudotelepathy.generate import random_arrangement
 from pseudotelepathy.intersection import IntersectionGraph, RotationSystem, adjacency, trace_faces
 from pseudotelepathy.pauli import DimensionMismatch, PauliOperator, state_action
-from pseudotelepathy.planarity import _find_cycle, _is_planar_simple
+from pseudotelepathy.planarity import _embed_simple_graph, _find_cycle
 
 
 def triangle_board() -> tuple[Arrangement, Signing | None]:
@@ -120,6 +120,26 @@ def grid_edges(n: int) -> dict[str, tuple[str, str]]:
     return edges
 
 
+def random_dual_edges(rng: random.Random, n_lines: int) -> dict[str, tuple[str, str]]:
+    """The dual of a random magic-sized board: a random spanning tree on the
+    lines plus two extra edges per line, and a second edge for any line
+    left with one.  The same draws as the benchmark's ``random_raw``."""
+    lines = [f"e{i:03d}" for i in range(n_lines)]
+    pairs = [(lines[rng.randrange(i)], lines[i]) for i in range(1, n_lines)]
+    pairs += [tuple(rng.sample(lines, 2)) for _ in range(2 * n_lines)]
+    degree = dict.fromkeys(lines, 0)
+    for u, w in pairs:
+        degree[u] += 1
+        degree[w] += 1
+    for line in lines:
+        if degree[line] == 1:
+            other = rng.choice([x for x in lines if x != line])
+            pairs.append((line, other))
+            degree[line] += 1
+            degree[other] += 1
+    return {f"v{k:04d}": pair for k, pair in enumerate(pairs)}
+
+
 def graph_from_edges(edges: dict[str, tuple[str, str]]) -> IntersectionGraph:
     nodes = sorted({n for pair in edges.values() for n in pair})
     return IntersectionGraph(
@@ -201,14 +221,20 @@ def deletion_scan(edges: dict[str, tuple[str, str]]) -> dict[str, tuple[str, str
     """Edge-minimal nonplanar subgraph by the plain scan: in sorted order,
     delete each edge whose removal leaves the rest nonplanar.
 
-    One planarity test per edge; the oracle for the witness search.
+    One full planarity test per edge, every block embedded; the oracle for
+    the witness search.
     """
     remaining = dict(edges)
     for eid in sorted(edges):
         trial = {k: v for k, v in remaining.items() if k != eid}
-        if not _is_planar_simple(trial):
+        if not is_planar_simple(trial):
             remaining = trial
     return remaining
+
+
+def is_planar_simple(edges: dict[str, tuple[str, str]]) -> bool:
+    """Planarity of a simple graph by embedding every one of its blocks."""
+    return _embed_simple_graph(edges) is not None
 
 
 def new_bridges(adj, h_nodes, region, placed, placed_edges):

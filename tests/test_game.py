@@ -41,6 +41,7 @@ from pseudotelepathy.game import (
     exhaustive_classical_maximum,
     measure,
     monte_carlo,
+    play_classical,
     play_quantum,
     referee_draw,
 )
@@ -433,7 +434,43 @@ class TestOrderIndependence:
                 assert dense == pytest.approx(exact, abs=1e-12)
 
 
+def transcript_wins(strategy, a, s, trials: int, seed: int):
+    """Wins and per-query win rates read off full transcripts, drawing as
+    ``monte_carlo`` draws; the reference for its win-bit-only loop."""
+    rng = np.random.default_rng(seed)
+    counts = {}
+    for _ in range(trials):
+        query = referee_draw(a, rng)
+        if isinstance(strategy, ClassicalStrategy):
+            transcript = play_classical(a, s, strategy, query)
+        else:
+            transcript = play_quantum(a, s, strategy, query, rng)
+        bucket = counts.setdefault((query.vertex, query.hyperedge), [0, 0])
+        bucket[0] += transcript.won
+        bucket[1] += 1
+    wins = sum(w for w, _ in counts.values())
+    return wins, tuple(sorted((q, w / n) for q, (w, n) in counts.items()))
+
+
+def imperfect_strategies():
+    """Strategies that lose some queries."""
+    a, s, r = builtin_square()
+    signs = s.as_dict()
+    signs["r1"] = -signs["r1"]
+    yield QuantumStrategy(r), a, Signing.from_dict(signs)
+    yield ClassicalStrategy.best_response(a, s, {v: 1 for v in a.vertices}), a, s
+    a, s, r = odd_y_board()
+    yield QuantumStrategy(r, literal=True), a, s
+
+
 class TestMonteCarlo:
+    @pytest.mark.parametrize("strategy, a, s", imperfect_strategies(),
+                             ids=["quantum-wrong-sign", "classical", "quantum-literal-y"])
+    def test_matches_transcripts(self, strategy, a, s):
+        report = monte_carlo(strategy, a, s, trials=2000, seed=17)
+        assert report.wins < report.trials
+        assert (report.wins, report.per_query) == transcript_wins(strategy, a, s, 2000, 17)
+
     def test_quantum_square_rate_is_exactly_one(self):
         a, s, r = builtin_square()
         report = monte_carlo(QuantumStrategy(r), a, s, trials=10_000, seed=1234)

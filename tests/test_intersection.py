@@ -3,17 +3,20 @@
 import pytest
 
 from helpers import board_json, corpus, triangle_board
+from pseudotelepathy import intersection
 from pseudotelepathy.arrangement import validate
 from pseudotelepathy.intersection import (
     CoverageError,
     RotationSystem,
+    adjacency,
+    bfs_tree,
     build,
     check_coverage,
     euler_characteristic,
     to_dot,
     trace_faces,
 )
-from pseudotelepathy.realization import builtin_pentagram, builtin_square
+from pseudotelepathy.realization import builtin_pentagram, builtin_square, synthesize
 
 
 class TestBuild:
@@ -51,6 +54,28 @@ class TestBuild:
         for a, _ in corpus(seed=17, count=20):
             a2, _ = validate(board_json(a))
             assert build(a2) == build(a)
+
+
+class TestTree:
+    def test_bfs_tree_from_the_smallest_node(self):
+        for a, _ in corpus(seed=11, count=20):
+            g = build(a)
+            assert g.tree == bfs_tree(adjacency(g.endpoints()), min(g.nodes))
+            assert g.tree is g.tree
+
+    def test_planar_synthesize_builds_one_tree(self, monkeypatch):
+        roots = []
+        inner = intersection.bfs_tree
+
+        def counted(adj, root):
+            roots.append(root)
+            return inner(adj, root)
+
+        monkeypatch.setattr(intersection, "bfs_tree", counted)
+        a, _ = triangle_board()
+        verdict = synthesize(a)
+        assert not verdict.magic
+        assert roots == [min(build(a).nodes)]
 
 
 class TestDot:

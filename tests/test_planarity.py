@@ -14,9 +14,11 @@ from helpers import (
     deletion_scan,
     graph_from_edges,
     grid_edges,
+    is_planar_simple,
     k33_edges,
     new_bridges,
     oracle_planar,
+    random_dual_edges,
     random_multigraph,
     rescan_embed_block,
     simple_edges,
@@ -340,18 +342,60 @@ class TestSplitBridge:
 def planarity_tests(monkeypatch):
     """Counts the planarity tests the witness search makes."""
     calls = []
-    inner = planarity._is_planar_simple
+    inner = planarity._nonplanar_block
 
     def counted(edges):
         calls.append(len(edges))
         return inner(edges)
 
-    monkeypatch.setattr(planarity, "_is_planar_simple", counted)
+    monkeypatch.setattr(planarity, "_nonplanar_block", counted)
     return calls
 
 
 def scan_witness(edges):
     return planarity._read_off(deletion_scan(edges))
+
+
+def relabel(edges, prefix, **nodes):
+    """Edge ids prefixed, and nodes renamed as ``nodes`` says."""
+    return {prefix + eid: (nodes.get(u, u), nodes.get(v, v)) for eid, (u, v) in edges.items()}
+
+
+def two_nonplanar_blocks(first: str, joined: bool) -> dict[str, tuple[str, str]]:
+    """K5 and K3,3 sharing the cut vertex n5 = l1, or joined by a 3-edge
+    path; the edge ids of the block named ``first`` sort first.
+
+    In each block one edge is subdivided by a node w, with a chord from w
+    whose id sorts first in the block, so that a probe that deletes the
+    chord still fails on the block.
+    """
+    k5_prefix, k33_prefix = ("a", "b") if first == K5 else ("b", "a")
+    k5 = minus_edge(complete_graph_edges(5), "n1n2")
+    k5.update({"n1w": ("n1", "w5"), "n2w": ("w5", "n2"), "0": ("w5", "n3")})
+    k33 = minus_edge(k33_edges(), "l2r2")
+    k33.update({"l2w": ("l2", "w3"), "r2w": ("w3", "r2"), "0": ("w3", "l3")})
+    edges = relabel(k5, k5_prefix)
+    if joined:
+        edges.update(relabel(k33, k33_prefix))
+        edges.update({"m1": ("n5", "p1"), "m2": ("p1", "p2"), "m3": ("p2", "l1")})
+    else:
+        edges.update(relabel(k33, k33_prefix, l1="n5"))
+    return edges
+
+
+def core_among_planar_blocks() -> dict[str, tuple[str, str]]:
+    """A K3,3 whose edge ids sort last, with trees and planar blocks hanging
+    off it: K5 - e at r2 (5 nodes of degree >= 3, so it is embedded), a K4
+    at l1, a 12-cycle at l3, a path at r3 and a star on the K4."""
+    edges = relabel(k33_edges(), "z")
+    edges.update(relabel(minus_edge(complete_graph_edges(5), "n1n2"), "a",
+                         n1="r2", n2="p2", n3="p3", n4="p4", n5="p5"))
+    edges.update(relabel(complete_graph_edges(4), "b", n1="l1", n2="q2", n3="q3", n4="q4"))
+    cycle = ["l3"] + [f"c{i:02d}" for i in range(11)]
+    edges.update({f"c{i:02d}": (cycle[i], cycle[(i + 1) % 12]) for i in range(12)})
+    edges.update({"d1": ("r3", "t1"), "d2": ("t1", "t2"), "d3": ("t2", "t3")})
+    edges.update({f"e{i}": ("q2", f"s{i}") for i in range(4)})
+    return edges
 
 
 class TestWitnessSearch:
@@ -362,7 +406,7 @@ class TestWitnessSearch:
         nonplanar = 0
         for _ in range(300):
             edges = simple_edges(random_multigraph(rng))
-            if planarity._is_planar_simple(edges):
+            if is_planar_simple(edges):
                 continue
             nonplanar += 1
             assert planarity._extract_witness(edges) == scan_witness(edges)
@@ -392,7 +436,7 @@ class TestWitnessSearch:
         assert witness == scan_witness(edges)
         assert witness.kind == K33 and "chord" not in {e for _, p in witness.paths for e in p}
 
-    def test_planarity_tests_under_a_quarter_of_the_edges(self, planarity_tests):
+    def test_planarity_tests_under_a_tenth_of_the_edges(self, planarity_tests):
         rng = random.Random(1000)
         nodes = [f"n{i:03d}" for i in range(330)]
         edges = {f"t{i:03d}": (nodes[rng.randrange(i)], nodes[i]) for i in range(1, 330)}
@@ -401,7 +445,48 @@ class TestWitnessSearch:
         assert 950 <= len(edges) <= 1000
         res = decide_planarity(graph_from_edges(edges))
         assert not res.is_planar
-        assert len(planarity_tests) <= len(edges) // 4
+        assert len(planarity_tests) <= len(edges) // 10
+
+    @pytest.mark.parametrize("joined", [False, True], ids=["cut-vertex", "path"])
+    @pytest.mark.parametrize("first, winner", [(K5, K33), (K33, K5)])
+    def test_two_nonplanar_blocks(self, first, winner, joined):
+        """The scan deletes the block whose ids sort first, whichever block
+        a probe fails on first."""
+        edges = two_nonplanar_blocks(first, joined)
+        witness = planarity._extract_witness(edges)
+        assert witness == scan_witness(edges)
+        assert witness.kind == winner
+
+    def test_core_among_planar_blocks_sorting_first(self):
+        edges = core_among_planar_blocks()
+        assert [len(block) for block in planarity._biconnected_blocks(edges)
+                if planarity._may_be_nonplanar(block)] == [9, 9]
+        witness = planarity._extract_witness(edges)
+        assert witness == scan_witness(edges)
+        assert {e for _, path in witness.paths for e in path} == set(relabel(k33_edges(), "z"))
+
+    @pytest.mark.parametrize("n_lines, seed", [(80, 1), (80, 2), (160, 1)])
+    def test_matches_scan_on_random_boards(self, n_lines, seed):
+        edges = simple_edges(graph_from_edges(random_dual_edges(random.Random(seed), n_lines)))
+        assert not is_planar_simple(edges)
+        assert planarity._extract_witness(edges) == scan_witness(edges)
+
+    def test_block_filter_skips_only_blocks_that_embed(self):
+        rng = random.Random(20260808)
+        blocks = [complete_graph_edges(5), k33_edges()]
+        for _ in range(300):
+            blocks += planarity._biconnected_blocks(simple_edges(random_multigraph(rng)))
+        for pattern, counts, _ in KURATOWSKI_SUBDIVISIONS:
+            edges = simple_edges(build(subdivided_board(pattern, counts)))
+            blocks += planarity._biconnected_blocks(edges)
+        skipped = [block for block in blocks if not planarity._may_be_nonplanar(block)]
+        assert all(planarity._embed_block(block) is not None for block in skipped)
+        # skipped: single edges, and larger blocks with few branch nodes
+        assert any(len(block) == 1 for block in skipped)
+        assert any(len(block) >= 9 for block in skipped)
+        tested = [planarity._embed_block(block) is None
+                  for block in blocks if planarity._may_be_nonplanar(block)]
+        assert tested.count(True) >= 50 and tested.count(False) >= 20
 
 
 class TestSelfChecksUnderOptimize:
