@@ -3,7 +3,7 @@
 Run:  python3 demos/play_the_game.py
 """
 
-import numpy as np
+import random
 
 from pseudotelepathy import builtin_square, exact_win_probability, monte_carlo
 from pseudotelepathy.game import (
@@ -16,7 +16,7 @@ from pseudotelepathy.game import (
 
 board, signing, realization = builtin_square()
 quantum = QuantumStrategy(realization)
-rng = np.random.default_rng(1729)
+rng = random.Random(1729)
 
 print("A few sampled rounds of the quantum strategy on the 3x3 board:")
 for _ in range(5):

@@ -42,14 +42,21 @@ class SelfCheckFailure(RuntimeError):
     pass
 
 
+class InputFileError(Exception):
+    """An input file that could not be used: ``what`` it should hold and its
+    ``path``.  The error that stopped it is chained as ``__cause__``, and
+    ``run`` turns the pair into the exit code and the stderr line."""
+
+    def __init__(self, what: str, path: str):
+        super().__init__(what, path)
+        self.what, self.path = what, path
+
+
 def _load_board(path):
     try:
         return arr.load(path)
-    except arr.ArrangementError as err:
-        raise SystemExit(_fail(f"invalid arrangement {path}: "
-                               f"{type(err).__name__}: {err}"))
     except (OSError, ValueError) as err:
-        raise SystemExit(_fail(f"cannot read arrangement {path}: {err}"))
+        raise InputFileError("arrangement", path) from err
 
 
 def _fail(message: str) -> int:
@@ -62,7 +69,7 @@ def _load_json(path, what):
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, ValueError) as err:
-        raise SystemExit(_fail(f"cannot read {what} {path}: {err}"))
+        raise InputFileError(what, path) from err
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -148,8 +155,7 @@ def cmd_certify(args) -> int:
         try:
             trace, embedding, signs = read_payload(_load_json(args.check, "certificate"))
         except MalformedCertificate as err:
-            print(f"malformed certificate {args.check}: {err}", file=sys.stderr)
-            return 2
+            raise InputFileError("certificate", args.check) from err
         print(check_trace(graph, embedding, signs, trace))
         return 0
     verdict = synthesize(board)
@@ -263,6 +269,8 @@ def _read_strategy(payload, path, board, signing, literal):
 def cmd_simulate(args) -> int:
     if not args.exact and args.trials < 1:
         return _fail(f"--trials must be at least 1, got {args.trials}")
+    # random.Random(-n) draws as random.Random(n) does, so a negative seed
+    # would silently replay another seed's rounds
     if not args.exact and args.seed < 0:
         return _fail(f"--seed must be at least 0, got {args.seed}")
     board, signing = _load_board(args.arrangement)
@@ -396,8 +404,22 @@ def _dispatch(argv) -> int:
     except IllegalStep as err:
         print(f"certificate rejected at step {err.index}: {err.reason}", file=sys.stderr)
         return 2
+    except InputFileError as err:
+        return _input_failure(err)
     except arr.ArrangementError as err:
         return _fail(str(err))
+
+
+def _input_failure(err: InputFileError) -> int:
+    """The stderr line and exit code of an input file that could not be used:
+    2 for a malformed certificate, 1 for anything else."""
+    cause = err.__cause__
+    if isinstance(cause, MalformedCertificate):
+        print(f"malformed {err.what} {err.path}: {cause}", file=sys.stderr)
+        return 2
+    if isinstance(cause, arr.ArrangementError):
+        return _fail(f"invalid {err.what} {err.path}: {type(cause).__name__}: {cause}")
+    return _fail(f"cannot read {err.what} {err.path}: {cause}")
 
 
 def main() -> None:

@@ -22,17 +22,17 @@ A sampled round is a stabilizer simulation (Aaronson and Gottesman,
 "Improved simulation of stabilizer circuits", PRA 70, 052328, 2004): the
 state starts as n Bell pairs and every measurement is a Pauli observable,
 so each outcome has the exact Born probability 0, 1/2 or 1, computed with
-integer bit operations on a tableau of the 2n qubits.
+integer bit operations on a tableau of the 2n qubits.  Every draw, the
+referee's and each measurement's, comes from one ``random.Random(seed)``.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-
-import numpy as np
 
 from pseudotelepathy.arrangement import Arrangement, ClassicalRealization, Signing
 from pseudotelepathy.pauli import (
@@ -68,10 +68,11 @@ class Transcript:
         return self.parity_ok and self.consistency_ok
 
 
-def referee_draw(a: Arrangement, rng: np.random.Generator) -> Query:
-    """Uniform vertex, then uniform choice among its two lines."""
-    vertex = a.vertices[rng.integers(len(a.vertices))]
-    hyperedge = a.edges_of_vertex(vertex)[rng.integers(2)]
+def referee_draw(a: Arrangement, rng: random.Random) -> Query:
+    """Uniform vertex, then uniform choice among its two lines: two
+    ``rng.randrange`` draws, the vertex's first."""
+    vertex = a.vertices[rng.randrange(len(a.vertices))]
+    hyperedge = a.edges_of_vertex(vertex)[rng.randrange(2)]
     return Query(vertex, hyperedge)
 
 
@@ -122,7 +123,7 @@ def _bell_pairs(n_qubits: int) -> tuple[tuple[Row, ...], tuple[tuple[int, int], 
                   + [(1 << (n_qubits + k), 0) for k in range(n_qubits)]))
 
 
-def measure(state: StabilizerState, row: Row, rng: np.random.Generator) -> int:
+def measure(state: StabilizerState, row: Row, rng: random.Random) -> int:
     """Projective measurement of one observable row, Born sampled; updates ``state``.
 
     If the row anticommutes with a stabilizer, each outcome has probability
@@ -130,8 +131,8 @@ def measure(state: StabilizerState, row: Row, rng: np.random.Generator) -> int:
     the measured row, and the others that anticommute are multiplied by it.
     Otherwise +-row is in the stabilizer group, and it is the product of the
     stabilizers whose destabilizers anticommute with the row.  Either way
-    one ``rng.random()`` is drawn, and the outcome is +1 iff it is below the
-    exact probability of +1.
+    one ``rng.random()`` in [0, 1) is drawn, and the outcome is +1 iff it is
+    below the exact probability of +1 (0, 1/2 or 1).
     """
     x, z, k = row
     if not x | z:  # +-I: nothing to update
@@ -168,7 +169,7 @@ def _bob_operator(op: PauliOperator, literal: bool) -> PauliOperator:
 
 
 def play_quantum(a: Arrangement, s: Signing, strategy: QuantumStrategy, query: Query,
-                 rng: np.random.Generator) -> Transcript:
+                 rng: random.Random) -> Transcript:
     """One round of the quantum strategy, sampling each measurement."""
     return _score(a, s, query, *_measure_round(a, strategy, query, rng))
 
@@ -347,10 +348,16 @@ class MonteCarloReport:
 
 def monte_carlo(strategy, a: Arrangement, s: Signing, trials: int,
                 seed: int) -> MonteCarloReport:
-    """Seeded empirical win rate with a normal-approximation 95% interval."""
+    """Seeded empirical win rate with a normal-approximation 95% interval.
+
+    Every draw comes from ``random.Random(seed)``.  A negative seed is
+    refused, since ``random.Random(-n)`` would replay the draws of n.
+    """
     if trials < 1:
         raise ValueError("need at least one trial")
-    rng = np.random.default_rng(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
+    rng = random.Random(seed)
     classical = isinstance(strategy, ClassicalStrategy)
     wins = 0
     counts: dict[tuple[str, str], list[int]] = {}

@@ -154,10 +154,6 @@ def trace_faces(g: IntersectionGraph, r: RotationSystem) -> list[list[Dart]]:
     return faces
 
 
-def euler_characteristic(g: IntersectionGraph, r: RotationSystem) -> int:
-    return len(g.nodes) - len(g.edges) + len(trace_faces(g, r))
-
-
 def to_dot(g: IntersectionGraph) -> str:
     """Deterministic DOT text: nodes sorted, edges sorted and labeled by id."""
     lines = ["graph intersection {"]

@@ -20,31 +20,16 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable
 
-import numpy as np
-
 _PHASE_STR = {0: "+", 1: "i", 2: "-", 3: "-i"}
 _STR_PHASE = {"+": 0, "i": 1, "-": 2, "-i": 3, "+i": 1}
 _AXIS_CHAR = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _CHAR_AXIS = {c: bits for bits, c in _AXIS_CHAR.items()}
-
-_SINGLE_QUBIT_MATRIX = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-MAX_DENSE_QUBITS = 8
 
 Row = tuple[int, int, int]  # x mask, z mask, phase exponent
 
 
 class DimensionMismatch(ValueError):
     """Operands act on different numbers of qubits."""
-
-
-class TooManyQubits(ValueError):
-    """Dense matrix requested beyond the resource guard."""
 
 
 class PauliParseError(ValueError):
@@ -176,17 +161,7 @@ def product_of(seq: Iterable[PauliOperator], n_qubits: int | None = None) -> Pau
     return reduce(multiply, ops)
 
 
-def dense_matrix(p: PauliOperator) -> np.ndarray:
-    """Exact 2^n x 2^n complex matrix, entries in {0, +-1, +-i} times the phase."""
-    if p.n_qubits > MAX_DENSE_QUBITS:
-        raise TooManyQubits(f"{p.n_qubits} qubits exceeds guard of {MAX_DENSE_QUBITS}")
-    m = np.eye(1, dtype=complex)
-    for letter in _letters(p):
-        m = np.kron(m, _SINGLE_QUBIT_MATRIX[letter])
-    return p.phase * m
-
-
-def state_action(p: PauliOperator) -> tuple[int, np.ndarray]:
+def state_action(p: PauliOperator) -> tuple[int, list[complex]]:
     """Action on computational basis states, without building the dense matrix.
 
     Returns ``(flip, coeffs)`` such that P|j> = coeffs[j] |j XOR flip>.
@@ -195,15 +170,13 @@ def state_action(p: PauliOperator) -> tuple[int, np.ndarray]:
     checks it.
     """
     n = p.n_qubits
-    dim = 1 << n
     flip = 0
-    coeffs = np.full(dim, p.phase, dtype=complex)
+    coeffs = [p.phase] * (1 << n)
     for pos in range(n):
         bit = 1 << (n - 1 - pos)
         x, z = p.x >> pos & 1, p.z >> pos & 1
         flip |= bit * x
-        if x and z:  # Y|b> = i(-1)^b |1-b>
-            coeffs *= np.where(np.arange(dim) & bit, -1j, 1j)
-        elif z:  # Z|b> = (-1)^b |b>
-            coeffs *= np.where(np.arange(dim) & bit, -1.0, 1.0)
+        if z:  # Y|b> = i(-1)^b |1-b>, Z|b> = (-1)^b |b>
+            up = 1j if x else 1
+            coeffs = [-c * up if j & bit else c * up for j, c in enumerate(coeffs)]
     return flip, coeffs

@@ -3,7 +3,8 @@
 The oracles here are deliberately independent of the library's decision
 paths: planarity by exhaustive rotation enumeration, classical realizability
 by complete labeling search, win probabilities by definition-level
-replays, and sampled game rounds by a dense statevector.
+replays, sampled game rounds by a dense statevector, and the Pauli algebra
+by exact dense matrices.
 """
 
 from __future__ import annotations
@@ -22,8 +23,36 @@ from pseudotelepathy.certificate import CANCEL, CONTRACT
 from pseudotelepathy.game import ALICE, BOB, Query
 from pseudotelepathy.generate import random_arrangement
 from pseudotelepathy.intersection import IntersectionGraph, RotationSystem, adjacency, trace_faces
-from pseudotelepathy.pauli import DimensionMismatch, PauliOperator, state_action
+from pseudotelepathy.pauli import DimensionMismatch, PauliOperator, _letters, state_action
 from pseudotelepathy.planarity import _embed_simple_graph, _find_cycle
+
+
+_SINGLE_QUBIT_MATRIX = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+MAX_DENSE_QUBITS = 8
+
+
+class TooManyQubits(ValueError):
+    """Dense matrix requested beyond the resource guard."""
+
+
+def dense_matrix(p: PauliOperator) -> np.ndarray:
+    """Exact 2^n x 2^n complex matrix, entries in {0, +-1, +-i} times the phase."""
+    if p.n_qubits > MAX_DENSE_QUBITS:
+        raise TooManyQubits(f"{p.n_qubits} qubits exceeds guard of {MAX_DENSE_QUBITS}")
+    m = np.eye(1, dtype=complex)
+    for letter in _letters(p):
+        m = np.kron(m, _SINGLE_QUBIT_MATRIX[letter])
+    return p.phase * m
+
+
+def euler_characteristic(g: IntersectionGraph, r: RotationSystem) -> int:
+    return len(g.nodes) - len(g.edges) + len(trace_faces(g, r))
 
 
 def triangle_board() -> tuple[Arrangement, Signing | None]:
@@ -521,6 +550,7 @@ class SharedState:
 
 def _apply(amplitudes: np.ndarray, p: PauliOperator, side: str) -> np.ndarray:
     flip, coeffs = state_action(p)
+    coeffs = np.asarray(coeffs)
     dim = coeffs.shape[0]
     out = np.empty_like(amplitudes)
     perm = np.arange(dim) ^ flip
@@ -538,7 +568,7 @@ def dense_projections(amplitudes: np.ndarray, p: PauliOperator, side: str):
 
 
 def dense_measure(state: SharedState, p: PauliOperator, side: str,
-                  rng: np.random.Generator) -> tuple[int, SharedState]:
+                  rng: random.Random) -> tuple[int, SharedState]:
     """Statevector oracle of ``game.measure``: one ``rng.random()`` against the
     float Born probability of +1."""
     if p.n_qubits != state.n_qubits:
@@ -557,7 +587,7 @@ def dense_measure(state: SharedState, p: PauliOperator, side: str,
     return outcome, SharedState(state.n_qubits, post / math.sqrt(weight))
 
 
-def dense_play_quantum(a: Arrangement, r, query: Query, rng: np.random.Generator,
+def dense_play_quantum(a: Arrangement, r, query: Query, rng: random.Random,
                        literal: bool = False) -> tuple[int, dict[str, int]]:
     """Alice's outcome and Bob's coloring of one round, on the statevector."""
     state = SharedState.maximally_entangled(r.n_qubits)

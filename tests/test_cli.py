@@ -409,6 +409,31 @@ class TestBadArguments:
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and named in err and str(board) in err
 
+    @pytest.mark.parametrize("argv, text, line, code", [
+        (("decide", "--arrangement", "{path}"),
+         '{"vertices": ["a", "b", "c"], "hyperedges": [{"id": "e1", "vertices": ["a", "b", "c"]}, '
+         '{"id": "e2", "vertices": ["a", "b"]}, {"id": "e3", "vertices": ["a", "c"]}]}',
+         "invalid arrangement {path}: DegreeError: vertex 'a' lies in 3 hyperedges, expected 2",
+         1),
+        (("decide", "--arrangement", "{path}"), None,
+         "cannot read arrangement {path}: [Errno 2] No such file or directory: '{path}'", 1),
+        (("certify", "--arrangement", str(BOARDS / "triangle.json"), "--check", "{path}"), "{",
+         "cannot read certificate {path}: Expecting property name enclosed in double quotes: "
+         "line 1 column 2 (char 1)", 1),
+        (("certify", "--arrangement", str(BOARDS / "triangle.json"), "--check", "{path}"), "[]",
+         "malformed certificate {path}: payload must be an object", 2),
+        (("simulate", "--arrangement", str(BOARDS / "square.json"), "--strategy", "{path}"), "{",
+         "cannot read strategy {path}: Expecting property name enclosed in double quotes: "
+         "line 1 column 2 (char 1)", 1),
+    ])
+    def test_input_file_failure_line(self, capsys, tmp_path, argv, text, line, code):
+        """Each input file that cannot be used names its path in one exact line."""
+        path = tmp_path / "input.json"
+        if text is not None:
+            path.write_text(text)
+        argv = [arg.format(path=path) for arg in argv]
+        assert invoke(capsys, *argv) == (code, "", line.format(path=path) + "\n")
+
     def test_undecodable_board_file(self, capsys, tmp_path):
         board = tmp_path / "board.json"
         board.write_bytes(b"\xff\xfe{")
@@ -464,6 +489,20 @@ class TestWarningsInAProcess:
                                     "--certificate", str(tmp_path / "no" / "x"))
             assert code == 1 and out == ""
             assert err.count("\n") == 1 and not err.startswith("warning:")
+
+
+class TestImport:
+    def test_package_import_loads_no_numpy(self):
+        """Every module of the package loads without numpy, which was about
+        half of each command's start-up time."""
+        script = ("import pkgutil, sys, pseudotelepathy, pseudotelepathy.cli\n"
+                  "for m in pkgutil.iter_modules(pseudotelepathy.__path__):\n"
+                  "    __import__(f'pseudotelepathy.{m.name}')\n"
+                  "print('numpy' in sys.modules)\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "False\n", "")
 
 
 class TestParserReuse:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from helpers import (
     SharedState,
     corpus,
+    dense_matrix,
     dense_measure,
     dense_play_quantum,
     triangle_board,
@@ -48,7 +50,6 @@ from pseudotelepathy.game import (
 from pseudotelepathy.pauli import (
     DimensionMismatch,
     PauliOperator,
-    dense_matrix,
     from_string,
 )
 from pseudotelepathy.realization import (
@@ -81,7 +82,7 @@ def odd_y_board():
 class TestReferee:
     def test_square_uniform_over_18_queries(self):
         a, _, _ = builtin_square()
-        rng = np.random.default_rng(123)
+        rng = random.Random(123)
         n = 100_000
         counts = {}
         for _ in range(n):
@@ -95,7 +96,7 @@ class TestReferee:
 
     def test_triangle_six_queries(self):
         a, _ = triangle_board()
-        rng = np.random.default_rng(5)
+        rng = random.Random(5)
         seen = {(q.vertex, q.hyperedge) for q in (referee_draw(a, rng) for _ in range(500))}
         assert seen == {(q.vertex, q.hyperedge) for q in all_queries(a)}
         assert len(seen) == 6
@@ -103,9 +104,9 @@ class TestReferee:
     def test_seeded_determinism(self):
         a, _, _ = builtin_square()
         seq1 = [ (q.vertex, q.hyperedge) for q in
-                 (referee_draw(a, np.random.default_rng(42)) for _ in range(50)) ]
+                 (referee_draw(a, random.Random(42)) for _ in range(50)) ]
         seq2 = [ (q.vertex, q.hyperedge) for q in
-                 (referee_draw(a, np.random.default_rng(42)) for _ in range(50)) ]
+                 (referee_draw(a, random.Random(42)) for _ in range(50)) ]
         assert seq1 == seq2
 
 
@@ -121,8 +122,8 @@ def fixed_draws(*values):
     return Draws()
 
 
-BELOW_HALF = float(np.nextafter(0.5, 0))  # the largest draw below 1/2
-BELOW_ONE = float(np.nextafter(1.0, 0))   # the largest draw rng.random() returns
+BELOW_HALF = math.nextafter(0.5, 0)  # the largest draw below 1/2
+BELOW_ONE = math.nextafter(1.0, 0)   # the largest draw rng.random() returns
 
 
 def is_plus_outcome(state, row, draw):
@@ -178,7 +179,7 @@ class TestMeasure:
         assert measure(StabilizerState.maximally_entangled(1), z, fixed_draws(0.5)) == -1
 
     def test_born_rule_sanity(self):
-        rng = np.random.default_rng(31)
+        rng = random.Random(31)
         state = StabilizerState.maximally_entangled(2)
         for word in ("XZ", "YY", "ZI", "XY"):
             assert p_plus(state, _row(from_string(word), BOB, 2)) == Fraction(1, 2)
@@ -189,7 +190,7 @@ class TestMeasure:
         assert p_plus(state, negated) == (0 if outcome == 1 else 1)
 
     def test_repeated_measurement_is_stable(self):
-        rng = np.random.default_rng(17)
+        rng = random.Random(17)
         for word in ("X", "Y", "Z"):
             state = StabilizerState.maximally_entangled(1)
             row = _row(from_string(word), ALICE, 1)
@@ -199,7 +200,7 @@ class TestMeasure:
                 assert p_plus(state, row) == (1 if first == 1 else 0)
 
     def test_transpose_correlation_is_perfect(self):
-        rng = np.random.default_rng(3)
+        rng = random.Random(3)
         y = from_string("Y")
         for _ in range(25):
             state = StabilizerState.maximally_entangled(1)
@@ -209,7 +210,7 @@ class TestMeasure:
             assert measure(state, bob_row, rng) == alice
 
     def test_literal_y_measurement_anticorrelates(self):
-        rng = np.random.default_rng(3)
+        rng = random.Random(3)
         y = from_string("Y")
         for _ in range(25):
             state = StabilizerState.maximally_entangled(1)
@@ -225,7 +226,7 @@ class TestMeasure:
         r = QuantumRealization.from_dict(1, {"u": from_string("iY"), "w": from_string("Y")})
         with pytest.raises(ValueError, match="not an observable"):
             play_quantum(a, s, QuantumStrategy(r), Query("w", "e1"),
-                         np.random.default_rng(1))
+                         random.Random(1))
 
     def test_width_mismatch_raises(self):
         with pytest.raises(DimensionMismatch):
@@ -265,7 +266,7 @@ class TestStatevectorOracle:
     @given(observables, st.integers(0, 2**32 - 1))
     def test_measurement_sequences(self, drawn, seed):
         n, sequence = drawn
-        tableau_rng, dense_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        tableau_rng, dense_rng = random.Random(seed), random.Random(seed)
         state, dense = StabilizerState.maximally_entangled(n), SharedState.maximally_entangled(n)
         for side, phase, letters in sequence:
             op = from_string(("-" if phase else "+") + "".join(letters))
@@ -279,7 +280,7 @@ class TestStatevectorOracle:
         strategy = QuantumStrategy(r, literal)
         for k, q in enumerate(all_queries(a)):
             for seed in range(8):
-                rng, dense_rng = np.random.default_rng([k, seed]), np.random.default_rng([k, seed])
+                rng, dense_rng = random.Random(8 * k + seed), random.Random(8 * k + seed)
                 t = play_quantum(a, s, strategy, q, rng)
                 alice, coloring = dense_play_quantum(a, r, q, dense_rng, literal)
                 assert (t.alice_color, t.bob_coloring) == (alice, tuple(sorted(coloring.items())))
@@ -288,7 +289,7 @@ class TestStatevectorOracle:
 class TestPlayQuantum:
     def test_square_wins_every_query(self):
         a, s, r = builtin_square()
-        rng = np.random.default_rng(7)
+        rng = random.Random(7)
         for q in all_queries(a):
             for _ in range(6):
                 t = play_quantum(a, s, QuantumStrategy(r), q, rng)
@@ -296,7 +297,7 @@ class TestPlayQuantum:
 
     def test_pentagram_wins_every_query(self):
         a, s, r = builtin_pentagram()
-        rng = np.random.default_rng(11)
+        rng = random.Random(11)
         for q in all_queries(a):
             t = play_quantum(a, s, QuantumStrategy(r), q, rng)
             assert t.won
@@ -362,10 +363,6 @@ def dense_win_probability(a, s, r, query, literal=False, bob_order=None):
     maximally entangled state, summed over winning outcome tuples.  Bob's
     projectors are multiplied in ``bob_order`` (default: the line's order).
     """
-    import numpy as np
-
-    from pseudotelepathy.pauli import dense_matrix
-
     dim = 2 ** r.n_qubits
     psi = np.eye(dim, dtype=complex).reshape(-1) / math.sqrt(dim)
     members = a.members(query.hyperedge)
@@ -437,7 +434,7 @@ class TestOrderIndependence:
 def transcript_wins(strategy, a, s, trials: int, seed: int):
     """Wins and per-query win rates read off full transcripts, drawing as
     ``monte_carlo`` draws; the reference for its win-bit-only loop."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     counts = {}
     for _ in range(trials):
         query = referee_draw(a, rng)
@@ -488,6 +485,12 @@ class TestMonteCarlo:
         r1 = monte_carlo(QuantumStrategy(r), a, s, trials=500, seed=7)
         r2 = monte_carlo(QuantumStrategy(r), a, s, trials=500, seed=7)
         assert r1 == r2
+
+    def test_negative_seed_is_refused(self):
+        # random.Random(-7) would replay the draws of seed 7
+        a, s, r = builtin_square()
+        with pytest.raises(ValueError, match="seed must be at least 0, got -7"):
+            monte_carlo(QuantumStrategy(r), a, s, trials=10, seed=-7)
 
     def test_three_sigma_agreement_with_exact(self):
         a, s, _ = builtin_square()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from helpers import board_json, corpus, triangle_board
+from helpers import board_json, corpus, euler_characteristic, triangle_board
 from pseudotelepathy import intersection
 from pseudotelepathy.arrangement import validate
 from pseudotelepathy.intersection import (
@@ -12,7 +12,6 @@ from pseudotelepathy.intersection import (
     bfs_tree,
     build,
     check_coverage,
-    euler_characteristic,
     to_dot,
     trace_faces,
 )

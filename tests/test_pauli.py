@@ -6,13 +6,12 @@ import random
 import numpy as np
 import pytest
 
+from helpers import TooManyQubits, dense_matrix
 from pseudotelepathy.pauli import (
     DimensionMismatch,
     PauliOperator,
     PauliParseError,
-    TooManyQubits,
     commutes,
-    dense_matrix,
     from_string,
     identity,
     multiply,
@@ -209,6 +208,7 @@ class TestStateAction:
     def test_exhaustive_two_qubits(self):
         for p in every_pauli(2):
             flip, coeffs = state_action(p)
+            assert all(type(c) is complex for c in coeffs)
             m = np.zeros((4, 4), dtype=complex)
             for j in range(4):
                 m[j ^ flip, j] = coeffs[j]
