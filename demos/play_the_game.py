@@ -9,7 +9,7 @@ from pseudotelepathy import builtin_square, exact_win_probability, monte_carlo
 from pseudotelepathy.game import (
     ClassicalStrategy,
     QuantumStrategy,
-    exhaustive_classical_maximum,
+    classical_value,
     play_quantum,
     referee_draw,
 )
@@ -34,8 +34,8 @@ mc = monte_carlo(quantum, board, signing, trials=20_000, seed=7)
 print(f"Monte Carlo over {mc.trials} rounds: rate={mc.rate} "
       f"(every sampled branch wins)\n")
 
-best, strategy = exhaustive_classical_maximum(board, signing)
-print(f"Best deterministic classical strategy wins {best}:")
+strategy = ClassicalStrategy.optimal(board, signing)
+print(f"Best deterministic classical strategy wins {classical_value(board, signing)}:")
 mc = monte_carlo(strategy, board, signing, trials=20_000, seed=7)
 print(f"   empirically {mc.rate:.4f}, 95% CI [{mc.ci_low:.4f}, {mc.ci_high:.4f}]")
 

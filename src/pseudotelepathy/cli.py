@@ -42,6 +42,11 @@ class SelfCheckFailure(RuntimeError):
     pass
 
 
+class CommandFailure(Exception):
+    """A run that cannot go on: ``run`` prints its message as the one stderr
+    line and exits 1."""
+
+
 class InputFileError(Exception):
     """An input file that could not be used: ``what`` it should hold and its
     ``path``.  The error that stopped it is chained as ``__cause__``, and
@@ -80,7 +85,7 @@ def _emit(text: str, output: str | None) -> None:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as err:
-        raise SystemExit(_fail(f"cannot write {output}: {err}"))
+        raise CommandFailure(f"cannot write {output}: {err}") from err
 
 
 def _json_text(payload) -> str:
@@ -189,20 +194,15 @@ def _strategy_for(args, board, signing):
         else:
             verdict = synthesize(board)
             if not verdict.magic:
-                raise SystemExit(_fail(
-                    "no quantum strategy exists: the board is not magic and "
-                    "the signing has odd parity"))
+                raise CommandFailure("no quantum strategy exists: the board is not magic "
+                                     "and the signing has odd parity")
             realization = resign_realization(board, verdict.signing, signing,
                                              verdict.realization)
         if not verify_realization(board, signing, realization):
             raise SelfCheckFailure("strategy realization failed verification")
         return game.QuantumStrategy(realization, literal=args.literal_measurements)
     if args.strategy == "classical":
-        if arr.parity(signing) == 1:
-            labels = arr.classical_realize(board, signing)
-            return game.ClassicalStrategy.from_realization(board, labels)
-        alice = {v: 1 for v in board.vertices}
-        return game.ClassicalStrategy.best_response(board, signing, alice)
+        return game.ClassicalStrategy.optimal(board, signing)
     return _read_strategy(_load_json(args.strategy, "strategy"), args.strategy, board,
                           signing, args.literal_measurements)
 
@@ -215,7 +215,7 @@ def _read_strategy(payload, path, board, signing, literal):
     Any bad field exits 1 with one line naming it.
     """
     def bad(message):
-        raise SystemExit(_fail(f"malformed strategy {path}: {message}"))
+        raise CommandFailure(f"malformed strategy {path}: {message}")
 
     def colors(raw, field):
         if not isinstance(raw, dict):
@@ -250,8 +250,8 @@ def _read_strategy(payload, path, board, signing, literal):
         except CoverageError as err:
             bad(f"operators: {err}")
         if not verified:
-            raise SystemExit(_fail("custom realization fails verification "
-                                   "against the board and signing"))
+            raise CommandFailure("custom realization fails verification "
+                                 "against the board and signing")
         return game.QuantumStrategy(realization, literal=literal)
     alice = colors(payload.get("alice"), "alice")
     lines = payload.get("bob")
@@ -259,10 +259,10 @@ def _read_strategy(payload, path, board, signing, literal):
         bad("bob must be an object")
     bob = {e: colors(coloring, f"bob[{e!r}]") for e, coloring in lines.items()}
     if set(alice) != set(board.vertices):
-        raise SystemExit(_fail("strategy must color every board vertex"))
+        raise CommandFailure("strategy must color every board vertex")
     for eid, members in board.hyperedges:
         if eid not in bob or set(bob[eid]) != set(members):
-            raise SystemExit(_fail(f"strategy must color line {eid!r} exactly"))
+            raise CommandFailure(f"strategy must color line {eid!r} exactly")
     return game.ClassicalStrategy.from_maps(alice, bob)
 
 
@@ -321,7 +321,7 @@ class _Parser(argparse.ArgumentParser):
     stderr line and exit 1, not a usage block and exit 2."""
 
     def error(self, message):
-        raise SystemExit(_fail(f"{self.prog}: error: {message}"))
+        raise CommandFailure(f"{self.prog}: error: {message}")
 
 
 @functools.cache
@@ -396,8 +396,10 @@ def _dispatch(argv) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
-    except SystemExit as err:
+    except SystemExit as err:  # --help
         return err.code if isinstance(err.code, int) else 1
+    except (CommandFailure, arr.ArrangementError) as err:
+        return _fail(str(err))
     except SelfCheckFailure as err:
         print(f"self-check failed: {err}", file=sys.stderr)
         return 2
@@ -406,8 +408,6 @@ def _dispatch(argv) -> int:
         return 2
     except InputFileError as err:
         return _input_failure(err)
-    except arr.ArrangementError as err:
-        return _fail(str(err))
 
 
 def _input_failure(err: InputFileError) -> int:

@@ -24,6 +24,14 @@ state starts as n Bell pairs and every measurement is a Pauli observable,
 so each outcome has the exact Born probability 0, 1/2 or 1, computed with
 integer bit operations on a tableau of the 2n qubits.  Every draw, the
 referee's and each measurement's, comes from one ``random.Random(seed)``.
+
+The best classical win probability needs no search: it is 1 for an even
+signing and 1 - 1/(2|V|) for an odd one (``classical_value``).  Bob's best
+reply to Alice's labels loses exactly one query on each line whose product
+misses its sign, and as every vertex lies on two lines, the number of such
+lines has the signing's parity.  The dual is connected, so ``flip_set``
+reaches any set of lines of that parity, one line included
+(``ClassicalStrategy.optimal``).
 """
 
 from __future__ import annotations
@@ -34,7 +42,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from pseudotelepathy.arrangement import Arrangement, ClassicalRealization, Signing
+from pseudotelepathy.arrangement import (
+    Arrangement,
+    ClassicalRealization,
+    Signing,
+    classical_realize,
+    parity,
+)
 from pseudotelepathy.pauli import (
     DimensionMismatch,
     PauliOperator,
@@ -69,11 +83,11 @@ class Transcript:
 
 
 def referee_draw(a: Arrangement, rng: random.Random) -> Query:
-    """Uniform vertex, then uniform choice among its two lines: two
-    ``rng.randrange`` draws, the vertex's first."""
-    vertex = a.vertices[rng.randrange(len(a.vertices))]
-    hyperedge = a.edges_of_vertex(vertex)[rng.randrange(2)]
-    return Query(vertex, hyperedge)
+    """Uniform query from one ``rng.randrange(2|V|)`` draw k: vertex k >> 1,
+    and the first of its two lines if k is even, the second if it is odd."""
+    k = rng.randrange(2 * len(a.vertices))
+    vertex = a.vertices[k >> 1]
+    return Query(vertex, a.edges_of_vertex(vertex)[k & 1])
 
 
 def all_queries(a: Arrangement) -> list[Query]:
@@ -251,6 +265,18 @@ class ClassicalStrategy:
             bob[eid] = coloring
         return cls.from_maps(alice, bob)
 
+    @classmethod
+    def optimal(cls, a: Arrangement, s: Signing) -> "ClassicalStrategy":
+        """A strategy that wins ``classical_value(a, s)``, built in O(V): Alice
+        realizes s, with the smallest line's sign flipped if the parity is
+        odd, and Bob's best response loses one query of that one line."""
+        signs = s.as_dict()
+        if parity(s) == -1:
+            first = a.hyperedges[0][0]
+            signs[first] = -signs[first]
+        labels = classical_realize(a, Signing.from_dict(signs))
+        return cls.best_response(a, s, labels.as_dict())
+
     @cached_property
     def _alice_map(self) -> dict[str, int]:
         return dict(self.alice)
@@ -270,6 +296,11 @@ def play_classical(a: Arrangement, s: Signing, strategy: ClassicalStrategy,
                    query: Query) -> Transcript:
     return _score(a, s, query, strategy.alice_color(query.vertex),
                   strategy.bob_coloring(query.hyperedge))
+
+
+def classical_value(a: Arrangement, s: Signing) -> Fraction:
+    """The best classical win probability: 1, or 1 - 1/(2|V|) for odd parity."""
+    return Fraction(1) if parity(s) == 1 else 1 - Fraction(1, 2 * len(a.vertices))
 
 
 def _trace(p: PauliOperator) -> int:
@@ -379,38 +410,3 @@ def monte_carlo(strategy, a: Arrangement, s: Signing, trials: int,
     per_query = tuple(sorted((q, w / n) for q, (w, n) in counts.items()))
     return MonteCarloReport(rate, max(rate - half, 0.0), min(rate + half, 1.0),
                             wins, trials, per_query)
-
-
-def exhaustive_classical_maximum(a: Arrangement, s: Signing) -> tuple[Fraction, ClassicalStrategy]:
-    """Best deterministic classical win probability, by complete enumeration.
-
-    Alice ranges over all 2^|V| colorings; for each line Bob's best coloring
-    is enumerated over all 2^|e| candidates.  Intended for small boards.
-    """
-    vertices = list(a.vertices)
-    n_queries = 2 * len(vertices)
-    best = (Fraction(-1), None)
-    for mask in range(1 << len(vertices)):
-        alice = {v: 1 - 2 * ((mask >> i) & 1) for i, v in enumerate(vertices)}
-        score = 0
-        bob = {}
-        for eid, members in a.hyperedges:
-            target = s.sign(eid)
-            line_best, line_coloring = -1, None
-            for colors in range(1 << len(members)):
-                coloring = {u: 1 - 2 * ((colors >> k) & 1)
-                            for k, u in enumerate(members)}
-                prod = 1
-                for u in members:
-                    prod *= coloring[u]
-                if prod != target:
-                    continue
-                agreement = sum(coloring[u] == alice[u] for u in members)
-                if agreement > line_best:
-                    line_best, line_coloring = agreement, coloring
-            score += line_best
-            bob[eid] = line_coloring
-        value = Fraction(score, n_queries)
-        if value > best[0]:
-            best = (value, ClassicalStrategy.from_maps(alice, bob))
-    return best

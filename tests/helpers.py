@@ -2,9 +2,9 @@
 
 The oracles here are deliberately independent of the library's decision
 paths: planarity by exhaustive rotation enumeration, classical realizability
-by complete labeling search, win probabilities by definition-level
-replays, sampled game rounds by a dense statevector, and the Pauli algebra
-by exact dense matrices.
+by complete labeling search, the classical game value by complete strategy
+enumeration, win probabilities by definition-level replays, sampled game
+rounds by a dense statevector, and the Pauli algebra by exact dense matrices.
 """
 
 from __future__ import annotations
@@ -15,12 +15,13 @@ import random
 import warnings
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from pseudotelepathy.arrangement import Arrangement, Signing, validate
 from pseudotelepathy.certificate import CANCEL, CONTRACT
-from pseudotelepathy.game import ALICE, BOB, Query
+from pseudotelepathy.game import ALICE, BOB, ClassicalStrategy, Query
 from pseudotelepathy.generate import random_arrangement
 from pseudotelepathy.intersection import IntersectionGraph, RotationSystem, adjacency, trace_faces
 from pseudotelepathy.pauli import DimensionMismatch, PauliOperator, _letters, state_action
@@ -487,6 +488,51 @@ def brute_force_classical_exists(a: Arrangement, s: Signing) -> bool:
         if ok:
             return True
     return False
+
+
+def exhaustive_classical_maximum(a: Arrangement, s: Signing) -> tuple[Fraction, ClassicalStrategy]:
+    """Best deterministic classical win probability, by complete enumeration.
+
+    Alice ranges over all 2^|V| colorings, bit i of ``mask`` set when
+    vertex i answers -1.  Bob's best coloring of a line depends only on
+    Alice's colors on that line, so it is enumerated over all 2^|e|
+    candidates once for each of those colors.  Intended for small boards.
+    """
+    bit = {v: 1 << i for i, v in enumerate(a.vertices)}
+    lines = [(eid, members, sum(bit[u] for u in members)) for eid, members in a.hyperedges]
+    replies = {}  # (line, Alice's bits on it) -> Bob's best reply
+    best_score, best_mask = -1, 0
+    for mask in range(1 << len(a.vertices)):
+        score = 0
+        for eid, members, line_bits in lines:
+            seen = mask & line_bits
+            if (eid, seen) not in replies:
+                alice_colors = [-1 if seen & bit[u] else 1 for u in members]
+                replies[eid, seen] = _best_reply(members, alice_colors, s.sign(eid))
+            score += replies[eid, seen][0]
+        if score > best_score:
+            best_score, best_mask = score, mask
+    alice = {v: -1 if best_mask & b else 1 for v, b in bit.items()}
+    bob = {eid: replies[eid, best_mask & line_bits][1] for eid, _, line_bits in lines}
+    return (Fraction(best_score, 2 * len(a.vertices)),
+            ClassicalStrategy.from_maps(alice, bob))
+
+
+def _best_reply(members, alice_colors, target) -> tuple[int, dict[str, int]]:
+    """Bob's coloring of a line with product ``target`` that agrees with
+    Alice's colors on the most members, and that number of members."""
+    line_best, line_coloring = -1, None
+    for colors in range(1 << len(members)):
+        coloring = {u: 1 - 2 * ((colors >> k) & 1) for k, u in enumerate(members)}
+        prod = 1
+        for u in members:
+            prod *= coloring[u]
+        if prod != target:
+            continue
+        agreement = sum(coloring[u] == c for u, c in zip(members, alice_colors))
+        if agreement > line_best:
+            line_best, line_coloring = agreement, coloring
+    return line_best, line_coloring
 
 
 def quiet_random_arrangement(rng: random.Random, n_hyperedges: int,

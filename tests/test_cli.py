@@ -218,6 +218,22 @@ class TestSimulate:
         assert payload["win_probability"] < 1
         assert payload["ci"][0] <= payload["win_probability"] <= payload["ci"][1]
 
+    def test_exact_classical_square_is_optimal(self, capsys):
+        code, out, _ = invoke(capsys, "simulate", "--arrangement",
+                              str(BOARDS / "square.json"), "--strategy", "classical",
+                              "--exact")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["win_probability"] == 17 / 18
+        assert sorted(payload["per_query_breakdown"].values()) == [0.0] + [1.0] * 17
+
+    def test_exact_classical_even_board_wins(self, capsys):
+        code, out, _ = invoke(capsys, "simulate", "--arrangement",
+                              str(BOARDS / "triangle.json"), "--strategy", "classical",
+                              "--exact")
+        assert code == 0
+        assert json.loads(out)["win_probability"] == 1.0
+
     def test_custom_strategy_file(self, capsys, tmp_path):
         strategy = {
             "alice": {"x": 1, "y": 1, "z": 1},

@@ -20,6 +20,7 @@ from helpers import (
     dense_matrix,
     dense_measure,
     dense_play_quantum,
+    exhaustive_classical_maximum,
     triangle_board,
 )
 import pseudotelepathy
@@ -27,6 +28,7 @@ from pseudotelepathy.arrangement import (
     Signing,
     all_plus_signing,
     classical_realize,
+    parity,
     validate,
 )
 from pseudotelepathy.game import (
@@ -38,15 +40,16 @@ from pseudotelepathy.game import (
     StabilizerState,
     _row,
     all_queries,
+    classical_value,
     exact_query_win_probability,
     exact_win_probability,
-    exhaustive_classical_maximum,
     measure,
     monte_carlo,
     play_classical,
     play_quantum,
     referee_draw,
 )
+from pseudotelepathy.generate import random_signing
 from pseudotelepathy.pauli import (
     DimensionMismatch,
     PauliOperator,
@@ -108,6 +111,17 @@ class TestReferee:
         seq2 = [ (q.vertex, q.hyperedge) for q in
                  (referee_draw(a, random.Random(42)) for _ in range(50)) ]
         assert seq1 == seq2
+
+    def test_one_draw_per_query(self):
+        """Draw k of randrange(2|V|) asks vertex k >> 1 on its (k & 1)-th line."""
+        a, _, _ = builtin_square()
+        rng, replay = random.Random(9), random.Random(9)
+        for _ in range(200):
+            q = referee_draw(a, rng)
+            k = replay.randrange(2 * len(a.vertices))
+            v = a.vertices[k >> 1]
+            assert q == Query(v, a.edges_of_vertex(v)[k & 1])
+        assert rng.getstate() == replay.getstate()
 
 
 def fixed_draws(*values):
@@ -353,6 +367,47 @@ class TestExactWinProbability:
         r = QuantumRealization.from_dict(1, {"u": from_string("X"), "w": from_string("Z")})
         with pytest.raises(ValueError, match="e1"):
             exact_query_win_probability(QuantumStrategy(r), a, s, Query("u", "e1"))
+
+
+class TestClassicalValue:
+    """The closed form 1 or 1 - 1/(2|V|) against complete enumeration, and
+    the optimal strategy scoring it."""
+
+    def test_identity_matches_enumeration_on_the_corpus(self):
+        odd = 0
+        for k, (a, _) in enumerate(corpus(seed=31, count=130)):
+            if len(a.vertices) > 13:
+                continue
+            for target in (1, -1):
+                s = random_signing(random.Random(k), a, target)
+                optimal = ClassicalStrategy.optimal(a, s)
+                value = classical_value(a, s)
+                assert value == exhaustive_classical_maximum(a, s)[0]
+                assert exact_win_probability(optimal, a, s) == value
+                odd += target == -1
+        assert odd >= 100
+
+    @pytest.mark.parametrize("board", [builtin_square, builtin_pentagram])
+    def test_magic_boards(self, board):
+        a, s, _ = board()
+        value = classical_value(a, s)
+        assert value == 1 - Fraction(1, 2 * len(a.vertices)) < 1
+        assert exhaustive_classical_maximum(a, s)[0] == value
+        assert exact_win_probability(ClassicalStrategy.optimal(a, s), a, s) == value
+
+    def test_odd_signing_loses_one_query_of_the_smallest_line(self):
+        a, s, _ = builtin_square()
+        strategy = ClassicalStrategy.optimal(a, s)
+        lost = [q for q in all_queries(a) if not play_classical(a, s, strategy, q).won]
+        assert len(lost) == 1 and lost[0].hyperedge == min(a.hyperedge_ids())
+
+    def test_even_signing_is_the_realization(self):
+        for a, s in corpus(seed=5, count=20):
+            if parity(s) == -1:
+                s = flip_one_line(s)
+            assert (ClassicalStrategy.optimal(a, s)
+                    == ClassicalStrategy.from_realization(a, classical_realize(a, s)))
+            assert classical_value(a, s) == 1
 
 
 def dense_win_probability(a, s, r, query, literal=False, bob_order=None):
