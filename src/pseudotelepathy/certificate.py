@@ -41,18 +41,14 @@ from pseudotelepathy.intersection import (
     RotationSystem,
     check_coverage,
 )
-from pseudotelepathy.planarity import verify_embedding
 
 CONTRACT = "contract"
 CANCEL = "cancel"
 
 
 class EmbeddingInvalid(ValueError):
-    """generate() was handed a rotation system that fails the Euler check."""
-
-
-class Stuck(RuntimeError):
-    """No adjacent pair exists; impossible for a verified planar embedding."""
+    """generate_trace() was handed a disconnected graph or a rotation
+    system that is not planar."""
 
 
 class MalformedCertificate(ValueError):
@@ -226,14 +222,22 @@ def generate_trace(
     """Contract a spanning tree, then cancel adjacent pairs until empty.
 
     The tree is breadth-first from the smallest node with lexicographic
-    tie-breaking, so output is deterministic.  Requires a rotation system
-    that passes the Euler check; the noncrossing structure it guarantees is
-    what makes the cancellation phase total.
+    tie-breaking, so output is deterministic.  Raises
+    :class:`EmbeddingInvalid` unless g is connected and r is planar, and
+    :class:`~pseudotelepathy.intersection.CoverageError` when r misses or
+    duplicates an edge-end.  Planarity is checked by the cancellation
+    itself, without tracing faces: contracting the tree's non-loop edges
+    keeps every face, so r is planar exactly when the one word left, a
+    chord diagram of the remaining edges, is noncrossing.  The stack pass
+    empties a noncrossing word, and leaves a crossing one nonempty: what it
+    keeps holds whole pairs, no two adjacent, and an innermost pair of a
+    nonempty noncrossing diagram is adjacent.
     """
     if set(signs) != set(g.nodes):
         raise ValueError("signs must cover exactly the graph nodes")
-    if not verify_embedding(g, r):
-        raise EmbeddingInvalid("rotation system fails the Euler face check")
+    check_coverage(g, r)
+    if not g.nodes or len(g.tree) != len(g.nodes):
+        raise EmbeddingInvalid("graph is empty or not connected")
 
     words = _initial_words(g, r)
     state = _WordState(words, signs)
@@ -245,8 +249,7 @@ def generate_trace(
 
     # Cancel the leftmost adjacent pair each time, in one stack pass: after a
     # cancel at i no pair starts before i - 1, so the stack (the reduced
-    # prefix) never holds one.  The wrap-around pairs of what is left go
-    # last, from the outside in.
+    # prefix) never holds one.
     (word,) = state.words.values()
     stack: list[str] = []
     for sym in word:
@@ -255,12 +258,9 @@ def generate_trace(
             steps.append((CANCEL, sym))
         else:
             stack.append(sym)
-    lo, hi = 0, len(stack) - 1
-    while lo < hi and stack[lo] == stack[hi]:
-        steps.append((CANCEL, stack[lo]))
-        lo, hi = lo + 1, hi - 1
-    if lo <= hi:
-        raise Stuck("no adjacent equal pair in the cyclic word")
+    if stack:
+        raise EmbeddingInvalid("rotation system is not planar: its edges cross "
+                               "once the spanning tree is contracted")
 
     return ContractionTrace(
         initial_words=tuple(sorted((n, tuple(w)) for n, w in words.items())),

@@ -683,7 +683,9 @@ def _minimal_nonplanar(edges: dict[str, tuple[str, str]]) -> dict[str, tuple[str
     A probe at j costs about ``len(kept) + len(order) - j``.  The search
     probes j = 1 first, since once ``order`` is down to one block its first
     edge is mostly kept; past that it gallops in from the end, starting
-    ``len(kept)`` from it, where probes are cheap, and then bisects.  A round
+    ``len(kept)`` from it, where probes are cheap, and then bisects.  A
+    probe of fewer than 9 edges, the fewest a K3,3 subdivision has, is
+    planar and is answered without being built.  A round
     thus makes O(log m) probes on the m edges of ``order``, and the search
     O(k log m) for a k-edge result.
 
@@ -707,10 +709,16 @@ def _minimal_nonplanar(edges: dict[str, tuple[str, str]]) -> dict[str, tuple[str
         trial.update((eid, edges[eid]) for eid in order[j:])
         return trial
 
+    def nonplanar_core(j: int) -> dict[str, tuple[str, str]] | None:
+        """The block the probe at j fails on, or None if it is planar."""
+        if len(kept) + len(order) - j < 9:  # fewer edges than K3,3: planar
+            return None
+        return _nonplanar_block(suffix(j))
+
     core = rest = suffix(0)  # holds every Kuratowski subdivision still left
     while not _is_subdivision_profile(rest):
         good, bad = 0, len(order) + 1
-        found = _nonplanar_block(suffix(1))
+        found = nonplanar_core(1)
         if found is None:
             bad = 1
         else:
@@ -718,14 +726,14 @@ def _minimal_nonplanar(edges: dict[str, tuple[str, str]]) -> dict[str, tuple[str
             gap = len(kept)
             while len(order) - gap > good:
                 probe = len(order) - gap
-                found = _nonplanar_block(suffix(probe))
+                found = nonplanar_core(probe)
                 if found is not None:
                     good, core = probe, found
                     break
                 bad, gap = probe, 2 * gap + 1
         while bad - good > 1:
             mid = (good + bad) // 2
-            found = _nonplanar_block(suffix(mid))
+            found = nonplanar_core(mid)
             if found is None:
                 bad = mid
             else:

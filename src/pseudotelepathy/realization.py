@@ -18,8 +18,10 @@ certificate plus a classical realization of the all-plus signing.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from types import MappingProxyType
 
 from pseudotelepathy.arrangement import (
     Arrangement,
@@ -161,15 +163,21 @@ _PENTAGRAM_TABLE = {
 }
 
 
+@cache
 def builtin_square() -> tuple[Arrangement, Signing, QuantumRealization]:
-    """The 3x3 grid board: rows signed +1, columns -1, two-qubit operators."""
+    """The 3x3 grid board: rows signed +1, columns -1, two-qubit operators.
+
+    Built on the first call and then shared: every part is frozen."""
     arrangement, signing = validate(_grid_board())
     ops = {cell: from_string(word) for cell, word in _SQUARE_TABLE.items()}
     return arrangement, signing, QuantumRealization.from_dict(2, ops)
 
 
+@cache
 def builtin_pentagram() -> tuple[Arrangement, Signing, QuantumRealization]:
-    """Five lines of four points, dual K5: one -1 line, three-qubit operators."""
+    """Five lines of four points, dual K5: one -1 line, three-qubit operators.
+
+    Built on the first call and then shared: every part is frozen."""
     raw = {
         "vertices": sorted(_PENTAGRAM_TABLE),
         "hyperedges": [{"id": line, "vertices": members,
@@ -218,16 +226,19 @@ def _pattern_edges(kind: str) -> list[tuple[str, str]]:
     return [(u, v) for u in _K33_PATTERN[0] for v in _K33_PATTERN[1]]
 
 
+# pattern vertex -> line of the builtin board whose dual is the pattern
+_NODE_OF = {
+    K5: MappingProxyType(dict(zip(_K5_PATTERN, ("L1", "L2", "L3", "L4", "L5")))),
+    K33: MappingProxyType(dict(zip(_K33_PATTERN[0] + _K33_PATTERN[1],
+                                   ("c1", "c2", "c3", "r1", "r2", "r3")))),
+}
+
+
 def source_for_pattern(kind: str):
-    """Builtin board whose dual is the pattern, plus the node correspondence."""
-    if kind == K5:
-        arrangement, signing, realization = builtin_pentagram()
-        node_of = dict(zip(_K5_PATTERN, ("L1", "L2", "L3", "L4", "L5")))
-    else:
-        arrangement, signing, realization = builtin_square()
-        node_of = dict(zip(_K33_PATTERN[0] + _K33_PATTERN[1],
-                           ("c1", "c2", "c3", "r1", "r2", "r3")))
-    return arrangement, signing, realization, node_of
+    """Builtin board whose dual is the pattern, plus the node correspondence
+    as a read-only map."""
+    builtin = builtin_pentagram if kind == K5 else builtin_square
+    return (*builtin(), _NODE_OF[kind])
 
 
 def _shared_vertex(a: Arrangement, e1: str, e2: str) -> str:
@@ -240,7 +251,7 @@ def transfer(
     me: MinorEmbedding,
     target: IntersectionGraph,
     source: tuple[Arrangement, Signing, QuantumRealization],
-    node_of: dict[str, str],
+    node_of: Mapping[str, str],
 ) -> tuple[Signing, QuantumRealization]:
     """Push the source realization through the minor embedding.
 

@@ -229,7 +229,8 @@ def test_criterion_8_parity_invariance(verdicts):
 
 def test_supporting_exhaustive_subdivision_sweep():
     """Supporting sweep behind criterion 3: transfer verifies on every
-    subdivision of K5 and K3,3 with up to 6 extra subdivision vertices."""
+    subdivision of K5 and K3,3 with up to 6 extra subdivision vertices, and
+    the witness is the whole subdivision, as the deletion scan leaves it."""
     import itertools
 
     from helpers import complete_graph_edges, k33_edges, subdivided_board
@@ -247,6 +248,9 @@ def test_supporting_exhaustive_subdivision_sweep():
                 verdict = synthesize(board)
                 assert verdict.magic
                 assert verify_realization(board, verdict.signing, verdict.realization)
+                # the sorted deletion scan keeps a subdivision whole
+                witness_edges = {e for _, path in verdict.witness.paths for e in path}
+                assert witness_edges == set(board.vertices)
                 n_boards += 1
     elapsed = time.perf_counter() - start
     print(f"\nACCEPTANCE support PASS: all {n_boards} subdivisions of K5/K3,3 with "

@@ -24,7 +24,7 @@ from pseudotelepathy.certificate import (
     generate_trace,
 )
 from pseudotelepathy.generate import random_signing
-from pseudotelepathy.intersection import IntersectionGraph, RotationSystem, build
+from pseudotelepathy.intersection import IntersectionGraph, RotationSystem, build, trace_faces
 from pseudotelepathy.planarity import test_planarity as decide_planarity
 
 
@@ -77,6 +77,21 @@ class TestGenerate:
         darts = g.incident_darts()
         r = RotationSystem.from_dict({n: sorted(darts[n]) for n in g.nodes})
         with pytest.raises(EmbeddingInvalid):
+            generate_trace(g, r, {n: 1 for n in g.nodes})
+
+    def test_rejects_disconnected_graph_that_passes_euler(self):
+        # a planar triangle (3 - 3 + 2) beside a twisted K4 on a torus
+        # (4 - 6 + 2): the counts sum to V - E + F = 2 over two components
+        from helpers import complete_graph_edges
+
+        k4 = graph_from_edges(complete_graph_edges(4))
+        darts = {n: list(ds) for n, ds in decide_planarity(k4).embedding.as_dict().items()}
+        darts["n1"][0], darts["n1"][1] = darts["n1"][1], darts["n1"][0]
+        g = graph_from_edges({**complete_graph_edges(4), "t12": ("t1", "t2"),
+                              "t23": ("t2", "t3"), "t13": ("t1", "t3")})
+        r = RotationSystem.from_dict({**g.incident_darts(), **darts})
+        assert len(g.nodes) - len(g.edges) + len(trace_faces(g, r)) == 2
+        with pytest.raises(EmbeddingInvalid, match="not connected"):
             generate_trace(g, r, {n: 1 for n in g.nodes})
 
     def test_roundtrip_equals_parity_on_corpus(self):

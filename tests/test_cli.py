@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import os
@@ -16,11 +17,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import ILL_TYPED_BOARDS
-from pseudotelepathy import cli
+from pseudotelepathy import (
+    arrangement,
+    certificate,
+    cli,
+    game,
+    intersection,
+    planarity,
+    realization,
+)
 from pseudotelepathy.arrangement import load
 from pseudotelepathy.cli import run
 from pseudotelepathy.game import ClassicalStrategy
-from pseudotelepathy.generate import random_board
+from pseudotelepathy.generate import random_arrangement, random_board
 from pseudotelepathy.realization import synthesize
 
 BOARDS = Path(__file__).resolve().parent.parent / "boards"
@@ -696,3 +705,230 @@ class TestFuzz:
         for extra in (("--exact",), ("--trials", "10")):
             check_contract(["simulate", "--arrangement", board, "--strategy", str(board_path),
                             *extra])
+
+
+# SHA-256 of stdout and the exit code of each command on the shipped
+# boards; any change to these bytes must be deliberate and recorded.
+GOLDEN = [
+    ("pentagram.json", ("validate",), 0,
+     "beecc5739a7da064a331d7409d01686190843b082ce8d4b8377b0fcf955dacf7"),
+    ("pentagram.json", ("decide", "--certificate", "-"), 0,
+     "5429d2c56a2c4fe94b76a3170bf85bede8864a4899aef062f9810d9f8fa0d2a7"),
+    ("pentagram.json", ("synthesize",), 0,
+     "0c3b90ce4bc668c71bbe23a086a31244414590cb8e7ebdd2b9670dd2dc8a5f11"),
+    ("pentagram.json", ("certify",), 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("pentagram.json", ("simulate", "--strategy", "quantum", "--exact"), 0,
+     "e38a012884a03bb7b8977d4f99453b8fca8d9c1885bd6e0c68d9d2805bf9005a"),
+    ("pentagram.json", ("simulate", "--strategy", "classical", "--exact"), 0,
+     "9592f5c45e9241e3df72d6e052644df8620700f3a32578e4c1382f8faed303c0"),
+    ("pentagram.json", ("simulate", "--trials", "2000"), 0,
+     "951faf5ec4486a66e589c9a3ed01729ecaceaba4c7b061c5dd83e6b477a3f2c1"),
+    ("pentagram.json", ("export-dot",), 0,
+     "a7951226d4585182ffa0de9f446685d46600b945d17ff56d4dc386e0958db168"),
+    ("square.json", ("validate",), 0,
+     "3c44a166f76dee00b08f07bbc10ce87718cfecf7ab92ade2cee3dd1dbe81d944"),
+    ("square.json", ("decide", "--certificate", "-"), 0,
+     "09d2fe8689d92bb6f417941ef2dae185094f06021057681497cb2417798cd4d6"),
+    ("square.json", ("synthesize",), 0,
+     "93b157d7c66c9ef3df12a48082db05592cd0acece67aa7d22eee5d9d84d09081"),
+    ("square.json", ("certify",), 1,
+     "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("square.json", ("simulate", "--strategy", "quantum", "--exact"), 0,
+     "57cee9db095c2340acb3f2a4cbcb6651adea47323b2116e2da7718058215bd98"),
+    ("square.json", ("simulate", "--strategy", "classical", "--exact"), 0,
+     "706f1b72eafe11abca4439fb51e9794d1020f21be437fb035b38bcc826be91dd"),
+    ("square.json", ("simulate", "--trials", "2000"), 0,
+     "4d3ecee2d9513ebe3e42ccb595464b65a1892b65607e15c3038e7a6ce9cee37d"),
+    ("square.json", ("export-dot",), 0,
+     "05d6d52d501efa4bfbb3b34ac79c22c0c506a66fee858427e481d315cce20e10"),
+    ("triangle.json", ("validate",), 0,
+     "0b5f972df3d48afb1e5aed748f7d0fecd23c07dcdd5a37b43e5503248df93f5f"),
+    ("triangle.json", ("decide", "--certificate", "-"), 0,
+     "91c07fafa85691c278a909fe206fd9b378b7b6b66653d24ce7cdc9d684562380"),
+    ("triangle.json", ("synthesize",), 0,
+     "beae8628a6fb7e309c9b91d4e3fb3883caf13f7275540fdff951f1aec41c833c"),
+    ("triangle.json", ("certify",), 0,
+     "6a1d538027fe155bce3329766e209064dc07d991f0290a6b90919d7db41df74a"),
+    ("triangle.json", ("simulate", "--strategy", "quantum", "--exact"), 0,
+     "4f8841c080833c1bc49ee1fc0f3939d7883b80d3befe49cbe8178956471aa98e"),
+    ("triangle.json", ("simulate", "--strategy", "classical", "--exact"), 0,
+     "ed1245d3cf125b0c241a5a20b2be7e4855c457894c27688bbf0a84e0b2b7ee11"),
+    ("triangle.json", ("simulate", "--trials", "2000"), 0,
+     "24c9747c8401f1a92cf6bf25f49c3e8b4b87dc4dfdefdd45002bc180a3d8c0c9"),
+    ("triangle.json", ("export-dot",), 0,
+     "25102500eb3c1edaac5d2cdfa437c5ec1da222b70333e699bc316d9bc9f56574"),
+]
+CHECK_OF_TRIANGLE_CERTIFICATE = (
+    "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865")
+GEN_SIGNED_9_SEED_1 = "7b3ed49f1e2f4eb1a8c8aeafdaa59bdf5244bb0a15bb782ad0f2750a4b352c75"
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("board, argv, code, digest", GOLDEN,
+                             ids=[f"{b}-{' '.join(a)}" for b, a, _, _ in GOLDEN])
+    def test_stdout(self, capsys, board, argv, code, digest):
+        got, out, _ = invoke(capsys, argv[0], "--arrangement", str(BOARDS / board), *argv[1:])
+        assert (got, sha256(out)) == (code, digest)
+
+    def test_certify_check_of_the_written_certificate(self, capsys, tmp_path):
+        board = str(BOARDS / "triangle.json")
+        _, written, _ = invoke(capsys, "certify", "--arrangement", board)
+        cert = tmp_path / "cert.json"
+        cert.write_text(written)
+        code, out, _ = invoke(capsys, "certify", "--arrangement", board, "--check", str(cert))
+        assert (code, sha256(out)) == (0, CHECK_OF_TRIANGLE_CERTIFICATE)
+
+    def test_gen(self, capsys):
+        code, out, _ = invoke(capsys, "gen", "--signed", "--hyperedges", "9", "--seed", "1")
+        assert (code, sha256(out)) == (0, GEN_SIGNED_9_SEED_1)
+
+
+def count_calls(monkeypatch, name: str, module) -> list:
+    """Counts the calls of ``module.<name>`` made through any package module
+    that binds it."""
+    real = getattr(module, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for mod in (arrangement, certificate, cli, game, intersection, planarity, realization):
+        if getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestEachArtifactVerifiedOnce:
+    def test_magic_decide(self, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, "verify_realization", realization)
+        code, out, _ = invoke(capsys, "decide", "--arrangement", str(BOARDS / "square.json"))
+        assert (code, out) == (0, "magic\n")
+        assert len(calls) == 1
+
+    def test_planar_decide(self, capsys, monkeypatch):
+        counts = {name: count_calls(monkeypatch, name, module) for name, module in [
+            ("trace_faces", intersection), ("check_trace", certificate),
+            ("check_realization", arrangement)]}
+        code, out, _ = invoke(capsys, "decide", "--arrangement", str(BOARDS / "triangle.json"))
+        assert (code, out) == (0, "not magic\n")
+        assert {name: len(calls) for name, calls in counts.items()} == {
+            "trace_faces": 1, "check_trace": 1, "check_realization": 1}
+
+    @pytest.mark.parametrize("signs", [None, (-1, 1, 1)], ids=["unsigned", "signed"])
+    def test_certify_replays_only_the_emitted_trace(self, capsys, monkeypatch, tmp_path,
+                                                    signs):
+        raw = json.loads((BOARDS / "triangle.json").read_text())
+        for edge, sign in zip(raw["hyperedges"], signs or ()):
+            edge["sign"] = sign
+        board = tmp_path / "board.json"
+        board.write_text(json.dumps(raw))
+        calls = count_calls(monkeypatch, "check_trace", certificate)
+        code, out, _ = invoke(capsys, "certify", "--arrangement", str(board))
+        assert code == 0
+        (call,) = calls
+        assert call[3].to_json_dict() == json.loads(out)["certificate"]
+
+
+class TestLibrarySelfCheckFailures:
+    """A verifier that rejects what the library built is a bug: exit 2 with
+    one line naming the stage, not a traceback."""
+
+    @pytest.mark.parametrize("command, board, module, verifier, line", [
+        ("decide", "square.json", realization, "verify_realization",
+         "synthesize: transferred realization failed verification"),
+        ("decide", "triangle.json", planarity, "verify_embedding",
+         "test_planarity: embedding failed Euler check"),
+        ("synthesize", "pentagram.json", planarity, "verify_witness",
+         "test_planarity: witness failed its verifier"),
+    ])
+    def test_exit_two(self, capsys, monkeypatch, command, board, module, verifier, line):
+        monkeypatch.setattr(module, verifier, lambda *args: False)
+        code, out, err = invoke(capsys, command, "--arrangement", str(BOARDS / board))
+        assert (code, out, err) == (2, "", f"self-check failed: {line}\n")
+
+
+SPECIAL_STRINGS = ["", "\"", "\\", "a\"b\\c", "\x00\x1f\x7f", "\n\r\t\b\f",
+                   "\u00e9t\u00e9", "\u2028\u2029", "\U0001f600", "\ud800", "</script>"]
+SPECIAL_NUMBERS = [True, 1, False, 0, -0.0, 0.0, 1e16, 5e-324, 1.7976931348623157e308,
+                   2 ** 100, -(2 ** 64), 0.1]
+
+
+def writer_values():
+    strings = st.text() | st.sampled_from(SPECIAL_STRINGS)
+    scalars = (st.none() | st.booleans() | st.integers() | strings
+               | st.floats(allow_nan=False, allow_infinity=False)
+               | st.sampled_from(SPECIAL_NUMBERS))
+    return st.recursive(
+        scalars,
+        lambda inner: (st.lists(inner, max_size=5)
+                       | st.lists(inner, max_size=5).map(tuple)
+                       | st.dictionaries(strings, inner, max_size=5)),
+        max_leaves=30)
+
+
+def reference_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+class TestJsonWriter:
+    """``cli._json_text`` writes the bytes of ``json.dumps(indent=2,
+    sort_keys=True)``, which stays as its oracle."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(writer_values())
+    def test_matches_json_dumps(self, value):
+        assert cli._json_text(value) == reference_text(value)
+
+    def test_side_by_side_and_empty(self):
+        value = {"b": [True, 1, False, 0, None], "a": [[], {}, [[]], [{}], {"": {}}],
+                 "c": SPECIAL_NUMBERS, "d": {s: s for s in SPECIAL_STRINGS}}
+        assert cli._json_text(value) == reference_text(value)
+
+    @pytest.mark.parametrize("value", [{1: "a"}, {None: 1}, {("a",): 1}, b"x", {1, 2},
+                                       object(), [1, 2j]])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            cli._json_text(value)
+
+    @pytest.mark.parametrize("value", [float("nan"), [float("inf")], {"x": -float("inf")}])
+    def test_non_finite_floats_raise(self, value):
+        with pytest.raises(ValueError):
+            cli._json_text(value)
+
+    @pytest.mark.filterwarnings("ignore:arrangement contains a size-1 hyperedge")
+    def test_every_payload_of_a_board_corpus(self, capsys, monkeypatch, tmp_path):
+        """Verdicts and ``simulate`` reports over random boards."""
+        written = []
+
+        def recorded(payload):
+            written.append(payload)
+            return reference_text(payload)
+
+        rng = random.Random(4242)
+        paths = []
+        for k in range(40):
+            a, s = random_arrangement(rng, rng.randrange(2, 12))
+            payload = cli._verdict_payload(a, synthesize(a))
+            assert cli._json_text(payload) == reference_text(payload)
+            path = tmp_path / f"b{k}.json"
+            path.write_text(json.dumps({
+                "vertices": list(a.vertices),
+                "hyperedges": [{"id": e, "vertices": list(m), "sign": s.sign(e)}
+                               for e, m in a.hyperedges]}))
+            paths.append(str(path))
+        monkeypatch.setattr(cli, "_json_text", recorded)
+        for path in paths:
+            for argv in [("--strategy", "classical", "--exact"),
+                         ("--strategy", "classical", "--trials", "30"), ("--exact",),
+                         ("--trials", "30")]:
+                invoke(capsys, "simulate", "--arrangement", path, *argv)
+        assert len(written) >= 80
+        monkeypatch.undo()
+        for payload in written:
+            assert cli._json_text(payload) == reference_text(payload)

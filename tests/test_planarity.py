@@ -471,6 +471,19 @@ class TestWitnessSearch:
         assert not is_planar_simple(edges)
         assert planarity._extract_witness(edges) == scan_witness(edges)
 
+    def test_no_probe_under_nine_edges_is_built(self, planarity_tests):
+        """Fewer edges than K3,3 are planar, so such probes are answered
+        without an embedding; the witness stays the scan's."""
+        rng = random.Random(20260808)
+        graphs = [simple_edges(random_multigraph(rng)) for _ in range(100)]
+        graphs += [simple_edges(graph_from_edges(random_dual_edges(random.Random(1), 80))),
+                   core_among_planar_blocks(), {**k33_edges(), "chord": ("l1", "l2")}]
+        nonplanar = [edges for edges in graphs if not is_planar_simple(edges)]
+        assert len(nonplanar) >= 20
+        for edges in nonplanar:
+            assert planarity._extract_witness(edges) == scan_witness(edges)
+        assert planarity_tests and min(planarity_tests) >= 9
+
     def test_block_filter_skips_only_blocks_that_embed(self):
         rng = random.Random(20260808)
         blocks = [complete_graph_edges(5), k33_edges()]
