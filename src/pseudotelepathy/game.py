@@ -18,12 +18,23 @@ perfect when the shared-vertex operator is symmetric.
 
 Win probabilities come in two independent flavors: exact rationals from
 symbolic Pauli correlators, and seeded Monte Carlo over sampled rounds.
-A sampled round is a stabilizer simulation (Aaronson and Gottesman,
-"Improved simulation of stabilizer circuits", PRA 70, 052328, 2004): the
-state starts as n Bell pairs and every measurement is a Pauli observable,
-so each outcome has the exact Born probability 0, 1/2 or 1, computed with
-integer bit operations on a tableau of the 2n qubits.  Every draw, the
-referee's and each measurement's, comes from one ``random.Random(seed)``.
+A round is a stabilizer circuit on n Bell pairs (Aaronson and Gottesman,
+"Improved simulation of stabilizer circuits", PRA 70, 052328, 2004), so
+every outcome has the Born probability 0, 1/2 or 1.  ``_project``, the one
+tableau update, keeps each sign as an affine form over the round's draws: a
+random outcome is a fresh bit, a determined one a fixed parity of earlier
+bits plus a constant.  As Stim samples shots from one symbolic pass
+(Gidney, "Stim: a fast stabilizer circuit simulator", Quantum 5, 497,
+2021), ``monte_carlo`` compiles each query (v, e) once: with bit i of d set
+iff draw i is at least 1/2 (Alice's is draw 0, Bob's follow in line
+order), Bob's parity holds iff parity(pm & d) = pc and he agrees with Alice
+iff parity(qm & d) = qc.  ``QuantumStrategy`` memoizes a line's queries by
+its member tuple, packed as pm | qm << w | pc << 2w | qc << 2w + 1 with
+w = |e| + 1 and pc without the line's sign.  A round draws what a tableau
+rerun draws, one ``randrange(2|V|)`` and one ``random()`` per measurement,
+all from one ``random.Random(seed)``, so every report equals that of
+round-by-round play (``play_quantum``).  A classical query is one win bit,
+from one product per line.
 
 The best classical win probability needs no search: it is 1 for an even
 signing and 1 - 1/(2|V|) for an odd one (``classical_value``).  Bob's best
@@ -82,12 +93,16 @@ class Transcript:
         return self.parity_ok and self.consistency_ok
 
 
-def referee_draw(a: Arrangement, rng: random.Random) -> Query:
-    """Uniform query from one ``rng.randrange(2|V|)`` draw k: vertex k >> 1,
-    and the first of its two lines if k is even, the second if it is odd."""
-    k = rng.randrange(2 * len(a.vertices))
+def _query_of(a: Arrangement, k: int) -> tuple[str, str]:
+    """The query of referee draw k in [0, 2|V|): vertex k >> 1, on the first
+    of its two lines if k is even and the second if it is odd."""
     vertex = a.vertices[k >> 1]
-    return Query(vertex, a.edges_of_vertex(vertex)[k & 1])
+    return vertex, a.edges_of_vertex(vertex)[k & 1]
+
+
+def referee_draw(a: Arrangement, rng: random.Random) -> Query:
+    """Uniform query from one ``rng.randrange(2|V|)`` draw (``_query_of``)."""
+    return Query(*_query_of(a, rng.randrange(2 * len(a.vertices))))
 
 
 def all_queries(a: Arrangement) -> list[Query]:
@@ -137,64 +152,112 @@ def _bell_pairs(n_qubits: int) -> tuple[tuple[Row, ...], tuple[tuple[int, int], 
                   + [(1 << (n_qubits + k), 0) for k in range(n_qubits)]))
 
 
-def measure(state: StabilizerState, row: Row, rng: random.Random) -> int:
-    """Projective measurement of one observable row, Born sampled; updates ``state``.
+def _project(state: StabilizerState, masks: list[int], row: Row,
+             fresh: int) -> tuple[int, int]:
+    """Measure the observable ``row``, with the state's signs affine in the draws.
 
-    If the row anticommutes with a stabilizer, each outcome has probability
-    1/2: the first such stabilizer becomes its destabilizer and gives way to
-    the measured row, and the others that anticommute are multiplied by it.
-    Otherwise +-row is in the stabilizer group, and it is the product of the
-    stabilizers whose destabilizers anticommute with the row.  Either way
-    one ``rng.random()`` in [0, 1) is drawn, and the outcome is +1 iff it is
-    below the exact probability of +1 (0, 1/2 or 1).
+    Stabilizer i stands for (-1)**parity(masks[i] & d) times
+    ``state.stabilizers[i]``, where bit j of d is the outcome bit of draw j.
+    The outcome is returned as a form (mask, c): it is -1 iff
+    parity(mask & d) xor c.  If the row anticommutes with a stabilizer, the
+    outcome is the fresh draw ``fresh`` (a mask of one new bit): the first
+    such stabilizer becomes its destabilizer and gives way to the row with
+    mask ``fresh``, and the others that anticommute are multiplied by it.
+    Otherwise +-row is in the stabilizer group, the product of the
+    stabilizers whose destabilizers anticommute with the row, and the
+    outcome is the sign of that product.
     """
     x, z, k = row
-    if not x | z:  # +-I: nothing to update
-        return 1 if rng.random() < (1.0 if k == 0 else 0.0) else -1
+    if not x | z:  # +-I
+        return 0, int(k != 0)
     stabilizers, destabilizers = state.stabilizers, state.destabilizers
     for pivot, (sx, sz, _) in enumerate(stabilizers):
         if ((sx & z) ^ (sz & x)).bit_count() & 1:
             break
     else:
-        product = (0, 0, 0)
-        for (dx, dz), stabilizer in zip(destabilizers, stabilizers):
+        product, mask = (0, 0, 0), 0
+        for (dx, dz), stabilizer, m in zip(destabilizers, stabilizers, masks):
             if ((dx & z) ^ (dz & x)).bit_count() & 1:
                 product = multiply_rows(product, stabilizer)
+                mask ^= m
         if product[0] != x or product[1] != z:
             raise AssertionError("internal error: a commuting observable is not "
                                  "in the stabilizer group")
-        return 1 if rng.random() < (1.0 if product[2] == k else 0.0) else -1
-    first = stabilizers[pivot]
+        return mask, int(product[2] != k)
+    first, first_mask = stabilizers[pivot], masks[pivot]
     for i in range(pivot + 1, len(stabilizers)):
         sx, sz, _ = stabilizers[i]
         if ((sx & z) ^ (sz & x)).bit_count() & 1:
             stabilizers[i] = multiply_rows(stabilizers[i], first)
+            masks[i] ^= first_mask
     for i, (dx, dz) in enumerate(destabilizers):
         if ((dx & z) ^ (dz & x)).bit_count() & 1:
             destabilizers[i] = (dx ^ first[0], dz ^ first[1])
     destabilizers[pivot] = first[:2]
-    outcome = 1 if rng.random() < 0.5 else -1
-    stabilizers[pivot] = (x, z, k if outcome == 1 else k ^ 2)
-    return outcome
+    stabilizers[pivot], masks[pivot] = row, fresh
+    return fresh, 0
+
+
+def measure(state: StabilizerState, row: Row, rng: random.Random) -> int:
+    """Projective measurement of one observable row, Born sampled; updates ``state``.
+
+    ``_project`` updates the tableau.  One ``rng.random()`` in [0, 1) is
+    drawn, and the outcome is +1 iff it is below the exact probability of
+    +1 (0, 1/2 or 1).
+    """
+    masks = [0] * len(state.stabilizers)
+    mask, flipped = _project(state, masks, row, 1)
+    if not mask:  # every sign of a sampled state is known, so this outcome is fixed
+        return 1 if rng.random() < (0.0 if flipped else 1.0) else -1
+    if rng.random() < 0.5:
+        return 1
+    pivot = masks.index(1)  # the measured row, now the stabilizer of the fresh draw
+    x, z, k = state.stabilizers[pivot]
+    state.stabilizers[pivot] = (x, z, k ^ 2)
+    return -1
 
 
 def _bob_operator(op: PauliOperator, literal: bool) -> PauliOperator:
     return op if literal else op.transpose()
 
 
+def _rows(strategy: QuantumStrategy, vertex: str) -> tuple[Row, Row]:
+    """The vertex's Alice row and Bob row (transposed unless ``literal``).
+
+    Raises ``DimensionMismatch`` for an operator of the wrong width and
+    ``ValueError`` for one that is not an observable.
+    """
+    op, n = strategy.realization.operator(vertex), strategy.realization.n_qubits
+    return _row(op, ALICE, n), _row(_bob_operator(op, strategy.literal), BOB, n)
+
+
 def play_quantum(a: Arrangement, s: Signing, strategy: QuantumStrategy, query: Query,
                  rng: random.Random) -> Transcript:
     """One round of the quantum strategy, sampling each measurement."""
-    return _score(a, s, query, *_measure_round(a, strategy, query, rng))
-
-
-def _measure_round(a, strategy, query, rng) -> tuple[int, dict[str, int]]:
-    """Alice's outcome and Bob's coloring in one sampled quantum round."""
-    rows = strategy.rows
     state = StabilizerState.maximally_entangled(strategy.realization.n_qubits)
-    alice_color = measure(state, rows[query.vertex][0], rng)
-    coloring = {u: measure(state, rows[u][1], rng) for u in a.members(query.hyperedge)}
-    return alice_color, coloring
+    alice_color = measure(state, _rows(strategy, query.vertex)[0], rng)
+    coloring = {u: measure(state, _rows(strategy, u)[1], rng)
+                for u in a.members(query.hyperedge)}
+    return _score(a, s, query, alice_color, coloring)
+
+
+def _compile_line(strategy: QuantumStrategy, members: tuple[str, ...]) -> tuple[int, ...]:
+    """The packed affine forms (module docstring) of the queries of one
+    line, one per member in order, from one symbolic pass each."""
+    rows = [_rows(strategy, u) for u in members]
+    w = len(members) + 1
+    packed = []
+    for j, (alice, _) in enumerate(rows):
+        state = StabilizerState.maximally_entangled(strategy.realization.n_qubits)
+        masks = [0] * len(state.stabilizers)
+        forms = [_project(state, masks, row, 1 << i)
+                 for i, row in enumerate([alice] + [bob for _, bob in rows])]
+        pm = pc = 0
+        for mask, c in forms[1:]:
+            pm, pc = pm ^ mask, pc ^ c
+        qm, qc = forms[0][0] ^ forms[j + 1][0], forms[0][1] ^ forms[j + 1][1]
+        packed.append(pm | qm << w | pc << 2 * w | qc << 2 * w + 1)
+    return tuple(packed)
 
 
 def _judge(a, s, query, alice_color, coloring) -> tuple[bool, bool]:
@@ -218,15 +281,16 @@ class QuantumStrategy:
     literal: bool = False
 
     @cached_property
-    def rows(self) -> dict[str, tuple[Row, Row]]:
-        """Each vertex's Alice row and Bob row (transposed unless ``literal``).
+    def _lines(self) -> dict[tuple[str, ...], tuple[int, ...]]:
+        # filled by compiled_line; a line's forms depend only on its members
+        return {}
 
-        Raises ``DimensionMismatch`` for an operator of the wrong width and
-        ``ValueError`` for one that is not an observable.
-        """
-        n = self.realization.n_qubits
-        return {v: (_row(op, ALICE, n), _row(_bob_operator(op, self.literal), BOB, n))
-                for v, op in self.realization.operators}
+    def compiled_line(self, members: tuple[str, ...]) -> tuple[int, ...]:
+        """``_compile_line`` of a line's member tuple, memoized."""
+        packed = self._lines.get(members)
+        if packed is None:
+            packed = self._lines[members] = _compile_line(self, members)
+        return packed
 
 
 @dataclass(frozen=True)
@@ -303,6 +367,19 @@ def classical_value(a: Arrangement, s: Signing) -> Fraction:
     return Fraction(1) if parity(s) == 1 else 1 - Fraction(1, 2 * len(a.vertices))
 
 
+def _classical_line_wins(strategy: ClassicalStrategy, s: Signing, hyperedge: str,
+                         members: tuple[str, ...]) -> list[bool]:
+    """The win bit of each query on one line, in member order: the referee's
+    two checks (``_judge``), with Bob's product formed once for the line."""
+    coloring = strategy._bob_map[hyperedge]
+    prod = 1
+    for u in members:
+        prod *= coloring[u]
+    if prod != s.sign(hyperedge):
+        return [False] * len(members)
+    return [coloring[v] == strategy._alice_map[v] for v in members]
+
+
 def _trace(p: PauliOperator) -> int:
     """Tr(p) / 2^n of a Pauli observable: +-1 for +-I, otherwise 0."""
     if not p.is_identity():
@@ -329,10 +406,8 @@ def exact_line_win_probabilities(
     """
     members = a.members(hyperedge)
     if isinstance(strategy, ClassicalStrategy):
-        coloring = strategy._bob_map[hyperedge]
-        return {v: Fraction(all(_judge(a, s, Query(v, hyperedge), strategy._alice_map[v],
-                                       coloring)))
-                for v in members}
+        return dict(zip(members, map(Fraction, _classical_line_wins(strategy, s, hyperedge,
+                                                                    members))))
 
     line = [strategy.realization.operator(u) for u in members]
     for op in line:
@@ -377,36 +452,76 @@ class MonteCarloReport:
     per_query: tuple[tuple[tuple[str, str], float], ...] = field(default=())
 
 
+@lru_cache(maxsize=None)
+def _draw_bits(w: int) -> tuple[int, ...]:
+    return tuple(1 << i for i in range(w))
+
+
+def _signed_query(strategy: QuantumStrategy, a: Arrangement, s: Signing, k: int) -> tuple:
+    """The compiled query of referee draw k with its line's sign folded into
+    pc: the draws' bits, pm, qm, pc and qc."""
+    v, e = _query_of(a, k)
+    members = a.members(e)
+    packed = strategy.compiled_line(members)[members.index(v)]
+    w = len(members) + 1
+    low = (1 << w) - 1
+    return (_draw_bits(w), packed & low, packed >> w & low,
+            (packed >> 2 * w & 1) ^ (s.sign(e) == -1), packed >> 2 * w + 1)
+
+
 def monte_carlo(strategy, a: Arrangement, s: Signing, trials: int,
                 seed: int) -> MonteCarloReport:
     """Seeded empirical win rate with a normal-approximation 95% interval.
 
     Every draw comes from ``random.Random(seed)``.  A negative seed is
-    refused, since ``random.Random(-n)`` would replay the draws of n.
+    refused, since ``random.Random(-n)`` would replay the draws of n.  A
+    round plays its query compiled (module docstring): a classical one is
+    a win bit, a quantum one the affine forms of the referee's two checks.
+    Every line of the board is compiled before the first round, so a
+    quantum operator that cannot be measured raises whatever is drawn.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if seed < 0:
         raise ValueError(f"seed must be at least 0, got {seed}")
     rng = random.Random(seed)
-    classical = isinstance(strategy, ClassicalStrategy)
-    wins = 0
-    counts: dict[tuple[str, str], list[int]] = {}
-    for _ in range(trials):
-        query = referee_draw(a, rng)
-        # only the win bit counts, so no Transcript and no copied coloring
-        if classical:
-            alice_color = strategy._alice_map[query.vertex]
-            coloring = strategy._bob_map[query.hyperedge]
-        else:
-            alice_color, coloring = _measure_round(a, strategy, query, rng)
-        won = all(_judge(a, s, query, alice_color, coloring))
-        wins += won
-        bucket = counts.setdefault((query.vertex, query.hyperedge), [0, 0])
-        bucket[0] += won
-        bucket[1] += 1
-    rate = wins / trials
+    randrange, queries = rng.randrange, 2 * len(a.vertices)
+    hits = [0] * queries
+    if isinstance(strategy, ClassicalStrategy):
+        for _ in range(trials):
+            hits[randrange(queries)] += 1
+        lines: dict[str, dict[str, bool]] = {}
+        wins = []
+        for k, n in enumerate(hits):
+            if n:
+                v, e = _query_of(a, k)
+                if e not in lines:
+                    members = a.members(e)
+                    lines[e] = dict(zip(members, _classical_line_wins(strategy, s, e, members)))
+                n *= lines[e][v]
+            wins.append(n)
+    else:
+        for _, members in a.hyperedges:
+            strategy.compiled_line(members)
+        table: list[tuple | None] = [None] * queries
+        draw, wins = rng.random, [0] * queries
+        for _ in range(trials):
+            k = randrange(queries)
+            query = table[k]
+            if query is None:
+                query = table[k] = _signed_query(strategy, a, s, k)
+            bits, pm, qm, pc, qc = query
+            d = 0
+            for bit in bits:
+                if draw() >= 0.5:
+                    d |= bit
+            hits[k] += 1
+            if (pm & d).bit_count() & 1 == pc and (qm & d).bit_count() & 1 == qc:
+                wins[k] += 1
+    total = sum(wins)
+    rate = total / trials
     half = 1.96 * math.sqrt(max(rate * (1 - rate), 0.0) / trials)
-    per_query = tuple(sorted((q, w / n) for q, (w, n) in counts.items()))
+    per_query = tuple(sorted((_query_of(a, k), w / n)
+                             for k, (w, n) in enumerate(zip(wins, hits)) if n))
     return MonteCarloReport(rate, max(rate - half, 0.0), min(rate + half, 1.0),
-                            wins, trials, per_query)
+                            total, trials, per_query)

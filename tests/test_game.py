@@ -21,6 +21,7 @@ from helpers import (
     dense_measure,
     dense_play_quantum,
     exhaustive_classical_maximum,
+    quiet_random_arrangement,
     triangle_board,
 )
 import pseudotelepathy
@@ -35,9 +36,11 @@ from pseudotelepathy.game import (
     ALICE,
     BOB,
     ClassicalStrategy,
+    MonteCarloReport,
     Query,
     QuantumStrategy,
     StabilizerState,
+    _project,
     _row,
     all_queries,
     classical_value,
@@ -241,14 +244,20 @@ class TestMeasure:
         with pytest.raises(ValueError, match="not an observable"):
             play_quantum(a, s, QuantumStrategy(r), Query("w", "e1"),
                          random.Random(1))
+        # every line is compiled before the first round, drawn or not
+        for seed in range(10):
+            with pytest.raises(ValueError, match="^iY is not an observable$"):
+                monte_carlo(QuantumStrategy(r), a, s, trials=1, seed=seed)
 
     def test_width_mismatch_raises(self):
         with pytest.raises(DimensionMismatch):
             _row(from_string("XZ"), BOB, 1)
         a, s, _ = odd_y_board()
         r = QuantumRealization.from_dict(2, {"u": from_string("YI"), "w": from_string("Y")})
-        with pytest.raises(DimensionMismatch):
-            QuantumStrategy(r).rows
+        with pytest.raises(DimensionMismatch, match="operator on 1 qubits, state on 2"):
+            monte_carlo(QuantumStrategy(r), a, s, trials=1, seed=0)
+        with pytest.raises(DimensionMismatch, match="operator on 1 qubits, state on 2"):
+            play_quantum(a, s, QuantumStrategy(r), Query("u", "e1"), random.Random(1))
 
     def test_corrupted_deterministic_sign_raises_under_optimize(self):
         """The stabilizer-group self-check is a real check, not an ``assert``."""
@@ -286,6 +295,23 @@ class TestStatevectorOracle:
             op = from_string(("-" if phase else "+") + "".join(letters))
             expected, dense = dense_measure(dense, op, side, dense_rng)
             assert measure(state, _row(op, side, n), tableau_rng) == expected
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(observables, st.integers(0, 2**32 - 1))
+    def test_affine_forms_replay_the_sampled_outcomes(self, drawn, seed):
+        """One symbolic pass, evaluated on the draws' bits, gives the outcomes
+        that ``measure`` samples one by one."""
+        n, sequence = drawn
+        rows = [_row(from_string(("-" if phase else "+") + "".join(letters)), side, n)
+                for side, phase, letters in sequence]
+        symbolic = StabilizerState.maximally_entangled(n)
+        masks = [0] * len(symbolic.stabilizers)
+        forms = [_project(symbolic, masks, row, 1 << i) for i, row in enumerate(rows)]
+        rng, replay = random.Random(seed), random.Random(seed)
+        state = StabilizerState.maximally_entangled(n)
+        sampled = [measure(state, row, rng) for row in rows]
+        d = sum(1 << i for i in range(len(rows)) if replay.random() >= 0.5)
+        assert [-1 if ((mask & d).bit_count() + c) & 1 else 1 for mask, c in forms] == sampled
 
     @pytest.mark.parametrize("board", [builtin_square, builtin_pentagram, odd_y_board])
     @pytest.mark.parametrize("literal", [False, True])
@@ -576,6 +602,162 @@ class TestMonteCarlo:
         strategy = ClassicalStrategy.best_response(a, s, alice)
         report = monte_carlo(strategy, a, s, trials=2000, seed=5)
         assert report.ci_low <= report.rate <= report.ci_high
+
+
+def oracle_report(strategy, a, s, trials: int, seed: int):
+    """``monte_carlo``'s report assembled round by round from independent
+    code: the README's one-draw referee rule, the statevector oracle for a
+    quantum round (drawing from the same generator after the referee) and
+    ``play_classical`` for a classical one."""
+    rng = random.Random(seed)
+    counts = {}
+    for _ in range(trials):
+        k = rng.randrange(2 * len(a.vertices))
+        v = a.vertices[k >> 1]
+        e = a.edges_of_vertex(v)[k & 1]
+        if isinstance(strategy, ClassicalStrategy):
+            won = play_classical(a, s, strategy, Query(v, e)).won
+        else:
+            alice, coloring = dense_play_quantum(a, strategy.realization, Query(v, e), rng,
+                                                 strategy.literal)
+            won = (math.prod(coloring.values()) == s.sign(e) and coloring[v] == alice)
+        bucket = counts.setdefault((v, e), [0, 0])
+        bucket[0] += won
+        bucket[1] += 1
+    wins = sum(w for w, _ in counts.values())
+    rate = wins / trials
+    half = 1.96 * math.sqrt(max(rate * (1 - rate), 0.0) / trials)
+    return MonteCarloReport(rate, max(rate - half, 0.0), min(rate + half, 1.0), wins,
+                            trials, tuple(sorted((q, w / n) for q, (w, n) in counts.items())))
+
+
+def random_observables(rng: random.Random, a, n_qubits: int) -> QuantumRealization:
+    """Uniform signed Pauli observables on the board's vertices: a line's
+    operators need not commute, so such strategies lose."""
+    return QuantumRealization.from_dict(n_qubits, {
+        v: PauliOperator(n_qubits, rng.choice((0, 2)), rng.randrange(1 << n_qubits),
+                         rng.randrange(1 << n_qubits))
+        for v in a.vertices})
+
+
+def game_case(kind: str, seed: int):
+    """A (strategy, board, signing) of one kind, built from ``seed``."""
+    rng = random.Random(seed)
+    if kind in ("square", "pentagram", "odd-y"):
+        a, s, r = {"square": builtin_square, "pentagram": builtin_pentagram,
+                   "odd-y": odd_y_board}[kind]()
+        if rng.random() < 0.5:
+            s = flip_one_line(s)  # a wrong-sign signing: the lines flipped lose
+        return QuantumStrategy(r, literal=rng.random() < 0.5), a, s
+    a, s = quiet_random_arrangement(rng, rng.randrange(2, 6))
+    if kind == "identity":  # the verified 1-qubit strategy of an even signing
+        if parity(s) == -1:
+            s = flip_one_line(s)
+        one = PauliOperator(1, 0, 0, 0)
+        labels = classical_realize(a, s).as_dict()
+        r = QuantumRealization.from_dict(1, {v: one if lab == 1 else one.negate()
+                                             for v, lab in labels.items()})
+        assert verify_realization(a, s, r)
+        return QuantumStrategy(r), a, s
+    if kind == "random-observables":
+        return (QuantumStrategy(random_observables(rng, a, rng.randrange(1, 4)),
+                                literal=rng.random() < 0.5), a, s)
+    if kind == "classical-optimal":
+        return ClassicalStrategy.optimal(a, s), a, s
+    alice = {v: rng.choice((1, -1)) for v in a.vertices}
+    if kind == "classical-best-response":
+        return ClassicalStrategy.best_response(a, s, alice), a, s
+    bob = {e: {v: rng.choice((1, -1)) for v in members} for e, members in a.hyperedges}
+    return ClassicalStrategy.from_maps(alice, bob), a, s
+
+
+GAME_KINDS = ("square", "pentagram", "odd-y", "identity", "random-observables",
+              "classical-optimal", "classical-best-response", "classical-random")
+
+
+class TestCompiledMonteCarlo:
+    """The compiled rounds give the report of round-by-round simulation."""
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.sampled_from(GAME_KINDS), st.integers(0, 2**32 - 1), st.integers(1, 40),
+           st.integers(0, 2**32 - 1))
+    def test_equals_the_statevector_oracle(self, kind, case_seed, trials, seed):
+        strategy, a, s = game_case(kind, case_seed)
+        assert monte_carlo(strategy, a, s, trials, seed) == oracle_report(strategy, a, s,
+                                                                          trials, seed)
+
+    @pytest.mark.parametrize("kind", GAME_KINDS)
+    def test_every_kind_on_many_trials(self, kind):
+        for case_seed in range(3):
+            strategy, a, s = game_case(kind, case_seed)
+            report = monte_carlo(strategy, a, s, 300, case_seed)
+            assert report == oracle_report(strategy, a, s, 300, case_seed)
+
+    def test_losing_kinds_lose(self):
+        """The property above covers strategies that lose, not only perfect ones."""
+        for kind in ("random-observables", "classical-random"):
+            rates = [monte_carlo(*game_case(kind, seed), 200, seed).rate for seed in range(5)]
+            assert min(rates) < 1
+
+    def test_memo_is_keyed_by_the_line_members(self):
+        """One strategy reused on boards where a line id has other members, or
+        a vertex lies on other lines, plays as fresh strategy objects do."""
+        square, s, r = builtin_square()
+        cells = [[f"{i}{j}" for j in (1, 2, 3)] for i in (1, 2, 3)]
+        rows = {f"r{i + 1}": cells[i] for i in range(3)}
+        cols = {f"c{j + 1}": [cells[i][j] for i in range(3)] for j in range(3)}
+        diagonals = {f"c{j + 1}": [cells[i][(i + j) % 3] for i in range(3)] for j in range(3)}
+        boards = [square]
+        swapped = {**rows, **cols, "r1": cols["c1"], "c1": rows["r1"]}
+        for lines in (swapped, {**rows, **diagonals}):
+            board, _ = validate({"vertices": sorted(sum(cells, [])),
+                                 "hyperedges": [{"id": e, "vertices": m}
+                                                for e, m in sorted(lines.items())]})
+            boards.append(board)
+        assert boards[1].members("r1") != square.members("r1")
+        assert boards[2].edges_of_vertex("21") != square.edges_of_vertex("21")
+        reused = QuantumStrategy(r)
+        for board in boards + boards:
+            signing = Signing.from_dict({e: s.sign(e) for e in board.hyperedge_ids()})
+            for seed in range(3):
+                assert (monte_carlo(reused, board, signing, 500, seed)
+                        == monte_carlo(QuantumStrategy(r), board, signing, 500, seed))
+
+    def test_compile_self_check_raises_under_optimize(self):
+        """The compile step's stabilizer-group check is a real check, not an ``assert``."""
+        script = (
+            "from pseudotelepathy import game\n"
+            "from pseudotelepathy.arrangement import validate\n"
+            "from pseudotelepathy.pauli import from_string\n"
+            "from pseudotelepathy.realization import QuantumRealization\n"
+            "stabilizers, destabilizers = game._bell_pairs(1)\n"
+            "# X_A X_B lost: Z_A looks fixed\n"
+            "game._bell_pairs = lambda n: ((stabilizers[1],) * 2, destabilizers)\n"
+            "a, s = validate({'vertices': ['u', 'w'], 'hyperedges': [\n"
+            "    {'id': 'e1', 'vertices': ['u', 'w'], 'sign': 1},\n"
+            "    {'id': 'e2', 'vertices': ['u', 'w'], 'sign': 1}]})\n"
+            "r = QuantumRealization.from_dict(1, {v: from_string('Z') for v in 'uw'})\n"
+            "game.monte_carlo(game.QuantumStrategy(r), a, s, 1, 0)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(pseudotelepathy.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode != 0
+        assert "AssertionError: internal error: a commuting observable" in done.stderr
+        assert "_compile_line" in done.stderr
+
+
+class TestClassicalLineWins:
+    def test_exact_classical_equals_each_transcript(self):
+        for a, s in corpus(seed=77, count=30):
+            rng = random.Random(len(a.vertices))
+            alice = {v: rng.choice((1, -1)) for v in a.vertices}
+            bob = {e: {v: rng.choice((1, -1)) for v in m} for e, m in a.hyperedges}
+            for strategy in (ClassicalStrategy.from_maps(alice, bob),
+                             ClassicalStrategy.best_response(a, s, alice)):
+                for q in all_queries(a):
+                    assert (exact_query_win_probability(strategy, a, s, q)
+                            == play_classical(a, s, strategy, q).won)
 
 
 class TestCorpusPseudoTelepathy:
