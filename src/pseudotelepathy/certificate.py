@@ -212,7 +212,7 @@ class _WordState:
         return sign
 
 
-def _initial_words(g: IntersectionGraph, r: RotationSystem) -> dict[str, list[str]]:
+def _initial_words(r: RotationSystem) -> dict[str, list[str]]:
     return {node: [eid for eid, _ in darts] for node, darts in r.rotations}
 
 
@@ -239,7 +239,7 @@ def generate_trace(
     if not g.nodes or len(g.tree) != len(g.nodes):
         raise EmbeddingInvalid("graph is empty or not connected")
 
-    words = _initial_words(g, r)
+    words = _initial_words(r)
     state = _WordState(words, signs)
     steps: list[tuple[str, str]] = []
 
@@ -290,7 +290,7 @@ def check_trace(
     if missing or unknown:
         raise IllegalStep(-1, f"signs must cover exactly the graph nodes: "
                               f"missing {missing}, unknown {unknown}")
-    words = _initial_words(g, r)
+    words = _initial_words(r)
     if trace.initial_words != tuple(sorted((n, tuple(w)) for n, w in words.items())):
         raise IllegalStep(-1, "initial words do not match the rotation system")
     if trace.initial_signs != tuple(sorted(signs.items())):

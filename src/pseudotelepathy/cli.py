@@ -216,7 +216,7 @@ def cmd_certify(args) -> int:
         return 0
     verdict = synthesize(board)
     if verdict.magic:
-        return _fail("arrangement is magic; no nonmagic certificate exists")
+        raise CommandFailure("arrangement is magic; no nonmagic certificate exists")
     # test_planarity has verified the embedding; the trace is checked here
     if signing is None:
         signing, trace = verdict.signing, verdict.certificate
@@ -317,11 +317,11 @@ def _read_strategy(payload, path, board, signing, literal):
 
 def cmd_simulate(args) -> int:
     if not args.exact and args.trials < 1:
-        return _fail(f"--trials must be at least 1, got {args.trials}")
+        raise CommandFailure(f"--trials must be at least 1, got {args.trials}")
     # random.Random(-n) draws as random.Random(n) does, so a negative seed
     # would silently replay another seed's rounds
     if not args.exact and args.seed < 0:
-        return _fail(f"--seed must be at least 0, got {args.seed}")
+        raise CommandFailure(f"--seed must be at least 0, got {args.seed}")
     board, signing = _load_board(args.arrangement)
     if signing is None:
         signing = arr.all_plus_signing(board)
@@ -355,9 +355,9 @@ def cmd_export_dot(args) -> int:
 
 def cmd_gen(args) -> int:
     if args.hyperedges < 2:
-        return _fail(f"--hyperedges must be at least 2, got {args.hyperedges}")
+        raise CommandFailure(f"--hyperedges must be at least 2, got {args.hyperedges}")
     if args.extra_vertices is not None and args.extra_vertices < 0:
-        return _fail(f"--extra-vertices must be at least 0, got {args.extra_vertices}")
+        raise CommandFailure(f"--extra-vertices must be at least 0, got {args.extra_vertices}")
     rng = random.Random(args.seed)
     raw = random_board(rng, args.hyperedges, args.extra_vertices, signed=args.signed)
     arr.validate(raw)  # self-check before emitting

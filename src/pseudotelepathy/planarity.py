@@ -76,9 +76,6 @@ class KuratowskiWitness:
     parts: tuple[tuple[str, ...], tuple[str, ...]] | None
     paths: tuple[tuple[tuple[str, str], tuple[str, ...]], ...]
 
-    def path_dict(self) -> dict[tuple[str, str], tuple[str, ...]]:
-        return {pair: path for pair, path in self.paths}
-
     def to_json_dict(self) -> dict:
         out: dict = {
             "kind": self.kind,
@@ -144,8 +141,8 @@ def verify_witness(g: IntersectionGraph, w: KuratowskiWitness) -> bool:
     else:
         return False
 
-    path_map = w.path_dict()
-    if set(path_map) != wanted:
+    path_map = dict(w.paths)
+    if len(path_map) != len(w.paths) or set(path_map) != wanted:  # no pair twice
         return False
 
     interiors: list[set[str]] = []

@@ -10,18 +10,17 @@ while no classical strategy wins with certainty.
 The decision procedure is planarity of the dual multigraph.  Nonplanar duals
 contain a K5 or K3,3 subdivision, and the two canonical magic boards (the
 3x3 square, dual K3,3, on two qubits; the pentagram, dual K5, on three)
-push their realizations through the subdivision: every edge along the image
-path of a pattern edge inherits that pattern edge's operator, everything
-else gets the identity.  Planar duals instead yield a contraction
+push their realizations through the subdivision: each branch vertex plays
+one builtin line, every edge on the path between two branch vertices
+inherits the operator of the builtin vertex their two lines share, and
+everything else gets the identity.  Planar duals instead yield a contraction
 certificate plus a classical realization of the all-plus signing.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cache, cached_property
-from types import MappingProxyType
 
 from pseudotelepathy.arrangement import (
     Arrangement,
@@ -40,7 +39,7 @@ from pseudotelepathy.planarity import K5, K33, KuratowskiWitness, test_planarity
 
 
 class EmbeddingMismatch(ValueError):
-    """A minor embedding does not fit the target graph."""
+    """A Kuratowski witness does not fit the target graph."""
 
 
 @dataclass(frozen=True)
@@ -70,21 +69,6 @@ class QuantumRealization:
         if signing is not None:
             out["signs"] = signing.as_dict()
         return out
-
-
-@dataclass(frozen=True)
-class MinorEmbedding:
-    """Injective placement of K5 or K3,3 inside a graph, paths and all."""
-
-    pattern: str
-    vertex_map: tuple[tuple[str, str], ...]  # pattern vertex -> graph node
-    path_map: tuple[tuple[tuple[str, str], tuple[str, ...]], ...]  # pattern edge -> edge ids
-
-    def vertices(self) -> dict[str, str]:
-        return dict(self.vertex_map)
-
-    def paths(self) -> dict[tuple[str, str], tuple[str, ...]]:
-        return dict(self.path_map)
 
 
 @dataclass(frozen=True)
@@ -189,95 +173,50 @@ def builtin_pentagram() -> tuple[Arrangement, Signing, QuantumRealization]:
     return arrangement, signing, QuantumRealization.from_dict(3, ops)
 
 
-_K5_PATTERN = ("k1", "k2", "k3", "k4", "k5")
-_K33_PATTERN = (("a1", "a2", "a3"), ("b1", "b2", "b3"))
+def extract_minor_embedding(w: KuratowskiWitness) -> dict[str, str]:
+    """The line of the builtin board that each branch vertex of a verified
+    witness plays.
 
-
-def extract_minor_embedding(w: KuratowskiWitness) -> MinorEmbedding:
-    """Canonical pattern placement from a verified witness.
-
-    K5 pattern vertices map to the sorted branch vertices; K3,3 sides map to
-    the lexicographically ordered bipartition classes.
+    K5's sorted branch vertices play the pentagram's lines L1..L5; K3,3's
+    first side plays the square's columns c1..c3 and its second side the
+    rows r1..r3.
     """
     if w.kind == K5:
-        phi = dict(zip(_K5_PATTERN, sorted(w.branch_vertices)))
-    elif w.kind == K33:
+        return dict(zip(sorted(w.branch_vertices), ("L1", "L2", "L3", "L4", "L5")))
+    if w.kind == K33:
         if w.parts is None:
             raise EmbeddingMismatch("K33 witness lacks its bipartition")
         side_a, side_b = w.parts
-        phi = dict(zip(_K33_PATTERN[0], side_a)) | dict(zip(_K33_PATTERN[1], side_b))
-    else:
-        raise EmbeddingMismatch(f"unknown witness kind {w.kind!r}")
-    witness_paths = w.path_dict()
-    path_map = {}
-    for pu, pv in _pattern_edges(w.kind):
-        gu, gv = phi[pu], phi[pv]
-        path_map[(pu, pv)] = witness_paths[(min(gu, gv), max(gu, gv))]
-    return MinorEmbedding(
-        pattern=w.kind,
-        vertex_map=tuple(sorted(phi.items())),
-        path_map=tuple(sorted(path_map.items())),
-    )
-
-
-def _pattern_edges(kind: str) -> list[tuple[str, str]]:
-    if kind == K5:
-        return [(u, v) for i, u in enumerate(_K5_PATTERN) for v in _K5_PATTERN[i + 1:]]
-    return [(u, v) for u in _K33_PATTERN[0] for v in _K33_PATTERN[1]]
-
-
-# pattern vertex -> line of the builtin board whose dual is the pattern
-_NODE_OF = {
-    K5: MappingProxyType(dict(zip(_K5_PATTERN, ("L1", "L2", "L3", "L4", "L5")))),
-    K33: MappingProxyType(dict(zip(_K33_PATTERN[0] + _K33_PATTERN[1],
-                                   ("c1", "c2", "c3", "r1", "r2", "r3")))),
-}
-
-
-def source_for_pattern(kind: str):
-    """Builtin board whose dual is the pattern, plus the node correspondence
-    as a read-only map."""
-    builtin = builtin_pentagram if kind == K5 else builtin_square
-    return (*builtin(), _NODE_OF[kind])
-
-
-def _shared_vertex(a: Arrangement, e1: str, e2: str) -> str:
-    shared = set(a.members(e1)) & set(a.members(e2))
-    (v,) = shared
-    return v
+        return dict(zip(side_a, ("c1", "c2", "c3"))) | dict(zip(side_b, ("r1", "r2", "r3")))
+    raise EmbeddingMismatch(f"unknown witness kind {w.kind!r}")
 
 
 def transfer(
-    me: MinorEmbedding,
-    target: IntersectionGraph,
-    source: tuple[Arrangement, Signing, QuantumRealization],
-    node_of: Mapping[str, str],
+    w: KuratowskiWitness, line_of: dict[str, str], target: IntersectionGraph
 ) -> tuple[Signing, QuantumRealization]:
-    """Push the source realization through the minor embedding.
+    """Push the builtin board of the witness kind through the witness.
 
-    Pattern-vertex images inherit the corresponding source line's sign, and
-    every edge along a pattern edge's path inherits the source operator of
-    the vertex shared by the two source lines; everything else is labelled
-    with the identity, which disturbs no constraint.
+    Each branch vertex inherits the sign of the builtin line it plays, and
+    every edge on the path between two branch vertices inherits the builtin
+    operator of the one vertex their two lines share; everything else is
+    labelled with the identity, which disturbs no constraint.
     """
-    src_arr, src_sign, src_real = source
-    phi = me.vertices()
+    src_arr, src_sign, src_real = builtin_pentagram() if w.kind == K5 else builtin_square()
     target_edges = {eid for eid, _, _ in target.edges}
-    target_nodes = set(target.nodes)
-    if not set(phi.values()) <= target_nodes:
-        raise EmbeddingMismatch("pattern vertices map outside the target graph")
+    if not set(line_of) <= set(target.nodes):
+        raise EmbeddingMismatch("branch vertices map outside the target graph")
 
     signs = {n: 1 for n in target.nodes}
-    for p, node in phi.items():
-        signs[node] = src_sign.sign(node_of[p])
+    for node, line in line_of.items():
+        signs[node] = src_sign.sign(line)
 
     ident = identity(src_real.n_qubits)
     ops = {eid: ident for eid in target_edges}
-    for (pu, pv), path in me.paths().items():
+    for (u, v), path in w.paths:
         if not set(path) <= target_edges:
-            raise EmbeddingMismatch(f"path for {(pu, pv)} leaves the target graph")
-        source_vertex = _shared_vertex(src_arr, node_of[pu], node_of[pv])
-        op = src_real.operator(source_vertex)
+            raise EmbeddingMismatch(f"path between {u!r} and {v!r} leaves the target graph")
+        (shared,) = set(src_arr.members(line_of[u])) & set(src_arr.members(line_of[v]))
+        op = src_real.operator(shared)
         for eid in path:
             ops[eid] = op
 
@@ -312,9 +251,8 @@ def synthesize(a: Arrangement) -> MagicVerdict:
     graph = build(a)
     result = test_planarity(graph)
     if result.witness is not None:
-        me = extract_minor_embedding(result.witness)
-        src_arr, src_sign, src_real, node_of = source_for_pattern(result.witness.kind)
-        signing, realization = transfer(me, graph, (src_arr, src_sign, src_real), node_of)
+        line_of = extract_minor_embedding(result.witness)
+        signing, realization = transfer(result.witness, line_of, graph)
         if not verify_realization(a, signing, realization):
             raise AssertionError("internal error: transferred realization failed verification")
         return MagicVerdict(

@@ -16,7 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import ILL_TYPED_BOARDS
+from helpers import (
+    ILL_TYPED_BOARDS,
+    board_json,
+    complete_graph_edges,
+    k33_edges,
+    subdivided_board,
+)
 from pseudotelepathy import (
     arrangement,
     certificate,
@@ -26,7 +32,7 @@ from pseudotelepathy import (
     planarity,
     realization,
 )
-from pseudotelepathy.arrangement import load
+from pseudotelepathy.arrangement import Signing, load
 from pseudotelepathy.cli import run
 from pseudotelepathy.game import ClassicalStrategy
 from pseudotelepathy.generate import random_arrangement, random_board
@@ -388,6 +394,8 @@ class TestBadArguments:
         ((), "pseudotelepathy: error: the following arguments are required: command"),
         (("simulate", "--arrangement", str(BOARDS / "square.json"), "--trials", "abc"),
          "pseudotelepathy simulate: error: argument --trials: invalid int value: 'abc'"),
+        (("certify", "--arrangement", str(BOARDS / "square.json")),
+         "arrangement is magic; no nonmagic certificate exists"),
     ])
     def test_one_line_exit_one(self, capsys, argv, named):
         code, out, err = invoke(capsys, *argv)
@@ -759,6 +767,24 @@ GOLDEN = [
     ("triangle.json", ("export-dot",), 0,
      "25102500eb3c1edaac5d2cdfa437c5ec1da222b70333e699bc316d9bc9f56574"),
 ]
+# Boards whose dual subdivides K5 or K3,3, each with one -1 line: the
+# witness paths run through several dual edges, so these rows cover the
+# minor transfer's path walk, which the shipped boards (one edge per path)
+# do not.  Each entry is (pattern edges, subdivision counts, the -1 line).
+SUBDIVIDED = {
+    "k5-subdivided": (complete_graph_edges(5), {"n1n2": 2, "n3n5": 1, "n4n5": 3}, "n1n2_s1"),
+    "k33-subdivided": (k33_edges(), {"l1r1": 1, "l2r3": 2, "l3r2": 3}, "l2r3_s0"),
+}
+GOLDEN_SUBDIVIDED = [
+    ("k5-subdivided", ("synthesize",),
+     "cc91c6c2c453e502ebe05582c409fe5da9f21531f1c526b006c37337f00c64d2"),
+    ("k5-subdivided", ("simulate", "--strategy", "quantum", "--exact"),
+     "def75014009df6300df527a5d5597f8a212887719fd5a8417ac4a97e2ce9831b"),
+    ("k33-subdivided", ("synthesize",),
+     "9d5446cd2da9d86c52aa8f77ce1a91109749886cbf82d874d6434d4ff46efea3"),
+    ("k33-subdivided", ("simulate", "--strategy", "quantum", "--exact"),
+     "9cde7ce179bced1b07180e2f144743130946c6f793b5d0ec6b44b939f9866c51"),
+]
 CHECK_OF_TRIANGLE_CERTIFICATE = (
     "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865")
 GEN_SIGNED_9_SEED_1 = "7b3ed49f1e2f4eb1a8c8aeafdaa59bdf5244bb0a15bb782ad0f2750a4b352c75"
@@ -774,6 +800,18 @@ class TestGoldenBytes:
     def test_stdout(self, capsys, board, argv, code, digest):
         got, out, _ = invoke(capsys, argv[0], "--arrangement", str(BOARDS / board), *argv[1:])
         assert (got, sha256(out)) == (code, digest)
+
+    @pytest.mark.parametrize("name, argv, digest", GOLDEN_SUBDIVIDED,
+                             ids=[f"{n}-{' '.join(a)}" for n, a, _ in GOLDEN_SUBDIVIDED])
+    def test_subdivided_stdout(self, capsys, tmp_path, name, argv, digest):
+        edges, counts, minus = SUBDIVIDED[name]
+        board = subdivided_board(edges, counts)
+        signing = Signing.from_dict({eid: -1 if eid == minus else 1
+                                     for eid in board.hyperedge_ids()})
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(board_json(board, signing)))
+        got, out, _ = invoke(capsys, argv[0], "--arrangement", str(path), *argv[1:])
+        assert (got, sha256(out)) == (0, digest)
 
     def test_certify_check_of_the_written_certificate(self, capsys, tmp_path):
         board = str(BOARDS / "triangle.json")

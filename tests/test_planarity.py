@@ -143,6 +143,14 @@ class TestVerifyWitness:
                                 tuple(sorted(paths.items())))
         assert not verify_witness(g, bad)
 
+    def test_rejects_a_repeated_pair(self):
+        g, w = self._identity_witness()
+        # a second, bogus path for a pair that already has its own
+        (pair, _), (_, other) = w.paths[:2]
+        bad = KuratowskiWitness(w.kind, w.branch_vertices, w.parts,
+                                ((pair, other),) + w.paths)
+        assert not verify_witness(g, bad)
+
     def test_rejects_shared_interior(self):
         edges = complete_graph_edges(5)
         del edges["n1n2"]

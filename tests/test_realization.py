@@ -1,5 +1,6 @@
 """Realization verification, builtin boards, minor transfer, and synthesis."""
 
+import dataclasses
 import itertools
 import random
 
@@ -9,9 +10,12 @@ from helpers import (
     board_from_graph,
     complete_graph_edges,
     corpus,
+    graph_from_edges,
     k33_edges,
+    subdivided_board,
     triangle_board,
 )
+from pseudotelepathy import realization as realization_module
 from pseudotelepathy.arrangement import all_plus_signing, check_realization, parity
 from pseudotelepathy.generate import random_signing
 from pseudotelepathy.intersection import build
@@ -19,6 +23,7 @@ from pseudotelepathy.pauli import from_string, identity
 from pseudotelepathy.planarity import test_planarity as decide_planarity
 from pseudotelepathy.realization import (
     CoverageError,
+    EmbeddingMismatch,
     QuantumRealization,
     builtin_pentagram,
     builtin_square,
@@ -27,7 +32,6 @@ from pseudotelepathy.realization import (
     synthesize,
     transfer,
     verify_realization,
-    source_for_pattern,
 )
 
 
@@ -85,30 +89,65 @@ class TestMinorEmbedding:
     def test_identity_witness_on_k33(self):
         a, _, _ = builtin_square()
         w = decide_planarity(build(a)).witness
-        me = extract_minor_embedding(w)
-        assert me.pattern == "K33"
-        phi = me.vertices()
-        assert sorted(phi.values()) == sorted(w.branch_vertices)
-        assert all(len(p) == 1 for p in me.paths().values())
+        line_of = extract_minor_embedding(w)
+        assert w.kind == "K33"
+        assert sorted(line_of) == sorted(w.branch_vertices)
+        assert line_of == dict(zip(w.parts[0] + w.parts[1],
+                                   ("c1", "c2", "c3", "r1", "r2", "r3")))
+        assert all(len(p) == 1 for _, p in w.paths)
 
     def test_k5_vertex_map_is_sorted(self):
-        g_edges = complete_graph_edges(5)
-        from helpers import graph_from_edges
+        w = decide_planarity(graph_from_edges(complete_graph_edges(5))).witness
+        line_of = extract_minor_embedding(w)
+        assert list(line_of) == sorted(w.branch_vertices)
+        assert list(line_of.values()) == ["L1", "L2", "L3", "L4", "L5"]
 
-        w = decide_planarity(graph_from_edges(g_edges)).witness
-        me = extract_minor_embedding(w)
-        assert [v for _, v in me.vertex_map] == sorted(w.branch_vertices)
+    def test_k33_without_sides_is_rejected(self):
+        a, _, _ = builtin_square()
+        w = decide_planarity(build(a)).witness
+        with pytest.raises(EmbeddingMismatch, match="lacks its bipartition"):
+            extract_minor_embedding(dataclasses.replace(w, parts=None))
 
 
 class TestTransfer:
-    def test_identity_embedding_reproduces_builtin_square(self):
-        a, s, r = builtin_square()
+    @staticmethod
+    def transfer_own_witness(builtin):
+        a, _, _ = builtin()
         g = build(a)
-        me = extract_minor_embedding(decide_planarity(g).witness)
-        src_arr, src_sign, src_real, node_of = source_for_pattern("K33")
-        signing, realization = transfer(me, g, (src_arr, src_sign, src_real), node_of)
-        assert signing == s
-        assert realization == r
+        w = decide_planarity(g).witness
+        return transfer(w, extract_minor_embedding(w), g)
+
+    def test_identity_embedding_reproduces_builtin_square(self):
+        _, s, r = builtin_square()
+        assert self.transfer_own_witness(builtin_square) == (s, r)
+
+    def test_identity_embedding_reproduces_builtin_pentagram(self):
+        _, s, r = builtin_pentagram()
+        assert self.transfer_own_witness(builtin_pentagram) == (s, r)
+
+    def test_branch_vertex_outside_the_target_is_rejected(self):
+        a, _, _ = builtin_square()
+        w = decide_planarity(build(a)).witness
+        target = graph_from_edges(k33_edges())  # nodes l1..r3, not c1..r3
+        with pytest.raises(EmbeddingMismatch, match="branch vertices"):
+            transfer(w, extract_minor_embedding(w), target)
+
+    def test_path_edge_outside_the_target_is_rejected(self):
+        w = decide_planarity(build(subdivided_board(k33_edges(), {"l1r1": 1}))).witness
+        target = graph_from_edges(k33_edges())  # same nodes, l1r1 not split
+        with pytest.raises(EmbeddingMismatch, match="between 'l1' and 'r1'"):
+            transfer(w, extract_minor_embedding(w), target)
+
+    def test_one_extraction_and_one_transfer_per_magic_synthesize(self, monkeypatch):
+        calls = []
+        for name in ("extract_minor_embedding", "transfer"):
+            def counted(*args, _name=name, _real=getattr(realization_module, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(realization_module, name, counted)
+        a, _, _ = builtin_pentagram()
+        assert synthesize(a).magic
+        assert calls == ["extract_minor_embedding", "transfer"]
 
     def test_subdivided_k33(self):
         edges = k33_edges()
@@ -130,8 +169,6 @@ class TestTransfer:
         The exhaustive sweep to 6 extra nodes (13013 boards) lives in the
         acceptance module; this keeps the everyday suite fast.
         """
-        from helpers import subdivided_board
-
         rng = random.Random(2)
         for pattern_edges in (complete_graph_edges(5), k33_edges()):
             ids = sorted(pattern_edges)
