@@ -62,7 +62,7 @@ class InputFileError(Exception):
 def _load_board(path):
     try:
         return arr.load(path)
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, RecursionError) as err:
         raise InputFileError("arrangement", path) from err
 
 
@@ -75,7 +75,7 @@ def _load_json(path, what):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, RecursionError) as err:
         raise InputFileError(what, path) from err
 
 

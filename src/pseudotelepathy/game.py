@@ -16,14 +16,21 @@ being real; transposition changes neither commutation nor line products
 ``literal=True`` plays the untransposed operators instead, which is only
 perfect when the shared-vertex operator is symmetric.
 
-Win probabilities come in two independent flavors: exact rationals from
-symbolic Pauli correlators, and seeded Monte Carlo over sampled rounds.
-A round is a stabilizer circuit on n Bell pairs (Aaronson and Gottesman,
-"Improved simulation of stabilizer circuits", PRA 70, 052328, 2004), so
-every outcome has the Born probability 0, 1/2 or 1.  ``_project``, the one
-tableau update, keeps each sign as an affine form over the round's draws: a
-random outcome is a fresh bit, a determined one a fixed parity of earlier
-bits plus a constant.  As Stim samples shots from one symbolic pass
+Win probabilities come in two independent flavors: exact rationals, and
+seeded Monte Carlo over sampled rounds.  An exact query's win probability
+is 1 plus three signed Pauli correlators, over 4; each correlator is the
+trace of a product of (x, z, phase) rows (``pauli.multiply_rows``), 0 or
++-1, so the numerator is an integer.  ``exact_line_win_probabilities``
+builds one ``Fraction`` per query of a line, and ``exact_win_probability``
+adds the integer numerators of the whole board (a classical query's win
+bit counts 4) into one ``Fraction`` over 4 * 2|V|.
+
+A Monte Carlo round is a stabilizer circuit on n Bell pairs (Aaronson and
+Gottesman, "Improved simulation of stabilizer circuits", PRA 70, 052328,
+2004), so every outcome has the Born probability 0, 1/2 or 1.
+``_project``, the one tableau update, keeps each sign as an affine form over
+the round's draws: a random outcome is a fresh bit, a determined one a fixed
+parity of earlier bits plus a constant.  As Stim samples shots from one symbolic pass
 (Gidney, "Stim: a fast stabilizer circuit simulator", Quantum 5, 497,
 2021), ``monte_carlo`` compiles each query (v, e) once: with bit i of d set
 iff draw i is at least 1/2 (Alice's is draw 0, Bob's follow in line
@@ -51,7 +58,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 from pseudotelepathy.arrangement import (
     Arrangement,
@@ -64,9 +71,9 @@ from pseudotelepathy.pauli import (
     DimensionMismatch,
     PauliOperator,
     Row,
-    commutes,
     multiply_rows,
-    product_of,
+    rows_commute,
+    transpose_row,
 )
 from pseudotelepathy.realization import QuantumRealization
 
@@ -380,11 +387,51 @@ def _classical_line_wins(strategy: ClassicalStrategy, s: Signing, hyperedge: str
     return [coloring[v] == strategy._alice_map[v] for v in members]
 
 
-def _trace(p: PauliOperator) -> int:
-    """Tr(p) / 2^n of a Pauli observable: +-1 for +-I, otherwise 0."""
-    if not p.is_identity():
+def _line_rows(strategy: QuantumStrategy, hyperedge: str,
+               members: tuple[str, ...]) -> list[Row]:
+    """The rows of the line's operators, in member order, once every operator
+    is an observable and every two (in member order) have one width and
+    commute; otherwise ``ValueError`` or ``DimensionMismatch``."""
+    ops = [strategy.realization.operator(u) for u in members]
+    for op in ops:
+        if not op.is_observable():
+            raise ValueError(f"{op} is not an observable")
+    rows = [op.row for op in ops]
+    for i, p in enumerate(ops):
+        for j in range(i + 1, len(ops)):
+            if p.n_qubits != ops[j].n_qubits:
+                raise DimensionMismatch(f"{p.n_qubits} qubits vs {ops[j].n_qubits} qubits")
+            if not rows_commute(rows[i], rows[j]):
+                raise ValueError(f"operators on line {hyperedge!r} do not pairwise commute")
+    return rows
+
+
+def _line_numerators(strategy, a: Arrangement, s: Signing,
+                     hyperedge: str) -> tuple[tuple[str, ...], list[int]]:
+    """The line's members and, in member order, 4 times the win probability
+    of each member's query (``exact_line_win_probabilities``)."""
+    members = a.members(hyperedge)
+    if isinstance(strategy, ClassicalStrategy):
+        return members, [4 * won for won in _classical_line_wins(strategy, s, hyperedge,
+                                                                 members)]
+    rows = _line_rows(strategy, hyperedge, members)
+    bob = rows if strategy.literal else [transpose_row(row) for row in rows]
+    bob_all = reduce(multiply_rows, bob)
+    sign = s.sign(hyperedge)
+    every = sign * _correlator(bob_all)
+    numerators = []
+    for row, bob_v in zip(rows, bob):
+        agree = multiply_rows(transpose_row(row), bob_v)
+        numerators.append(1 + every + _correlator(agree)
+                          + sign * _correlator(multiply_rows(agree, bob_all)))
+    return members, numerators
+
+
+def _correlator(p: Row) -> int:
+    """Tr(P) / 2^n of a Pauli observable row: +-1 for +-I, otherwise 0."""
+    if p[0] | p[1]:
         return 0
-    return 1 if p.phase_exp == 0 else -1
+    return 1 if p[2] == 0 else -1
 
 
 def exact_line_win_probabilities(
@@ -400,32 +447,14 @@ def exact_line_win_probabilities(
 
         P(win) = (1 + s<I (x) prod B_u> + <A (x) B_v> + s<A (x) prod_{u != v} B_u>) / 4,
 
-    where prod_{u != v} B_u = B_v prod B_u, as each B_u squares to I.  The
-    line's commutation is checked, and prod B_u formed, once for all of its
-    queries.
+    where prod_{u != v} B_u = B_v prod B_u, as each B_u squares to I.  Each
+    correlator is the trace of a product of Pauli rows (``multiply_rows``),
+    0 or +-1, so a query's win probability is an integer numerator over 4.
+    The line's operators are read and checked once, and prod B_u formed
+    once, for all of its queries; the line builds one ``Fraction`` per query.
     """
-    members = a.members(hyperedge)
-    if isinstance(strategy, ClassicalStrategy):
-        return dict(zip(members, map(Fraction, _classical_line_wins(strategy, s, hyperedge,
-                                                                    members))))
-
-    line = [strategy.realization.operator(u) for u in members]
-    for op in line:
-        if not op.is_observable():
-            raise ValueError(f"{op} is not an observable")
-    if not all(commutes(p, q) for i, p in enumerate(line) for q in line[i + 1:]):
-        raise ValueError(f"operators on line {hyperedge!r} do not pairwise commute")
-    bob = [_bob_operator(op, strategy.literal) for op in line]
-    bob_all = product_of(bob)
-    sign = s.sign(hyperedge)
-    every = _trace(bob_all)
-    out = {}
-    for v, op, bob_v in zip(members, line, bob):
-        alice_t = op.transpose()
-        agree = _trace(product_of([alice_t, bob_v]))
-        others = _trace(product_of([alice_t, bob_v, bob_all]))
-        out[v] = Fraction(1 + sign * every + agree + sign * others, 4)
-    return out
+    members, numerators = _line_numerators(strategy, a, s, hyperedge)
+    return {v: Fraction(n, 4) for v, n in zip(members, numerators)}
 
 
 def exact_query_win_probability(
@@ -436,10 +465,11 @@ def exact_query_win_probability(
 
 
 def exact_win_probability(strategy, a: Arrangement, s: Signing) -> Fraction:
-    """Average over all queries of the exact per-query win probability."""
-    total = sum(sum(exact_line_win_probabilities(strategy, a, s, eid).values())
-                for eid in a.hyperedge_ids())
-    return total / (2 * len(a.vertices))
+    """Average over all queries of the exact per-query win probability: the
+    integer numerators of every line added up, and one ``Fraction`` over
+    4 * 2|V| for the board."""
+    total = sum(sum(_line_numerators(strategy, a, s, eid)[1]) for eid in a.hyperedge_ids())
+    return Fraction(total, 8 * len(a.vertices))
 
 
 @dataclass(frozen=True)

@@ -73,10 +73,14 @@ class PauliOperator:
     def negate(self) -> "PauliOperator":
         return PauliOperator(self.n_qubits, (self.phase_exp + 2) % 4, self.x, self.z)
 
+    @property
+    def row(self) -> Row:
+        return self.x, self.z, self.phase_exp
+
     def transpose(self) -> "PauliOperator":
-        """Symbolic transpose: Y is antisymmetric, I/X/Z are symmetric."""
-        k = (self.phase_exp + 2 * (self.x & self.z).bit_count()) % 4
-        return PauliOperator(self.n_qubits, k, self.x, self.z)
+        """Symbolic transpose (:func:`transpose_row`)."""
+        x, z, k = transpose_row(self.row)
+        return PauliOperator(self.n_qubits, k, x, z)
 
     def __str__(self) -> str:
         return _PHASE_STR[self.phase_exp] + _letters(self)
@@ -135,17 +139,28 @@ def multiply_rows(p: Row, q: Row) -> Row:
     return x, z, k % 4
 
 
+def transpose_row(p: Row) -> Row:
+    """Transpose of a Pauli row: Y is antisymmetric, I/X/Z are symmetric."""
+    x, z, k = p
+    return x, z, (k + 2 * (x & z).bit_count()) % 4
+
+
+def rows_commute(p: Row, q: Row) -> bool:
+    """True iff the symplectic form sum(x_p z_q + z_p x_q) vanishes mod 2."""
+    return not ((p[0] & q[1]) ^ (p[1] & q[0])).bit_count() & 1
+
+
 def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     """Group product p*q with exact phase tracking."""
     _check_same_width(p, q)
-    x, z, k = multiply_rows((p.x, p.z, p.phase_exp), (q.x, q.z, q.phase_exp))
+    x, z, k = multiply_rows(p.row, q.row)
     return PauliOperator(p.n_qubits, k, x, z)
 
 
 def commutes(p: PauliOperator, q: PauliOperator) -> bool:
-    """True iff the symplectic form sum(x_p z_q + z_p x_q) vanishes mod 2."""
+    """Whether p and q commute (:func:`rows_commute`)."""
     _check_same_width(p, q)
-    return not ((p.x & q.z) ^ (p.z & q.x)).bit_count() & 1
+    return rows_commute(p.row, q.row)
 
 
 def product_of(seq: Iterable[PauliOperator], n_qubits: int | None = None) -> PauliOperator:

@@ -20,7 +20,7 @@ certificate plus a classical realization of the all-plus signing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 
 from pseudotelepathy.arrangement import (
     Arrangement,
@@ -34,7 +34,13 @@ from pseudotelepathy.arrangement import (
 )
 from pseudotelepathy.certificate import ContractionTrace, generate_trace
 from pseudotelepathy.intersection import CoverageError, IntersectionGraph, RotationSystem, build
-from pseudotelepathy.pauli import PauliOperator, commutes, from_string, identity, product_of
+from pseudotelepathy.pauli import (
+    PauliOperator,
+    from_string,
+    identity,
+    multiply_rows,
+    rows_commute,
+)
 from pseudotelepathy.planarity import K5, K33, KuratowskiWitness, test_planarity
 
 
@@ -90,12 +96,17 @@ class MagicVerdict:
     classical: ClassicalRealization | None = None
 
 
+_SIGN_EXPONENT = {1: 0, -1: 2}  # the phase exponent of the line product sign * I
+
+
 def verify_realization(a: Arrangement, s: Signing, r: QuantumRealization) -> bool:
     """Exact symbolic check of every realization invariant; no tolerances.
 
     Commutation is checked before the line product so that a failure is
     attributed to the right axiom (with commuting members, the stored member
-    order cannot change the product).
+    order cannot change the product).  Both are integer arithmetic on the
+    operators' Pauli rows; a line holds iff its product is +I (phase
+    exponent 0) for sign +1 and -I (exponent 2) for sign -1.
     """
     ops = r.as_dict()
     missing = set(a.vertices) - set(ops)
@@ -104,15 +115,16 @@ def verify_realization(a: Arrangement, s: Signing, r: QuantumRealization) -> boo
     for v, op in ops.items():
         if op.n_qubits != r.n_qubits or not op.is_observable():
             return False
+    rows = {v: op.row for v, op in ops.items()}
     signs = s.as_dict()
     for eid, members in a.hyperedges:
-        line_ops = [ops[v] for v in members]
-        for i, p in enumerate(line_ops):
-            for q in line_ops[i + 1:]:
-                if not commutes(p, q):
+        line = [rows[v] for v in members]
+        for i, p in enumerate(line):
+            for q in line[i + 1:]:
+                if not rows_commute(p, q):
                     return False
-        prod = product_of(line_ops, n_qubits=r.n_qubits)
-        if not prod.is_identity() or prod.phase != signs[eid]:
+        x, z, k = reduce(multiply_rows, line, (0, 0, 0))
+        if x | z or k != _SIGN_EXPONENT.get(signs[eid]):
             return False
     return True
 

@@ -5,10 +5,13 @@ paths: planarity by exhaustive rotation enumeration, classical realizability
 by complete labeling search, the classical game value by complete strategy
 enumeration, win probabilities by definition-level replays, sampled game
 rounds by a dense statevector, and the Pauli algebra by exact dense matrices.
+The exact game and the realization verifier also keep their group-element
+form here: ``PauliOperator`` products and one ``Fraction`` per query.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -19,13 +22,34 @@ from fractions import Fraction
 
 import numpy as np
 
-from pseudotelepathy.arrangement import Arrangement, Signing, validate
+from pseudotelepathy.arrangement import Arrangement, Signing, classical_realize, validate
 from pseudotelepathy.certificate import CANCEL, CONTRACT
-from pseudotelepathy.game import ALICE, BOB, ClassicalStrategy, Query
+from pseudotelepathy.game import ALICE, BOB, ClassicalStrategy, Query, _classical_line_wins
 from pseudotelepathy.generate import random_arrangement
-from pseudotelepathy.intersection import IntersectionGraph, RotationSystem, adjacency, trace_faces
-from pseudotelepathy.pauli import DimensionMismatch, PauliOperator, _letters, state_action
+from pseudotelepathy.intersection import (
+    CoverageError,
+    IntersectionGraph,
+    RotationSystem,
+    adjacency,
+    trace_faces,
+)
+from pseudotelepathy.pauli import (
+    DimensionMismatch,
+    PauliOperator,
+    _letters,
+    commutes,
+    from_string,
+    product_of,
+    state_action,
+)
 from pseudotelepathy.planarity import _embed_simple_graph, _find_cycle
+from pseudotelepathy.realization import (
+    QuantumRealization,
+    builtin_pentagram,
+    builtin_square,
+    synthesize,
+    verify_realization,
+)
 
 
 _SINGLE_QUBIT_MATRIX = {
@@ -643,3 +667,176 @@ def dense_play_quantum(a: Arrangement, r, query: Query, rng: random.Random,
         op = r.operator(u) if literal else r.operator(u).transpose()
         coloring[u], state = dense_measure(state, op, BOB, rng)
     return alice, coloring
+
+
+def odd_y_board():
+    """Two duplicate lines on two vertices, realized with Y observables.
+
+    Y has imaginary entries, so Bob's transpose convention actually matters:
+    the literal protocol anti-correlates Alice and Bob here.
+    """
+    a, s = validate({
+        "vertices": ["u", "w"],
+        "hyperedges": [
+            {"id": "e1", "vertices": ["u", "w"], "sign": 1},
+            {"id": "e2", "vertices": ["u", "w"], "sign": 1},
+        ],
+    })
+    r = QuantumRealization.from_dict(1, {"u": from_string("Y"), "w": from_string("Y")})
+    assert verify_realization(a, s, r)
+    return a, s, r
+
+
+def flip_one_line(s: Signing) -> Signing:
+    """The signing with its first line's sign flipped: the other parity."""
+    signs = s.as_dict()
+    first = min(signs)
+    signs[first] = -signs[first]
+    return Signing.from_dict(signs)
+
+
+def _operator_trace(p: PauliOperator) -> int:
+    """Tr(p) / 2^n of a Pauli observable: +-1 for +-I, otherwise 0."""
+    if not p.is_identity():
+        return 0
+    return 1 if p.phase_exp == 0 else -1
+
+
+def oracle_exact_line_win_probabilities(strategy, a: Arrangement, s: Signing,
+                                        hyperedge: str) -> dict[str, Fraction]:
+    """Win probability of every query on one line, from ``PauliOperator``
+    correlators and one ``Fraction`` sum per query: the library's formula
+    (``game.exact_line_win_probabilities``) in group-element arithmetic."""
+    members = a.members(hyperedge)
+    if isinstance(strategy, ClassicalStrategy):
+        return dict(zip(members, map(Fraction, _classical_line_wins(strategy, s, hyperedge,
+                                                                    members))))
+    line = [strategy.realization.operator(u) for u in members]
+    for op in line:
+        if not op.is_observable():
+            raise ValueError(f"{op} is not an observable")
+    if not all(commutes(p, q) for i, p in enumerate(line) for q in line[i + 1:]):
+        raise ValueError(f"operators on line {hyperedge!r} do not pairwise commute")
+    bob = [op if strategy.literal else op.transpose() for op in line]
+    bob_all = product_of(bob)
+    sign = s.sign(hyperedge)
+    every = _operator_trace(bob_all)
+    out = {}
+    for v, op, bob_v in zip(members, line, bob):
+        alice_t = op.transpose()
+        agree = _operator_trace(product_of([alice_t, bob_v]))
+        others = _operator_trace(product_of([alice_t, bob_v, bob_all]))
+        out[v] = Fraction(1 + sign * every + agree + sign * others, 4)
+    return out
+
+
+def oracle_exact_win_probability(strategy, a: Arrangement, s: Signing) -> Fraction:
+    """Average of the oracle's per-query win probabilities, as Fractions."""
+    total = sum(sum(oracle_exact_line_win_probabilities(strategy, a, s, eid).values())
+                for eid in a.hyperedge_ids())
+    return total / (2 * len(a.vertices))
+
+
+def oracle_verify_realization(a: Arrangement, s: Signing, r: QuantumRealization) -> bool:
+    """Every realization invariant checked on ``PauliOperator``s: observables
+    of one width, commuting lines, and each line's product compared as a
+    complex phase with its sign."""
+    ops = r.as_dict()
+    missing = set(a.vertices) - set(ops)
+    if missing:
+        raise CoverageError(f"no operator for vertices {sorted(missing)}")
+    for op in ops.values():
+        if op.n_qubits != r.n_qubits or not op.is_observable():
+            return False
+    signs = s.as_dict()
+    for eid, members in a.hyperedges:
+        line_ops = [ops[v] for v in members]
+        for i, p in enumerate(line_ops):
+            for q in line_ops[i + 1:]:
+                if not commutes(p, q):
+                    return False
+        prod = product_of(line_ops, n_qubits=r.n_qubits)
+        if not prod.is_identity() or prod.phase != signs[eid]:
+            return False
+    return True
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` gives: its value, or the type and message it raises."""
+    try:
+        return "returned", fn(*args)
+    except Exception as err:  # noqa: BLE001 - the exception is the outcome
+        return "raised", type(err), str(err)
+
+
+def realized(boards) -> list[tuple[Arrangement, Signing, QuantumRealization]]:
+    """The (board, signing) pairs' boards with a verified realization each:
+    the transferred one of a magic board, and +-I of the all-plus signing
+    otherwise."""
+    cases = []
+    for a, _ in boards:
+        verdict = synthesize(a)
+        if verdict.magic:
+            cases.append((a, verdict.signing, verdict.realization))
+            continue
+        labels = classical_realize(a, verdict.signing).as_dict()
+        one = PauliOperator(1, 0, 0, 0)
+        cases.append((a, verdict.signing, QuantumRealization.from_dict(
+            1, {v: one if lab == 1 else one.negate() for v, lab in labels.items()})))
+    return cases
+
+
+@functools.cache
+def oracle_corpus() -> tuple[tuple[Arrangement, Signing, QuantumRealization], ...]:
+    """Verified (board, signing, realization) triples for the oracle
+    comparisons: 60 corpus boards (8 of them magic), the square, the
+    pentagram and the Y board."""
+    boards = corpus(seed=1601, count=20) + corpus(seed=1602, count=40, dense=True)
+    return tuple(realized(boards)) + (builtin_square(), builtin_pentagram(), odd_y_board())
+
+
+# ways to break a verified realization (``tampered_realization``)
+TAMPERS = ("non-observable", "anticommuting", "mixed-widths", "x-product",
+           "imaginary-identity", "negated-member", "missing")
+
+
+def tampered_realization(rng: random.Random, a: Arrangement, s: Signing,
+                         r: QuantumRealization, kind: str) -> QuantumRealization:
+    """``r`` broken in one way at a member u of a +1 line (any line if none):
+
+    - ``non-observable``: u's operator times i;
+    - ``anticommuting``: X and Z on qubit 0 at two members of one line;
+    - ``mixed-widths``: u's operator on one more qubit than the others;
+    - ``x-product``: every operator on one more qubit, X there at u only,
+      so that u's lines still commute but multiply to X times their sign;
+    - ``imaginary-identity``: +-i I at u;
+    - ``negated-member``: u's operator negated, so the line multiplies to -I;
+    - ``missing``: no operator at u.
+    """
+    ops, n = r.as_dict(), r.n_qubits
+    plus = [m for eid, m in a.hyperedges if s.sign(eid) == 1] or [m for _, m in a.hyperedges]
+    line = rng.choice(plus)
+    u = rng.choice(line)
+    op = ops[u]
+    if kind == "non-observable":
+        ops[u] = PauliOperator(n, op.phase_exp ^ 1, op.x, op.z)
+    elif kind == "anticommuting":
+        wide = [m for _, m in a.hyperedges if len(m) > 1]
+        if wide:
+            u, w = rng.sample(rng.choice(wide), 2)
+            ops[u], ops[w] = PauliOperator(n, 0, 1, 0), PauliOperator(n, 0, 0, 1)
+    elif kind == "mixed-widths":
+        ops[u] = PauliOperator(n + 1, op.phase_exp, op.x, op.z)
+    elif kind == "x-product":
+        ops = {v: PauliOperator(n + 1, p.phase_exp, p.x | (v == u) << n, p.z)
+               for v, p in ops.items()}
+        n += 1
+    elif kind == "imaginary-identity":
+        ops[u] = PauliOperator(n, rng.choice((1, 3)), 0, 0)
+    elif kind == "negated-member":
+        ops[u] = op.negate()
+    elif kind == "missing":
+        del ops[u]
+    else:
+        raise ValueError(f"unknown tamper {kind!r}")
+    return QuantumRealization.from_dict(n, ops)

@@ -21,6 +21,7 @@ from helpers import (
     board_json,
     complete_graph_edges,
     k33_edges,
+    odd_y_board,
     subdivided_board,
 )
 from pseudotelepathy import (
@@ -467,6 +468,23 @@ class TestBadArguments:
         argv = [arg.format(path=path) for arg in argv]
         assert invoke(capsys, *argv) == (code, "", line.format(path=path) + "\n")
 
+    @pytest.mark.parametrize("argv, what", [
+        (("decide", "--arrangement", "{path}"), "arrangement"),
+        (("certify", "--arrangement", str(BOARDS / "triangle.json"), "--check", "{path}"),
+         "certificate"),
+        (("simulate", "--arrangement", str(BOARDS / "square.json"), "--strategy", "{path}"),
+         "strategy"),
+    ], ids=["board", "certificate", "strategy"])
+    def test_deeply_nested_file(self, capsys, tmp_path, argv, what):
+        """Nesting too deep for ``json.load`` is an unreadable file, not a
+        ``RecursionError`` traceback."""
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 1000 + "]" * 1000)
+        code, out, err = invoke(capsys, *[arg.format(path=path) for arg in argv])
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"cannot read {what} {path}: maximum recursion depth exceeded")
+
     def test_undecodable_board_file(self, capsys, tmp_path):
         board = tmp_path / "board.json"
         board.write_bytes(b"\xff\xfe{")
@@ -785,6 +803,11 @@ GOLDEN_SUBDIVIDED = [
     ("k33-subdivided", ("simulate", "--strategy", "quantum", "--exact"),
      "9cde7ce179bced1b07180e2f144743130946c6f793b5d0ec6b44b939f9866c51"),
 ]
+# simulate --exact --literal-measurements --strategy odd-y-strategy.json on
+# the board of helpers.odd_y_board, whose strategy file holds its Y
+# realization: the untransposed branch on an antisymmetric operator, which
+# no shipped or transferred realization reaches (all of theirs are symmetric)
+LITERAL_ODD_Y = "6ff391dc96db787cd9899dfd6db8747735aa9a82d69799f80c322209ca6f9aca"
 CHECK_OF_TRIANGLE_CERTIFICATE = (
     "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865")
 GEN_SIGNED_9_SEED_1 = "7b3ed49f1e2f4eb1a8c8aeafdaa59bdf5244bb0a15bb782ad0f2750a4b352c75"
@@ -820,6 +843,16 @@ class TestGoldenBytes:
         cert.write_text(written)
         code, out, _ = invoke(capsys, "certify", "--arrangement", board, "--check", str(cert))
         assert (code, sha256(out)) == (0, CHECK_OF_TRIANGLE_CERTIFICATE)
+
+    def test_exact_literal_measurements_of_a_strategy_file(self, capsys, monkeypatch,
+                                                            tmp_path):
+        a, s, r = odd_y_board()
+        monkeypatch.chdir(tmp_path)  # the report names the strategy file as given
+        Path("odd-y.json").write_text(json.dumps(board_json(a, s)))
+        Path("odd-y-strategy.json").write_text(json.dumps(r.to_json_dict()))
+        code, out, _ = invoke(capsys, "simulate", "--arrangement", "odd-y.json", "--exact",
+                              "--literal-measurements", "--strategy", "odd-y-strategy.json")
+        assert (code, sha256(out)) == (0, LITERAL_ODD_Y)
 
     def test_gen(self, capsys):
         code, out, _ = invoke(capsys, "gen", "--signed", "--hyperedges", "9", "--seed", "1")

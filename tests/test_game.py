@@ -15,13 +15,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    TAMPERS,
     SharedState,
     corpus,
     dense_matrix,
     dense_measure,
     dense_play_quantum,
     exhaustive_classical_maximum,
+    flip_one_line,
+    odd_y_board,
+    oracle_corpus,
+    oracle_exact_line_win_probabilities,
+    oracle_exact_win_probability,
+    outcome,
     quiet_random_arrangement,
+    tampered_realization,
     triangle_board,
 )
 import pseudotelepathy
@@ -44,6 +52,7 @@ from pseudotelepathy.game import (
     _row,
     all_queries,
     classical_value,
+    exact_line_win_probabilities,
     exact_query_win_probability,
     exact_win_probability,
     measure,
@@ -65,24 +74,6 @@ from pseudotelepathy.realization import (
     synthesize,
     verify_realization,
 )
-
-
-def odd_y_board():
-    """Two duplicate lines on two vertices, realized with Y observables.
-
-    Y has imaginary entries, so Bob's transpose convention actually matters:
-    the literal protocol anti-correlates Alice and Bob here.
-    """
-    a, s = validate({
-        "vertices": ["u", "w"],
-        "hyperedges": [
-            {"id": "e1", "vertices": ["u", "w"], "sign": 1},
-            {"id": "e2", "vertices": ["u", "w"], "sign": 1},
-        ],
-    })
-    r = QuantumRealization.from_dict(1, {"u": from_string("Y"), "w": from_string("Y")})
-    assert verify_realization(a, s, r)
-    return a, s, r
 
 
 class TestReferee:
@@ -470,14 +461,6 @@ def dense_win_probability(a, s, r, query, literal=False, bob_order=None):
     return total
 
 
-def flip_one_line(s):
-    """The signing with its first line's sign flipped: the other parity."""
-    signs = s.as_dict()
-    first = min(signs)
-    signs[first] = -signs[first]
-    return Signing.from_dict(signs)
-
-
 class TestDenseOracle:
     def test_branch_enumeration_matches_projector_algebra(self):
         for a, s, r in (builtin_square(), builtin_pentagram()):
@@ -499,6 +482,54 @@ class TestDenseOracle:
                     assert exact == pytest.approx(dense, abs=1e-12)
         # Y against untransposed Y anti-correlates perfectly: never consistent
         assert exact_win_probability(QuantumStrategy(r, literal=True), a, s) == 0
+
+
+EXACT_KINDS = ("verified", "literal", "wrong-sign", "random-observables",
+               "random-commuting", "classical-optimal") + TAMPERS
+
+
+def exact_case(kind: str, rng: random.Random, a, s, r):
+    """A (strategy, signing) of one kind on a verified (a, s, r)."""
+    if kind == "wrong-sign":
+        return QuantumStrategy(r, literal=rng.random() < 0.5), flip_one_line(s)
+    if kind == "random-observables":
+        return (QuantumStrategy(random_observables(rng, a, rng.randrange(1, 4)),
+                                literal=rng.random() < 0.5), s)
+    if kind == "random-commuting":  # +-I or +-P for one random P: strategies that lose
+        n = rng.randrange(1, 4)
+        x, z = rng.randrange(1 << n), rng.randrange(1 << n)
+        ops = {v: PauliOperator(n, rng.choice((0, 2)), *rng.choice(((0, 0), (x, z))))
+               for v in a.vertices}
+        return QuantumStrategy(QuantumRealization.from_dict(n, ops),
+                               literal=rng.random() < 0.5), s
+    if kind == "classical-optimal":
+        return ClassicalStrategy.optimal(a, s), s
+    if kind in TAMPERS:
+        return (QuantumStrategy(tampered_realization(rng, a, s, r, kind),
+                                literal=rng.random() < 0.5), s)
+    return QuantumStrategy(r, literal=kind == "literal"), s
+
+
+class TestExactOracle:
+    """The exact game on Pauli rows gives the ``Fraction``s, or the exception
+    type and message, of the ``PauliOperator`` form kept as the oracle."""
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_the_oracle(self, data):
+        a, s, r = data.draw(st.sampled_from(oracle_corpus()))
+        kind = data.draw(st.sampled_from(EXACT_KINDS))
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        strategy, signing = exact_case(kind, rng, a, s, r)
+        got = outcome(exact_win_probability, strategy, a, signing)
+        assert got == outcome(oracle_exact_win_probability, strategy, a, signing)
+        if got[0] == "returned":
+            assert type(got[1]) is Fraction
+        for eid in a.hyperedge_ids():
+            line = outcome(exact_line_win_probabilities, strategy, a, signing, eid)
+            assert line == outcome(oracle_exact_line_win_probabilities, strategy, a, signing, eid)
+            if line[0] == "returned":
+                assert all(type(p) is Fraction for p in line[1].values())
 
 
 class TestOrderIndependence:

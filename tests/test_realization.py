@@ -6,17 +6,31 @@ import random
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from helpers import (
+    TAMPERS,
     board_from_graph,
     complete_graph_edges,
     corpus,
+    flip_one_line,
     graph_from_edges,
     k33_edges,
+    oracle_corpus,
+    oracle_verify_realization,
+    outcome,
     subdivided_board,
+    tampered_realization,
     triangle_board,
 )
 from pseudotelepathy import realization as realization_module
-from pseudotelepathy.arrangement import all_plus_signing, check_realization, parity
+from pseudotelepathy.arrangement import (
+    all_plus_signing,
+    check_realization,
+    parity,
+    validate,
+)
 from pseudotelepathy.generate import random_signing
 from pseudotelepathy.intersection import build
 from pseudotelepathy.pauli import from_string, identity
@@ -64,6 +78,42 @@ class TestVerifyRealization:
         ops["x"] = from_string("iX")
         assert not verify_realization(a, all_plus_signing(a),
                                       QuantumRealization.from_dict(1, ops))
+
+
+class TestVerifierOracle:
+    """The row arithmetic of ``verify_realization`` gives the answer, or the
+    ``CoverageError``, of the ``PauliOperator`` form kept as the oracle."""
+
+    def test_verified_and_wrong_sign(self):
+        for a, s, r in oracle_corpus():
+            assert outcome(verify_realization, a, s, r) == ("returned", True)
+            assert oracle_verify_realization(a, s, r) is True
+            wrong = flip_one_line(s)
+            assert (outcome(verify_realization, a, wrong, r)
+                    == outcome(oracle_verify_realization, a, wrong, r) == ("returned", False))
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.data())
+    def test_tampered(self, data):
+        a, s, r = data.draw(st.sampled_from(oracle_corpus()))
+        kind = data.draw(st.sampled_from(TAMPERS))
+        tampered = tampered_realization(random.Random(data.draw(st.integers(0, 2**32 - 1))),
+                                        a, s, r, kind)
+        got = outcome(verify_realization, a, s, tampered)
+        assert got == outcome(oracle_verify_realization, a, s, tampered)
+        if tampered != r:
+            assert got[:2] == (("raised", CoverageError) if kind == "missing"
+                               else ("returned", False))
+
+    def test_anticommuting_line_with_the_right_product(self):
+        """X, Z, X, Z multiply to -I on a -1 line: only commutation rejects it."""
+        a, s = validate({"vertices": ["a", "b", "c", "d"], "hyperedges": [
+            {"id": "L1", "vertices": ["a", "b", "c", "d"], "sign": -1},
+            {"id": "L2", "vertices": ["a", "c"], "sign": 1},
+            {"id": "L3", "vertices": ["b", "d"], "sign": 1}]})
+        x, z = from_string("X"), from_string("Z")
+        r = QuantumRealization.from_dict(1, {"a": x, "b": z, "c": x, "d": z})
+        assert verify_realization(a, s, r) is oracle_verify_realization(a, s, r) is False
 
 
 class TestBuiltins:
