@@ -389,19 +389,14 @@ def _classical_line_wins(strategy: ClassicalStrategy, s: Signing, hyperedge: str
 
 def _line_rows(strategy: QuantumStrategy, hyperedge: str,
                members: tuple[str, ...]) -> list[Row]:
-    """The rows of the line's operators, in member order, once every operator
-    is an observable and every two (in member order) have one width and
-    commute; otherwise ``ValueError`` or ``DimensionMismatch``."""
-    ops = [strategy.realization.operator(u) for u in members]
-    for op in ops:
-        if not op.is_observable():
-            raise ValueError(f"{op} is not an observable")
-    rows = [op.row for op in ops]
-    for i, p in enumerate(ops):
-        for j in range(i + 1, len(ops)):
-            if p.n_qubits != ops[j].n_qubits:
-                raise DimensionMismatch(f"{p.n_qubits} qubits vs {ops[j].n_qubits} qubits")
-            if not rows_commute(rows[i], rows[j]):
+    """The rows of the line's operators, in member order, once each operator
+    in turn is on ``n_qubits`` qubits and an observable (``_row``'s checks)
+    and every two commute; otherwise ``DimensionMismatch`` or ``ValueError``."""
+    n = strategy.realization.n_qubits
+    rows = [_row(strategy.realization.operator(u), ALICE, n) for u in members]
+    for i, p in enumerate(rows):
+        for q in rows[i + 1:]:
+            if not rows_commute(p, q):
                 raise ValueError(f"operators on line {hyperedge!r} do not pairwise commute")
     return rows
 

@@ -51,10 +51,16 @@ class IntersectionGraph:
         return sum((u == node) + (v == node) for _, u, v in self.edges)
 
     @cached_property
+    def adj(self) -> dict[str, list[tuple[str, str]]]:
+        """``adjacency`` of the graph's edges, sorted, built once per graph;
+        callers only read it."""
+        return adjacency(self.endpoints())
+
+    @cached_property
     def tree(self) -> dict[str, tuple[str, str] | None]:
         """``bfs_tree`` of the graph from its smallest node, built once per
         graph; callers only read it."""
-        return bfs_tree(adjacency(self.endpoints()), min(self.nodes))
+        return bfs_tree(self.adj, min(self.nodes))
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,14 @@ of K5 or K3,3, the two graphs whose topological-minor presence is equivalent
 to nonplanarity.  Both outputs are checkable by independent verifiers in
 this module, so callers never need to trust the search.
 
-The decision procedure embeds each biconnected block by face insertion
+A graph whose degrees are all 2 except five 4s or six 3s is first walked
+along its degree-2 chains.  If the chains join five branch vertices
+pairwise, or the two sides of a 3+3 bipartition, each pair once and none
+back to its own start, the graph is a K5 or K3,3 subdivision and is its own
+witness; nothing is embedded.  Any other graph, such as a subdivided prism
+or one whose chains double up or loop, goes on to the embedder.
+
+The embedder places each biconnected block by face insertion
 (Demoucron, Malgrange and Pertuiset): start from a cycle, then repeatedly
 place a path of some unembedded bridge into a face containing all of that
 bridge's attachment vertices, preferring bridges with a unique admissible
@@ -42,7 +49,9 @@ degree-2 chains.
 
 Parallel edges and self-loops never affect planarity, so they are stripped
 before the search and spliced back into the returned rotation afterwards
-(each insertion adds one edge and one face, preserving Euler's count).
+(each insertion adds one edge and one face, preserving Euler's count).  The
+simple graph's adjacency is the graph's cached ``IntersectionGraph.adj``,
+less the stripped edges, and a graph of one block embeds on it directly.
 """
 
 from __future__ import annotations
@@ -60,6 +69,8 @@ from pseudotelepathy.intersection import (
 
 K5 = "K5"
 K33 = "K33"
+# the sorted branch degrees of a K5 and of a K3,3 subdivision
+_BRANCH_DEGREES = ([4] * 5, [3] * 6)
 
 
 @dataclass(frozen=True)
@@ -180,7 +191,14 @@ def verify_witness(g: IntersectionGraph, w: KuratowskiWitness) -> bool:
 
 
 def test_planarity(g: IntersectionGraph) -> PlanarityResult:
-    """Decide planarity of a connected multigraph, with a certified outcome."""
+    """Decide planarity of a connected multigraph, with a certified outcome.
+
+    Loops and parallels are stripped.  A simple graph that is a K5 or K3,3
+    subdivision, recognised by walking its degree-2 chains, is returned as
+    its own witness; any other is embedded block by block, and a block that
+    fails to embed sends the graph to the witness search.  The witness or
+    the embedding is checked by its verifier before it is returned.
+    """
     if not g.nodes:
         raise ValueError("graph has no nodes")
     if len(g.tree) != len(g.nodes):
@@ -196,27 +214,37 @@ def test_planarity(g: IntersectionGraph) -> PlanarityResult:
         if u != v:
             groups.setdefault((min(u, v), max(u, v)), []).append(eid)
     simple_edges = {ids[0]: pair for pair, ids in groups.items()}
+    adj = g.adj
+    if len(simple_edges) < len(endpoints):  # filtering keeps each list sorted
+        adj = {}
+        for node, entries in g.adj.items():
+            kept = [entry for entry in entries if entry[1] in simple_edges]
+            if kept:
+                adj[node] = kept
 
-    block_faces = _embed_simple_graph(simple_edges)
-    if block_faces is None:
+    witness = _read_off(adj)
+    if witness is None:
+        block_faces = _embed_simple_graph(simple_edges, adj)
+        if block_faces is not None:
+            rotation = _rotation_from_faces(g, block_faces, simple_edges, groups, loops,
+                                            endpoints)
+            if not verify_embedding(g, rotation):
+                raise AssertionError("internal error: embedding failed Euler check")
+            return PlanarityResult(embedding=rotation, witness=None)
         witness = _extract_witness(simple_edges)
-        if not verify_witness(g, witness):
-            raise AssertionError("internal error: witness failed its verifier")
-        return PlanarityResult(embedding=None, witness=witness)
-
-    rotation = _rotation_from_faces(g, block_faces, simple_edges, groups, loops, endpoints)
-    if not verify_embedding(g, rotation):
-        raise AssertionError("internal error: embedding failed Euler check")
-    return PlanarityResult(embedding=rotation, witness=None)
+    if not verify_witness(g, witness):
+        raise AssertionError("internal error: witness failed its verifier")
+    return PlanarityResult(embedding=None, witness=witness)
 
 
 # ---------------------------------------------------------------------------
 # Planar embedding of a simple graph by face insertion, block by block.
 
 
-def _biconnected_blocks(edges: dict[str, tuple[str, str]]) -> list[dict[str, tuple[str, str]]]:
-    """Partition edges into biconnected blocks (iterative lowpoint DFS)."""
-    adj = adjacency(edges)
+def _biconnected_blocks(edges: dict[str, tuple[str, str]],
+                        adj: dict[str, list[tuple[str, str]]]) -> list[dict[str, tuple[str, str]]]:
+    """Partition edges into biconnected blocks (iterative lowpoint DFS),
+    given their ``adjacency``."""
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     stack: list[str] = []
@@ -453,8 +481,10 @@ def _remainder(adj, interior, inner, finished, owner, rest):
     return (1, heap[0]), frozenset(counts), _Interior(nodes, counts, heap)
 
 
-def _embed_block(block: dict[str, tuple[str, str]]) -> list[list[str]] | None:
-    """Faces of a planar embedding of one block, or None if nonplanar.
+def _embed_block(block: dict[str, tuple[str, str]],
+                 adj: dict[str, list[tuple[str, str]]]) -> list[list[str]] | None:
+    """Faces of a planar embedding of one block, given its ``adjacency``, or
+    None if nonplanar.
 
     Faces are oriented cyclic vertex lists; every directed edge of the block
     occurs in exactly one face.
@@ -463,7 +493,6 @@ def _embed_block(block: dict[str, tuple[str, str]]) -> list[list[str]] | None:
         (u, v), = block.values()
         return [[u, v]]
 
-    adj = adjacency(block)
     cycle, cycle_edges = _find_cycle(adj)
     faces: list[list[str]] = [list(cycle), list(reversed(cycle))]
     node_faces = {n: {0, 1} for n in cycle}
@@ -553,11 +582,14 @@ def _embed_block(block: dict[str, tuple[str, str]]) -> list[list[str]] | None:
     return faces
 
 
-def _embed_simple_graph(edges: dict[str, tuple[str, str]]):
-    """Faces for every block of a simple graph, or None if any block fails."""
+def _embed_simple_graph(edges: dict[str, tuple[str, str]],
+                        adj: dict[str, list[tuple[str, str]]]):
+    """Faces for every block of a simple graph, given its ``adjacency``, or
+    None if any block fails."""
     block_faces = []
-    for block in _biconnected_blocks(edges):
-        faces = _embed_block(block)
+    blocks = _biconnected_blocks(edges, adj)
+    for block in blocks:  # a graph of one block is that block
+        faces = _embed_block(block, adj if len(blocks) == 1 else adjacency(block))
         if faces is None:
             return None
         block_faces.append((block, faces))
@@ -626,7 +658,11 @@ def _rotation_from_faces(g, block_faces, simple_edges, groups, loops, endpoints)
 
 def _extract_witness(simple_edges: dict[str, tuple[str, str]]) -> KuratowskiWitness:
     """Kuratowski subdivision inside a connected nonplanar simple graph."""
-    return _read_off(_minimal_nonplanar(simple_edges))
+    witness = _read_off(adjacency(_minimal_nonplanar(simple_edges)))
+    if witness is None:
+        raise AssertionError("internal error: edge-minimal nonplanar graph is not a "
+                             "K5 or K3,3 subdivision")
+    return witness
 
 
 def _degrees(edges: dict[str, tuple[str, str]]) -> dict[str, int]:
@@ -645,8 +681,7 @@ def _is_subdivision_profile(edges: dict[str, tuple[str, str]]) -> bool:
     6 nodes, and a loop or parallel among them would leave a simple graph of
     at most 9 or 8 edges, which is planar, as is the cubic prism.
     """
-    branch = sorted(d for d in _degrees(edges).values() if d != 2)
-    return branch in ([4] * 5, [3] * 6)
+    return sorted(d for d in _degrees(edges).values() if d != 2) in _BRANCH_DEGREES
 
 
 def _may_be_nonplanar(block: dict[str, tuple[str, str]]) -> bool:
@@ -663,8 +698,11 @@ def _may_be_nonplanar(block: dict[str, tuple[str, str]]) -> bool:
 def _nonplanar_block(edges: dict[str, tuple[str, str]]) -> dict[str, tuple[str, str]] | None:
     """The first block of a simple graph that fails to embed, or None if the
     graph is planar.  Blocks that cannot be nonplanar are not embedded."""
-    for block in _biconnected_blocks(edges):
-        if _may_be_nonplanar(block) and _embed_block(block) is None:
+    adj = adjacency(edges)
+    blocks = _biconnected_blocks(edges, adj)
+    for block in blocks:
+        if (_may_be_nonplanar(block)
+                and _embed_block(block, adj if len(blocks) == 1 else adjacency(block)) is None):
             return block
     return None
 
@@ -743,49 +781,50 @@ def _minimal_nonplanar(edges: dict[str, tuple[str, str]]) -> dict[str, tuple[str
     return rest
 
 
-def _read_off(remaining: dict[str, tuple[str, str]]) -> KuratowskiWitness:
-    """Branch vertices and chains of an edge-minimal nonplanar graph."""
-    degree = _degrees(remaining)
-    branch = sorted(n for n, d in degree.items() if d >= 3)
+def _read_off(adj: dict[str, list[tuple[str, str]]]) -> KuratowskiWitness | None:
+    """The K5 or K3,3 subdivision that a simple graph with this ``adjacency``
+    is, or None if it is not one.
+
+    Only a graph whose degrees are all 2 except five 4s or six 3s is walked.
+    From each branch vertex, its chains of degree-2 nodes must end at
+    distinct other branch vertices.  Five branch vertices are then joined
+    pairwise, a K5.  Six have a simple cubic quotient: K3,3 when every chain
+    crosses between the smallest branch vertex with the two it misses and
+    the other three, and the prism otherwise.
+    """
+    branch = [n for n, entries in adj.items() if len(entries) != 2]
+    if len(branch) not in (5, 6):
+        return None
+    if sorted(len(adj[b]) for b in branch) not in _BRANCH_DEGREES:
+        return None
+    branch.sort()
 
     paths: dict[tuple[str, str], tuple[str, ...]] = {}
-    adj = adjacency(remaining)
     for b in branch:
-        for other, eid in adj[b]:
+        ends = set()
+        for cur, eid in adj[b]:
             chain = [eid]
-            cur = other
-            while degree[cur] == 2:
+            while len(adj[cur]) == 2:
                 (n1, e1), (n2, e2) = adj[cur]
-                cur, chain = (n2, chain + [e2]) if e1 == chain[-1] else (n1, chain + [e1])
-            key = (min(b, cur), max(b, cur))
-            if key not in paths or b == key[0]:
-                paths[key] = tuple(chain) if b == key[0] else tuple(reversed(chain))
+                cur, eid = (n2, e2) if e1 == eid else (n1, e1)
+                chain.append(eid)
+            if cur in ends:  # two chains to one end; a chain from b back to b
+                return None  # is met twice, once from each of its ends
+            ends.add(cur)
+            if b < cur:
+                paths[b, cur] = tuple(chain)
 
-    degrees = sorted(degree[b] for b in branch)
-    if degrees == [4, 4, 4, 4, 4]:
-        return KuratowskiWitness(
-            kind=K5,
-            branch_vertices=tuple(branch),
-            parts=None,
-            paths=tuple(sorted(paths.items())),
-        )
-    if degrees == [3, 3, 3, 3, 3, 3]:
-        # 2-color the quotient: same side iff no connecting path
-        side_of = {branch[0]: 0}
-        queue = deque([branch[0]])
-        while queue:
-            cur = queue.popleft()
-            for other in branch:
-                if (min(cur, other), max(cur, other)) in paths and other not in side_of:
-                    side_of[other] = 1 - side_of[cur]
-                    queue.append(other)
-        part0 = tuple(sorted(b for b in branch if side_of[b] == 0))
-        part1 = tuple(sorted(b for b in branch if side_of[b] == 1))
-        parts = (part0, part1) if part0 <= part1 else (part1, part0)
-        return KuratowskiWitness(
-            kind=K33,
-            branch_vertices=tuple(branch),
-            parts=parts,
-            paths=tuple(sorted(paths.items())),
-        )
-    raise AssertionError(f"edge-minimal nonplanar graph has branch degrees {degrees}")
+    parts = None
+    if len(branch) == 6:
+        # the smallest branch vertex and the two it has no chain to
+        side = {b for b in branch if (branch[0], b) not in paths}
+        if any((a in side) == (b in side) for a, b in paths):  # an odd cycle: the prism
+            return None
+        parts = (tuple(b for b in branch if b in side),
+                 tuple(b for b in branch if b not in side))
+    return KuratowskiWitness(
+        kind=K5 if parts is None else K33,
+        branch_vertices=tuple(branch),
+        parts=parts,
+        paths=tuple(sorted(paths.items())),
+    )

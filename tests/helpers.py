@@ -22,6 +22,15 @@ from fractions import Fraction
 
 import numpy as np
 
+from pseudotelepathy import (
+    arrangement,
+    certificate,
+    cli,
+    game,
+    intersection,
+    planarity,
+    realization,
+)
 from pseudotelepathy.arrangement import Arrangement, Signing, classical_realize, validate
 from pseudotelepathy.certificate import CANCEL, CONTRACT
 from pseudotelepathy.game import ALICE, BOB, ClassicalStrategy, Query, _classical_line_wins
@@ -78,6 +87,22 @@ def dense_matrix(p: PauliOperator) -> np.ndarray:
 
 def euler_characteristic(g: IntersectionGraph, r: RotationSystem) -> int:
     return len(g.nodes) - len(g.edges) + len(trace_faces(g, r))
+
+
+def count_calls(monkeypatch, name: str, module) -> list:
+    """Counts the calls of ``module.<name>`` made through any package module
+    that binds it."""
+    real = getattr(module, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for mod in (arrangement, certificate, cli, game, intersection, planarity, realization):
+        if getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 def triangle_board() -> tuple[Arrangement, Signing | None]:
@@ -146,8 +171,8 @@ def board_from_graph(edges: dict[str, tuple[str, str]]) -> Arrangement:
     }
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        arrangement, _ = validate(raw)
-    return arrangement
+        board, _ = validate(raw)
+    return board
 
 
 def complete_graph_edges(n: int) -> dict[str, tuple[str, str]]:
@@ -159,6 +184,16 @@ def k33_edges() -> dict[str, tuple[str, str]]:
     left = ["l1", "l2", "l3"]
     right = ["r1", "r2", "r3"]
     return {f"{u}{v}": (u, v) for u in left for v in right}
+
+
+def prism_edges() -> dict[str, tuple[str, str]]:
+    """The triangular prism: planar and cubic on six nodes, like K3,3."""
+    top, bottom = ["p1", "p2", "p3"], ["q1", "q2", "q3"]
+    edges = {}
+    for ring in (top, bottom):
+        edges.update({f"{u}{v}": (u, v) for u, v in itertools.combinations(ring, 2)})
+    edges.update({f"{u}{v}": (u, v) for u, v in zip(top, bottom)})
+    return edges
 
 
 def grid_edges(n: int) -> dict[str, tuple[str, str]]:
@@ -288,7 +323,7 @@ def deletion_scan(edges: dict[str, tuple[str, str]]) -> dict[str, tuple[str, str
 
 def is_planar_simple(edges: dict[str, tuple[str, str]]) -> bool:
     """Planarity of a simple graph by embedding every one of its blocks."""
-    return _embed_simple_graph(edges) is not None
+    return _embed_simple_graph(edges, adjacency(edges)) is not None
 
 
 def new_bridges(adj, h_nodes, region, placed, placed_edges):
@@ -712,7 +747,10 @@ def oracle_exact_line_win_probabilities(strategy, a: Arrangement, s: Signing,
         return dict(zip(members, map(Fraction, _classical_line_wins(strategy, s, hyperedge,
                                                                     members))))
     line = [strategy.realization.operator(u) for u in members]
+    n = strategy.realization.n_qubits
     for op in line:
+        if op.n_qubits != n:
+            raise DimensionMismatch(f"operator on {op.n_qubits} qubits, state on {n}")
         if not op.is_observable():
             raise ValueError(f"{op} is not an observable")
     if not all(commutes(p, q) for i, p in enumerate(line) for q in line[i + 1:]):

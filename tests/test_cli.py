@@ -20,15 +20,16 @@ from helpers import (
     ILL_TYPED_BOARDS,
     board_json,
     complete_graph_edges,
+    count_calls,
     k33_edges,
     odd_y_board,
+    prism_edges,
     subdivided_board,
 )
 from pseudotelepathy import (
     arrangement,
     certificate,
     cli,
-    game,
     intersection,
     planarity,
     realization,
@@ -785,13 +786,16 @@ GOLDEN = [
     ("triangle.json", ("export-dot",), 0,
      "25102500eb3c1edaac5d2cdfa437c5ec1da222b70333e699bc316d9bc9f56574"),
 ]
-# Boards whose dual subdivides K5 or K3,3, each with one -1 line: the
-# witness paths run through several dual edges, so these rows cover the
-# minor transfer's path walk, which the shipped boards (one edge per path)
-# do not.  Each entry is (pattern edges, subdivision counts, the -1 line).
+# Boards whose dual subdivides K5, K3,3 or the triangular prism, each with
+# one -1 line.  In the first two the witness paths run through several dual
+# edges, so their rows cover the minor transfer's path walk, which the
+# shipped boards (one edge per path) do not.  The prism's dual has K3,3's
+# degree profile but is planar, so its row covers the embedding of such a
+# dual.  Each entry is (pattern edges, subdivision counts, the -1 line).
 SUBDIVIDED = {
     "k5-subdivided": (complete_graph_edges(5), {"n1n2": 2, "n3n5": 1, "n4n5": 3}, "n1n2_s1"),
     "k33-subdivided": (k33_edges(), {"l1r1": 1, "l2r3": 2, "l3r2": 3}, "l2r3_s0"),
+    "prism-subdivided": (prism_edges(), {"p1p2": 1, "p1q1": 2, "q2q3": 3}, "p1q1_s1"),
 }
 GOLDEN_SUBDIVIDED = [
     ("k5-subdivided", ("synthesize",),
@@ -802,6 +806,8 @@ GOLDEN_SUBDIVIDED = [
      "9d5446cd2da9d86c52aa8f77ce1a91109749886cbf82d874d6434d4ff46efea3"),
     ("k33-subdivided", ("simulate", "--strategy", "quantum", "--exact"),
      "9cde7ce179bced1b07180e2f144743130946c6f793b5d0ec6b44b939f9866c51"),
+    ("prism-subdivided", ("decide", "--certificate", "-"),
+     "7174fcda66fc7cebc4ad5583dcd57af7e5981a7e8206167d708fd4fa14efe1c9"),
 ]
 # simulate --exact --literal-measurements --strategy odd-y-strategy.json on
 # the board of helpers.odd_y_board, whose strategy file holds its Y
@@ -857,22 +863,6 @@ class TestGoldenBytes:
     def test_gen(self, capsys):
         code, out, _ = invoke(capsys, "gen", "--signed", "--hyperedges", "9", "--seed", "1")
         assert (code, sha256(out)) == (0, GEN_SIGNED_9_SEED_1)
-
-
-def count_calls(monkeypatch, name: str, module) -> list:
-    """Counts the calls of ``module.<name>`` made through any package module
-    that binds it."""
-    real = getattr(module, name)
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    for mod in (arrangement, certificate, cli, game, intersection, planarity, realization):
-        if getattr(mod, name, None) is real:
-            monkeypatch.setattr(mod, name, counted)
-    return calls
 
 
 class TestEachArtifactVerifiedOnce:

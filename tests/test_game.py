@@ -250,6 +250,20 @@ class TestMeasure:
         with pytest.raises(DimensionMismatch, match="operator on 1 qubits, state on 2"):
             play_quantum(a, s, QuantumStrategy(r), Query("u", "e1"), random.Random(1))
 
+    def test_width_against_the_realization_in_every_game(self):
+        """Two-qubit operators declared on one qubit: the exact game rejects
+        them as the sampled game does."""
+        a, s, r = builtin_square()
+        strategy = QuantumStrategy(QuantumRealization(1, r.operators))
+        message = "^operator on 2 qubits, state on 1$"
+        with pytest.raises(DimensionMismatch, match=message):
+            exact_win_probability(strategy, a, s)
+        for eid in a.hyperedge_ids():
+            with pytest.raises(DimensionMismatch, match=message):
+                exact_line_win_probabilities(strategy, a, s, eid)
+        with pytest.raises(DimensionMismatch, match=message):
+            monte_carlo(strategy, a, s, trials=1, seed=0)
+
     def test_corrupted_deterministic_sign_raises_under_optimize(self):
         """The stabilizer-group self-check is a real check, not an ``assert``."""
         script = (

@@ -10,7 +10,10 @@ from pathlib import Path
 import pytest
 
 from helpers import (
+    board_from_graph,
     complete_graph_edges,
+    corpus,
+    count_calls,
     deletion_scan,
     graph_from_edges,
     grid_edges,
@@ -18,6 +21,7 @@ from helpers import (
     k33_edges,
     new_bridges,
     oracle_planar,
+    prism_edges,
     random_dual_edges,
     random_multigraph,
     rescan_embed_block,
@@ -25,8 +29,15 @@ from helpers import (
     subdivided_board,
 )
 import pseudotelepathy
-from pseudotelepathy import planarity
-from pseudotelepathy.intersection import CoverageError, IntersectionGraph, RotationSystem, build
+from pseudotelepathy import intersection, planarity
+from pseudotelepathy.arrangement import load
+from pseudotelepathy.intersection import (
+    CoverageError,
+    IntersectionGraph,
+    RotationSystem,
+    adjacency,
+    build,
+)
 from pseudotelepathy.planarity import (
     K5,
     K33,
@@ -36,7 +47,9 @@ from pseudotelepathy.planarity import (
     verify_witness,
 )
 from pseudotelepathy.planarity import test_planarity as decide_planarity
-from pseudotelepathy.realization import builtin_pentagram, builtin_square
+from pseudotelepathy.realization import builtin_pentagram, builtin_square, synthesize
+
+BOARDS = Path(__file__).resolve().parent.parent / "boards"
 
 
 class TestKnownGraphs:
@@ -236,8 +249,8 @@ class TestSelfCertification:
 def assert_blocks_match_rescan(edges) -> list[bool]:
     """Each block embeds to the rescanning oracle's faces, or to None with it."""
     planar = []
-    for block in planarity._biconnected_blocks(edges):
-        faces = planarity._embed_block(block)
+    for block in planarity._biconnected_blocks(edges, adjacency(edges)):
+        faces = planarity._embed_block(block, adjacency(block))
         assert faces == rescan_embed_block(block)
         planar.append(faces is not None)
     return planar
@@ -314,8 +327,8 @@ def checked_splits(monkeypatch):
 
 
 def embed_blocks(edges) -> list[bool]:
-    return [planarity._embed_block(block) is not None
-            for block in planarity._biconnected_blocks(edges)]
+    return [planarity._embed_block(block, adjacency(block)) is not None
+            for block in planarity._biconnected_blocks(edges, adjacency(edges))]
 
 
 class TestSplitBridge:
@@ -361,7 +374,7 @@ def planarity_tests(monkeypatch):
 
 
 def scan_witness(edges):
-    return planarity._read_off(deletion_scan(edges))
+    return planarity._read_off(adjacency(deletion_scan(edges)))
 
 
 def relabel(edges, prefix, **nodes):
@@ -467,7 +480,7 @@ class TestWitnessSearch:
 
     def test_core_among_planar_blocks_sorting_first(self):
         edges = core_among_planar_blocks()
-        assert [len(block) for block in planarity._biconnected_blocks(edges)
+        assert [len(block) for block in planarity._biconnected_blocks(edges, adjacency(edges))
                 if planarity._may_be_nonplanar(block)] == [9, 9]
         witness = planarity._extract_witness(edges)
         assert witness == scan_witness(edges)
@@ -496,18 +509,111 @@ class TestWitnessSearch:
         rng = random.Random(20260808)
         blocks = [complete_graph_edges(5), k33_edges()]
         for _ in range(300):
-            blocks += planarity._biconnected_blocks(simple_edges(random_multigraph(rng)))
+            edges = simple_edges(random_multigraph(rng))
+            blocks += planarity._biconnected_blocks(edges, adjacency(edges))
         for pattern, counts, _ in KURATOWSKI_SUBDIVISIONS:
             edges = simple_edges(build(subdivided_board(pattern, counts)))
-            blocks += planarity._biconnected_blocks(edges)
+            blocks += planarity._biconnected_blocks(edges, adjacency(edges))
         skipped = [block for block in blocks if not planarity._may_be_nonplanar(block)]
-        assert all(planarity._embed_block(block) is not None for block in skipped)
+        assert all(planarity._embed_block(block, adjacency(block)) is not None
+                   for block in skipped)
         # skipped: single edges, and larger blocks with few branch nodes
         assert any(len(block) == 1 for block in skipped)
         assert any(len(block) >= 9 for block in skipped)
-        tested = [planarity._embed_block(block) is None
+        tested = [planarity._embed_block(block, adjacency(block)) is None
                   for block in blocks if planarity._may_be_nonplanar(block)]
         assert tested.count(True) >= 50 and tested.count(False) >= 20
+
+
+def doubled_cycle() -> dict[str, tuple[str, str]]:
+    """A 5-cycle with each edge doubled by a subdivided chain: five 4s, and
+    two chains join each pair of neighbours."""
+    edges = {}
+    for i in range(5):
+        u, v, mid = f"c{i}", f"c{(i + 1) % 5}", f"m{i}"
+        edges.update({f"d{i}": (u, v), f"m{i}a": (u, mid), f"m{i}b": (mid, v)})
+    return edges
+
+
+def cycle_with_triangles() -> dict[str, tuple[str, str]]:
+    """A 5-cycle with a triangle hung on each node: five 4s, and a chain from
+    each branch node back to itself."""
+    edges = {}
+    for i in range(5):
+        u, a, b = f"c{i}", f"a{i}", f"b{i}"
+        edges.update({f"d{i}": (u, f"c{(i + 1) % 5}"),
+                      f"t{i}a": (u, a), f"t{i}b": (a, b), f"t{i}c": (b, u)})
+    return edges
+
+
+def board_dual(name: str) -> IntersectionGraph:
+    return build(load(BOARDS / name)[0])
+
+
+class TestSubdivisionRecognition:
+    """A simple graph that subdivides K5 or K3,3 is read off its chains and
+    never embedded; other graphs with that degree profile are embedded."""
+
+    @pytest.mark.parametrize("g", [
+        board_dual("square.json"),
+        board_dual("pentagram.json"),
+        *(build(subdivided_board(pattern, counts))
+          for pattern, counts, planar in KURATOWSKI_SUBDIVISIONS if not planar),
+        graph_from_edges({**k33_edges(), "x": ("l1", "r2"), "y": ("l2", "l2")}),
+    ], ids=["square", "pentagram", "k5-subdivided", "k33-subdivided", "k33-parallel-loop"])
+    def test_read_off_without_embedding(self, monkeypatch, g):
+        embeds = count_calls(monkeypatch, "_embed_block", planarity)
+        checks = count_calls(monkeypatch, "verify_witness", planarity)
+        res = decide_planarity(g)
+        assert (len(embeds), len(checks)) == (0, 1)
+        monkeypatch.undo()
+        assert res.witness == scan_witness(simple_edges(g))
+
+    @pytest.mark.parametrize("edges", [
+        simple_edges(build(subdivided_board(prism_edges(), {"p1p2": 1, "p1q1": 2, "q2q3": 3}))),
+        doubled_cycle(),
+        cycle_with_triangles(),
+    ], ids=["subdivided-prism", "doubled-5-cycle", "5-cycle-with-triangles"])
+    def test_planar_profile_is_embedded(self, monkeypatch, edges):
+        assert planarity._is_subdivision_profile(edges)
+        assert planarity._read_off(adjacency(edges)) is None
+        embeds = count_calls(monkeypatch, "_embed_block", planarity)
+        g = graph_from_edges(edges)
+        res = decide_planarity(g)
+        assert res.is_planar and verify_embedding(g, res.embedding)
+        assert embeds
+
+
+class TestSharedAdjacency:
+    """The dual's sorted adjacency is built once, and no stage changes it."""
+
+    def test_synthesize_leaves_it_as_built(self, monkeypatch):
+        graphs = count_calls(monkeypatch, "test_planarity", planarity)
+        boards = corpus(seed=5, count=30) + corpus(seed=6, count=30, dense=True)
+        verdicts = [synthesize(a).magic for a, _ in boards]
+        assert verdicts.count(True) >= 5 and verdicts.count(False) >= 20
+        parallels = 0
+        for (g,) in graphs:
+            assert "adj" in vars(g)
+            assert g.adj == adjacency(g.endpoints())
+            parallels += len(simple_edges(g)) < len(g.edges)
+        assert parallels >= 20
+
+    def test_planarity_with_loops_leaves_it_as_built(self):
+        rng = random.Random(20260808)
+        loops = 0
+        for _ in range(300):
+            g = random_multigraph(rng)
+            decide_planarity(g)
+            assert g.adj == adjacency(g.endpoints())
+            loops += any(u == v for _, u, v in g.edges)
+        assert loops >= 50
+
+    def test_planar_synthesize_of_one_simple_block_sorts_it_once(self, monkeypatch):
+        board = board_from_graph(grid_edges(6))
+        calls = count_calls(monkeypatch, "adjacency", intersection)
+        assert not synthesize(board).magic
+        assert len(calls) == 1
 
 
 class TestSelfChecksUnderOptimize:
