@@ -283,7 +283,7 @@ def _read_strategy(payload, path, board, signing, literal):
         words = payload["operators"]
         if not isinstance(words, dict):
             bad("operators must be an object")
-        ops = {}
+        ops, vertices = {}, set(board.vertices)
         for v, word in words.items():
             if not isinstance(word, str):
                 bad(f"operators[{v!r}] must be a string")
@@ -293,6 +293,8 @@ def _read_strategy(payload, path, board, signing, literal):
                 bad(f"operators[{v!r}]: {err}")
             if ops[v].n_qubits != n:
                 bad(f"operators[{v!r}] acts on {ops[v].n_qubits} qubits, not n_qubits = {n}")
+            if v not in vertices:
+                bad(f"operators[{v!r}] is not a vertex of the board")
         realization = QuantumRealization.from_dict(n, ops)
         try:
             verified = verify_realization(board, signing, realization)
@@ -307,6 +309,10 @@ def _read_strategy(payload, path, board, signing, literal):
     if not isinstance(lines, dict):
         bad("bob must be an object")
     bob = {e: colors(coloring, f"bob[{e!r}]") for e, coloring in lines.items()}
+    line_ids = set(board.hyperedge_ids())
+    for e in bob:
+        if e not in line_ids:
+            bad(f"bob[{e!r}] is not a line of the board")
     if set(alice) != set(board.vertices):
         raise CommandFailure("strategy must color every board vertex")
     for eid, members in board.hyperedges:

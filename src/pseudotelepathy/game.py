@@ -36,12 +36,11 @@ parity of earlier bits plus a constant.  As Stim samples shots from one symbolic
 iff draw i is at least 1/2 (Alice's is draw 0, Bob's follow in line
 order), Bob's parity holds iff parity(pm & d) = pc and he agrees with Alice
 iff parity(qm & d) = qc.  ``QuantumStrategy`` memoizes a line's queries by
-its member tuple, packed as pm | qm << w | pc << 2w | qc << 2w + 1 with
-w = |e| + 1 and pc without the line's sign.  A round draws what a tableau
-rerun draws, one ``randrange(2|V|)`` and one ``random()`` per measurement,
-all from one ``random.Random(seed)``, so every report equals that of
-round-by-round play (``play_quantum``).  A classical query is one win bit,
-from one product per line.
+its member tuple, as (pm, qm, pc, qc) with pc without the line's sign.  A
+round draws what a tableau rerun draws, one ``randrange(2|V|)`` and one
+``random()`` per measurement, all from one ``random.Random(seed)``, so
+every report equals that of round-by-round play (``play_quantum``).  A
+classical query is one win bit, from one product per line.
 
 The best classical win probability needs no search: it is 1 for an even
 signing and 1 - 1/(2|V|) for an odd one (``classical_value``).  Bob's best
@@ -248,12 +247,12 @@ def play_quantum(a: Arrangement, s: Signing, strategy: QuantumStrategy, query: Q
     return _score(a, s, query, alice_color, coloring)
 
 
-def _compile_line(strategy: QuantumStrategy, members: tuple[str, ...]) -> tuple[int, ...]:
-    """The packed affine forms (module docstring) of the queries of one
-    line, one per member in order, from one symbolic pass each."""
+def _compile_line(strategy: QuantumStrategy,
+                  members: tuple[str, ...]) -> tuple[tuple[int, int, int, int], ...]:
+    """The affine forms (pm, qm, pc, qc) (module docstring) of the queries
+    of one line, one per member in order, from one symbolic pass each."""
     rows = [_rows(strategy, u) for u in members]
-    w = len(members) + 1
-    packed = []
+    queries = []
     for j, (alice, _) in enumerate(rows):
         state = StabilizerState.maximally_entangled(strategy.realization.n_qubits)
         masks = [0] * len(state.stabilizers)
@@ -263,8 +262,8 @@ def _compile_line(strategy: QuantumStrategy, members: tuple[str, ...]) -> tuple[
         for mask, c in forms[1:]:
             pm, pc = pm ^ mask, pc ^ c
         qm, qc = forms[0][0] ^ forms[j + 1][0], forms[0][1] ^ forms[j + 1][1]
-        packed.append(pm | qm << w | pc << 2 * w | qc << 2 * w + 1)
-    return tuple(packed)
+        queries.append((pm, qm, pc, qc))
+    return tuple(queries)
 
 
 def _judge(a, s, query, alice_color, coloring) -> tuple[bool, bool]:
@@ -288,16 +287,16 @@ class QuantumStrategy:
     literal: bool = False
 
     @cached_property
-    def _lines(self) -> dict[tuple[str, ...], tuple[int, ...]]:
+    def _lines(self) -> dict[tuple[str, ...], tuple[tuple[int, int, int, int], ...]]:
         # filled by compiled_line; a line's forms depend only on its members
         return {}
 
-    def compiled_line(self, members: tuple[str, ...]) -> tuple[int, ...]:
+    def compiled_line(self, members: tuple[str, ...]) -> tuple[tuple[int, int, int, int], ...]:
         """``_compile_line`` of a line's member tuple, memoized."""
-        packed = self._lines.get(members)
-        if packed is None:
-            packed = self._lines[members] = _compile_line(self, members)
-        return packed
+        queries = self._lines.get(members)
+        if queries is None:
+            queries = self._lines[members] = _compile_line(self, members)
+        return queries
 
 
 @dataclass(frozen=True)
@@ -487,11 +486,8 @@ def _signed_query(strategy: QuantumStrategy, a: Arrangement, s: Signing, k: int)
     pc: the draws' bits, pm, qm, pc and qc."""
     v, e = _query_of(a, k)
     members = a.members(e)
-    packed = strategy.compiled_line(members)[members.index(v)]
-    w = len(members) + 1
-    low = (1 << w) - 1
-    return (_draw_bits(w), packed & low, packed >> w & low,
-            (packed >> 2 * w & 1) ^ (s.sign(e) == -1), packed >> 2 * w + 1)
+    pm, qm, pc, qc = strategy.compiled_line(members)[members.index(v)]
+    return _draw_bits(len(members) + 1), pm, qm, pc ^ (s.sign(e) == -1), qc
 
 
 def monte_carlo(strategy, a: Arrangement, s: Signing, trials: int,

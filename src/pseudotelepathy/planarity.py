@@ -35,10 +35,10 @@ split face's length; the last two are what is left superlinear.
 
 Witness extraction keeps the edge-minimal nonplanar subgraph that deleting
 edges in sorted order would leave, found by galloping and bisection over
-suffixes of that order in O(k log m) planarity tests for a k-edge witness
-(none when the graph already has the degree profile of a subdivision).
-A test embeds only the blocks that may be nonplanar, those with at least 9
-edges and 5 nodes of degree >= 3, and stops at the first that fails.  Each
+suffixes of that order in O(k log m) planarity tests for a k-edge witness;
+the search stops when ``_read_off`` recognises the kept graph.  A test
+embeds only the blocks that may be nonplanar, those with at least 9 edges
+and 5 nodes of degree >= 3, and stops at the first that fails.  Each
 kept edge then shrinks the rest of the order to the block its test failed
 on: that test's graph has no other nonplanar block, and every later graph
 of the scan is a subgraph of it, so every edge outside that block is one
@@ -49,16 +49,20 @@ degree-2 chains.
 
 Parallel edges and self-loops never affect planarity, so they are stripped
 before the search and spliced back into the returned rotation afterwards
-(each insertion adds one edge and one face, preserving Euler's count).  The
-simple graph's adjacency is the graph's cached ``IntersectionGraph.adj``,
-less the stripped edges, and a graph of one block embeds on it directly.
+(each insertion adds one edge and one face, preserving Euler's count).  Both
+are read off the graph's cached, sorted ``IntersectionGraph.adj``, where a
+parallel class is a run of one neighbour and a node's loops are a run of the
+node itself: the simple graph keeps the first edge of each class, and a
+graph of one block embeds on that adjacency directly.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from itertools import chain, groupby
+from operator import itemgetter
 
 from pseudotelepathy.intersection import (
     IntersectionGraph,
@@ -69,8 +73,6 @@ from pseudotelepathy.intersection import (
 
 K5 = "K5"
 K33 = "K33"
-# the sorted branch degrees of a K5 and of a K3,3 subdivision
-_BRANCH_DEGREES = ([4] * 5, [3] * 6)
 
 
 @dataclass(frozen=True)
@@ -193,41 +195,31 @@ def verify_witness(g: IntersectionGraph, w: KuratowskiWitness) -> bool:
 def test_planarity(g: IntersectionGraph) -> PlanarityResult:
     """Decide planarity of a connected multigraph, with a certified outcome.
 
-    Loops and parallels are stripped.  A simple graph that is a K5 or K3,3
-    subdivision, recognised by walking its degree-2 chains, is returned as
-    its own witness; any other is embedded block by block, and a block that
-    fails to embed sends the graph to the witness search.  The witness or
+    Loops and parallels are stripped, keeping the first edge of each
+    parallel class.  A simple graph that is a K5 or K3,3 subdivision,
+    recognised by walking its degree-2 chains, is returned as its own
+    witness; any other is embedded block by block, and a block that fails
+    to embed sends the graph to the witness search.  The witness or
     the embedding is checked by its verifier before it is returned.
     """
     if not g.nodes:
         raise ValueError("graph has no nodes")
     if len(g.tree) != len(g.nodes):
         raise ValueError("graph must be connected")
-    endpoints = g.endpoints()
-    if not g.edges:  # a single bare node; connectivity rules out more
-        return PlanarityResult(
-            embedding=RotationSystem.from_dict({g.nodes[0]: []}), witness=None)
 
-    loops = sorted(eid for eid, (u, v) in endpoints.items() if u == v)
-    groups: dict[tuple[str, str], list[str]] = {}
-    for eid, (u, v) in sorted(endpoints.items()):
-        if u != v:
-            groups.setdefault((min(u, v), max(u, v)), []).append(eid)
-    simple_edges = {ids[0]: pair for pair, ids in groups.items()}
-    adj = g.adj
-    if len(simple_edges) < len(endpoints):  # filtering keeps each list sorted
-        adj = {}
-        for node, entries in g.adj.items():
-            kept = [entry for entry in entries if entry[1] in simple_edges]
-            if kept:
-                adj[node] = kept
+    adj: dict[str, list[tuple[str, str]]] = {}
+    for node, entries in g.adj.items():  # each run's first entry, loops dropped
+        kept = [next(run) for other, run in groupby(entries, itemgetter(0)) if other != node]
+        if kept:
+            adj[node] = entries if len(kept) == len(entries) else kept
 
     witness = _read_off(adj)
     if witness is None:
+        simple_edges = {eid: (node, other) for node, entries in adj.items()
+                        for other, eid in entries if node < other}
         block_faces = _embed_simple_graph(simple_edges, adj)
         if block_faces is not None:
-            rotation = _rotation_from_faces(g, block_faces, simple_edges, groups, loops,
-                                            endpoints)
+            rotation = _rotation_from_faces(g, block_faces)
             if not verify_embedding(g, rotation):
                 raise AssertionError("internal error: embedding failed Euler check")
             return PlanarityResult(embedding=rotation, witness=None)
@@ -294,7 +286,6 @@ def _find_cycle(adj: dict[str, list[tuple[str, str]]]) -> tuple[list[str], list[
     trail: list[str] = [start]
     while stack:
         node, it = stack[-1]
-        advanced = False
         for other, eid in it:
             if eid == parent_edge[node]:
                 continue
@@ -307,9 +298,8 @@ def _find_cycle(adj: dict[str, list[tuple[str, str]]]) -> tuple[list[str], list[
             visited.add(other)
             trail.append(other)
             stack.append((other, iter(adj[other])))
-            advanced = True
             break
-        if not advanced:
+        else:
             stack.pop()
             trail.pop()
     raise AssertionError("biconnected block with >= 3 edges must contain a cycle")
@@ -596,13 +586,15 @@ def _embed_simple_graph(edges: dict[str, tuple[str, str]],
     return block_faces
 
 
-def _rotation_from_faces(g, block_faces, simple_edges, groups, loops, endpoints):
+def _rotation_from_faces(g, block_faces):
     """Assemble the full-multigraph rotation from per-block faces.
 
     Block rotations are recovered from face successor maps, concatenated at
-    cut vertices, and then stripped parallels and loops are reinserted next
-    to their anchors, each adding one bigon or loop face.
+    cut vertices, and then stripped parallels and loops are reinserted, each
+    adding one bigon or loop face: a parallel class's other edges next to
+    its first, a node's loops after its other darts in id order.
     """
+    endpoints = g.endpoints()
     rotation: dict[str, list[tuple[str, int]]] = {n: [] for n in g.nodes}
 
     def dart(eid: str, node: str) -> tuple[str, int]:
@@ -631,57 +623,27 @@ def _rotation_from_faces(g, block_faces, simple_edges, groups, loops, endpoints)
                 raise AssertionError("face successor map is not a single rotation cycle")
             rotation[node].extend(cycle)
 
-    for pair, ids in sorted(groups.items()):
-        rep, extras = ids[0], ids[1:]
-        for node in set(pair):
-            darts = rotation[node]
-            anchor = darts.index(dart(rep, node))
-            if node == endpoints[rep][0]:
-                for k, eid in enumerate(extras):
-                    darts.insert(anchor + 1 + k, dart(eid, node))
-            else:
-                # reversed relative to the other end so each adjacent
-                # pair of copies bounds a bigon
-                for eid in extras:
-                    darts.insert(anchor, dart(eid, node))
-
-    for eid in loops:
-        node = endpoints[eid][0]
-        rotation[node].extend([(eid, 0), (eid, 1)])
+    for node, entries in g.adj.items():
+        darts = rotation[node]
+        for other, run in groupby(entries, itemgetter(0)):
+            ids = [eid for _, eid in run]
+            if other == node:  # loops, each listed once per end
+                darts += [(eid, end) for eid in ids[::2] for end in (0, 1)]
+            elif len(ids) > 1:
+                anchor = darts.index(dart(ids[0], node))
+                inserted = [dart(eid, node) for eid in ids[1:]]
+                if node == endpoints[ids[0]][0]:
+                    darts[anchor + 1:anchor + 1] = inserted
+                else:
+                    # reversed relative to the other end so each adjacent
+                    # pair of copies bounds a bigon
+                    darts[anchor:anchor] = inserted[::-1]
 
     return RotationSystem.from_dict(rotation)
 
 
 # ---------------------------------------------------------------------------
 # Kuratowski witness extraction.
-
-
-def _extract_witness(simple_edges: dict[str, tuple[str, str]]) -> KuratowskiWitness:
-    """Kuratowski subdivision inside a connected nonplanar simple graph."""
-    witness = _read_off(adjacency(_minimal_nonplanar(simple_edges)))
-    if witness is None:
-        raise AssertionError("internal error: edge-minimal nonplanar graph is not a "
-                             "K5 or K3,3 subdivision")
-    return witness
-
-
-def _degrees(edges: dict[str, tuple[str, str]]) -> dict[str, int]:
-    degree: dict[str, int] = {}
-    for u, v in edges.values():
-        degree[u] = degree.get(u, 0) + 1
-        degree[v] = degree.get(v, 0) + 1
-    return degree
-
-
-def _is_subdivision_profile(edges: dict[str, tuple[str, str]]) -> bool:
-    """All degrees 2 except five 4s or six 3s.
-
-    A connected nonplanar graph with this profile is already a K5 or K3,3
-    subdivision: smoothing its degree-2 chains leaves 10 or 9 edges on 5 or
-    6 nodes, and a loop or parallel among them would leave a simple graph of
-    at most 9 or 8 edges, which is planar, as is the cubic prism.
-    """
-    return sorted(d for d in _degrees(edges).values() if d != 2) in _BRANCH_DEGREES
 
 
 def _may_be_nonplanar(block: dict[str, tuple[str, str]]) -> bool:
@@ -692,7 +654,10 @@ def _may_be_nonplanar(block: dict[str, tuple[str, str]]) -> bool:
     multigraph on at most 4 branch nodes (a single edge or a cycle to none),
     whose simple part lies in K4.
     """
-    return len(block) >= 9 and sum(d >= 3 for d in _degrees(block).values()) >= 5
+    if len(block) < 9:
+        return False
+    degree = Counter(chain.from_iterable(block.values()))
+    return sum(d >= 3 for d in degree.values()) >= 5
 
 
 def _nonplanar_block(edges: dict[str, tuple[str, str]]) -> dict[str, tuple[str, str]] | None:
@@ -707,9 +672,9 @@ def _nonplanar_block(edges: dict[str, tuple[str, str]]) -> dict[str, tuple[str, 
     return None
 
 
-def _minimal_nonplanar(edges: dict[str, tuple[str, str]]) -> dict[str, tuple[str, str]]:
-    """The edge-minimal nonplanar subgraph of a connected nonplanar simple
-    graph that deleting each edge in sorted order, whenever the rest stays
+def _extract_witness(edges: dict[str, tuple[str, str]]) -> KuratowskiWitness:
+    """The Kuratowski subdivision that deleting each edge of a connected
+    nonplanar simple graph in sorted order, whenever the rest stays
     nonplanar, would leave.
 
     Invariant: ``kept`` plus ``order`` is nonplanar.  Nonplanarity is
@@ -733,8 +698,8 @@ def _minimal_nonplanar(edges: dict[str, tuple[str, str]]) -> dict[str, tuple[str
     edge outside it is therefore deleted by the scan whatever comes before
     it, and dropping it changes none of the scan's other answers.  From the
     second round on, ``kept + order`` is that block; so, like the connected
-    input, it has the degree profile of a subdivision only when it is a K5
-    or K3,3 subdivision, which the scan keeps whole.
+    input, ``_read_off`` recognises it only when it is a K5 or K3,3
+    subdivision, which the scan keeps whole.
     """
     order = sorted(edges)
     kept: dict[str, tuple[str, str]] = {}
@@ -751,7 +716,10 @@ def _minimal_nonplanar(edges: dict[str, tuple[str, str]]) -> dict[str, tuple[str
         return _nonplanar_block(suffix(j))
 
     core = rest = suffix(0)  # holds every Kuratowski subdivision still left
-    while not _is_subdivision_profile(rest):
+    while (witness := _read_off(adjacency(rest))) is None:
+        if not order:
+            raise AssertionError("internal error: edge-minimal nonplanar graph is not a "
+                                 "K5 or K3,3 subdivision")
         good, bad = 0, len(order) + 1
         found = nonplanar_core(1)
         if found is None:
@@ -773,12 +741,11 @@ def _minimal_nonplanar(edges: dict[str, tuple[str, str]]) -> dict[str, tuple[str
                 bad = mid
             else:
                 good, core = mid, found
-        if good == len(order):
-            return kept
-        kept[order[good]] = edges[order[good]]
+        if good < len(order):  # else ``kept`` alone is nonplanar
+            kept[order[good]] = edges[order[good]]
         order = [eid for eid in order[good + 1:] if eid in core]
         rest = suffix(0)
-    return rest
+    return witness
 
 
 def _read_off(adj: dict[str, list[tuple[str, str]]]) -> KuratowskiWitness | None:
@@ -791,11 +758,15 @@ def _read_off(adj: dict[str, list[tuple[str, str]]]) -> KuratowskiWitness | None
     pairwise, a K5.  Six have a simple cubic quotient: K3,3 when every chain
     crosses between the smallest branch vertex with the two it misses and
     the other three, and the prism otherwise.
+
+    A connected nonplanar graph with this profile is therefore always
+    recognised: smoothing its degree-2 chains leaves 10 or 9 edges on 5 or
+    6 nodes, and a loop or parallel among them would leave a simple graph
+    of at most 9 or 8 edges, which is planar, as is the prism.
     """
     branch = [n for n, entries in adj.items() if len(entries) != 2]
-    if len(branch) not in (5, 6):
-        return None
-    if sorted(len(adj[b]) for b in branch) not in _BRANCH_DEGREES:
+    # the sorted branch degrees of a K5 and of a K3,3 subdivision
+    if sorted(len(adj[b]) for b in branch) not in ([4] * 5, [3] * 6):
         return None
     branch.sort()
 

@@ -16,7 +16,7 @@ import itertools
 import math
 import random
 import warnings
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -304,6 +304,66 @@ def simple_edges(g: IntersectionGraph) -> dict[str, tuple[str, str]]:
             seen.add(pair)
             out[eid] = (u, v)
     return out
+
+
+def has_subdivision_profile(edges: dict[str, tuple[str, str]]) -> bool:
+    """All degrees 2 except five 4s or six 3s, the degrees of a K5 or K3,3
+    subdivision."""
+    degree = Counter(itertools.chain.from_iterable(edges.values()))
+    return sorted(d for d in degree.values() if d != 2) in ([4] * 5, [3] * 6)
+
+
+def reference_rotation_from_faces(g: IntersectionGraph, block_faces) -> RotationSystem:
+    """The multigraph rotation from per-block faces, with the parallels and
+    loops grouped from the edge list; the oracle for
+    ``planarity._rotation_from_faces``, which reads them off ``g.adj``.
+
+    Each parallel class, keyed by its sorted pair of ends, is embedded by
+    its smallest edge id, and the rest of the class is inserted after that
+    edge's dart at its first end and reversed before it at the other.
+    Loops are appended at their node in id order.
+    """
+    endpoints = g.endpoints()
+    loops = sorted(eid for eid, (u, v) in endpoints.items() if u == v)
+    groups: dict[tuple[str, str], list[str]] = {}
+    for eid, (u, v) in sorted(endpoints.items()):
+        if u != v:
+            groups.setdefault((min(u, v), max(u, v)), []).append(eid)
+    rotation: dict[str, list[tuple[str, int]]] = {n: [] for n in g.nodes}
+
+    def dart(eid: str, node: str) -> tuple[str, int]:
+        return (eid, 0) if endpoints[eid][0] == node else (eid, 1)
+
+    for block, faces in sorted(block_faces, key=lambda bf: min(bf[0])):
+        succ: dict[str, dict[tuple[str, int], tuple[str, int]]] = {}
+        pair_edge = {}
+        for eid, (u, v) in block.items():
+            pair_edge[u, v] = pair_edge[v, u] = eid
+        for face in faces:
+            for i in range(len(face)):
+                u, v, w = (face[(i + k) % len(face)] for k in range(3))
+                succ.setdefault(v, {})[dart(pair_edge[u, v], v)] = dart(pair_edge[v, w], v)
+        for node, table in succ.items():
+            cycle = [min(table)]
+            while table[cycle[-1]] != cycle[0]:
+                cycle.append(table[cycle[-1]])
+            rotation[node].extend(cycle)
+
+    for pair, ids in sorted(groups.items()):
+        rep, extras = ids[0], ids[1:]
+        for node in set(pair):
+            darts = rotation[node]
+            anchor = darts.index(dart(rep, node))
+            if node == endpoints[rep][0]:
+                for k, eid in enumerate(extras):
+                    darts.insert(anchor + 1 + k, dart(eid, node))
+            else:
+                for eid in extras:
+                    darts.insert(anchor, dart(eid, node))
+
+    for eid in loops:
+        rotation[endpoints[eid][0]].extend([(eid, 0), (eid, 1)])
+    return RotationSystem.from_dict(rotation)
 
 
 def deletion_scan(edges: dict[str, tuple[str, str]]) -> dict[str, tuple[str, str]]:

@@ -435,6 +435,33 @@ class TestBadArguments:
             assert code == 1 and out == ""
             assert err.count("\n") == 1 and named in err and str(path) in err
 
+    @pytest.mark.parametrize("kind, named", [
+        ("quantum", "operators['ghost'] is not a vertex of the board"),
+        ("classical", "bob['nope'] is not a line of the board"),
+    ])
+    def test_strategy_file_with_an_id_off_the_board(self, capsys, tmp_path, kind, named):
+        """A strategy that covers the board but names one more vertex or
+        line is refused, naming that id."""
+        if kind == "quantum":
+            code, out, _ = invoke(capsys, "synthesize", "--arrangement",
+                                  str(BOARDS / "square.json"))
+            strategy = json.loads(out)["realization"]
+            strategy["operators"]["ghost"] = "+XX"
+        else:
+            board = json.loads((BOARDS / "square.json").read_text())
+            strategy = {"alice": {v: 1 for v in board["vertices"]},
+                        "bob": {line["id"]: {v: 1 for v in line["vertices"]}
+                                for line in board["hyperedges"]}}
+            strategy["bob"]["nope"] = {"11": 1}
+        path = tmp_path / "strategy.json"
+        path.write_text(json.dumps(strategy))
+        for extra in ((), ("--exact",)):
+            code, out, err = invoke(capsys, "simulate", "--arrangement",
+                                    str(BOARDS / "square.json"), "--strategy", str(path),
+                                    *extra)
+            assert code == 1 and out == ""
+            assert err.count("\n") == 1 and named in err and str(path) in err
+
     @pytest.mark.parametrize("command", ["validate", "decide"])
     @pytest.mark.parametrize("raw, named", ILL_TYPED_BOARDS)
     def test_ill_typed_board(self, capsys, tmp_path, command, raw, named):

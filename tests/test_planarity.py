@@ -17,6 +17,7 @@ from helpers import (
     deletion_scan,
     graph_from_edges,
     grid_edges,
+    has_subdivision_profile,
     is_planar_simple,
     k33_edges,
     new_bridges,
@@ -24,6 +25,7 @@ from helpers import (
     prism_edges,
     random_dual_edges,
     random_multigraph,
+    reference_rotation_from_faces,
     rescan_embed_block,
     simple_edges,
     subdivided_board,
@@ -443,7 +445,7 @@ class TestWitnessSearch:
     ])
     def test_subdivision_needs_no_planarity_test(self, planarity_tests, pattern, counts):
         edges = simple_edges(build(subdivided_board(pattern, counts)))
-        assert planarity._is_subdivision_profile(edges)
+        assert planarity._read_off(adjacency(edges)) is not None
         witness = planarity._extract_witness(edges)
         assert planarity_tests == []
         assert witness == scan_witness(edges)
@@ -451,7 +453,7 @@ class TestWitnessSearch:
 
     def test_k33_with_chord_searches(self, planarity_tests):
         edges = {**k33_edges(), "chord": ("l1", "l2")}
-        assert not planarity._is_subdivision_profile(edges)
+        assert not has_subdivision_profile(edges)
         witness = planarity._extract_witness(edges)
         assert planarity_tests
         assert witness == scan_witness(edges)
@@ -575,7 +577,7 @@ class TestSubdivisionRecognition:
         cycle_with_triangles(),
     ], ids=["subdivided-prism", "doubled-5-cycle", "5-cycle-with-triangles"])
     def test_planar_profile_is_embedded(self, monkeypatch, edges):
-        assert planarity._is_subdivision_profile(edges)
+        assert has_subdivision_profile(edges)
         assert planarity._read_off(adjacency(edges)) is None
         embeds = count_calls(monkeypatch, "_embed_block", planarity)
         g = graph_from_edges(edges)
@@ -616,17 +618,40 @@ class TestSharedAdjacency:
         assert len(calls) == 1
 
 
+class TestSplice:
+    """Parallels and loops are read back off the sorted adjacency where the
+    edge-list grouping would put them."""
+
+    def test_matches_reference_on_fuzz_corpus(self, monkeypatch):
+        spliced = count_calls(monkeypatch, "_rotation_from_faces", planarity)
+        rng = random.Random(20261019)
+        for _ in range(600):
+            decide_planarity(random_multigraph(rng))
+        monkeypatch.undo()
+        loops = parallels = cut_vertices = 0
+        for g, block_faces in spliced:
+            assert (planarity._rotation_from_faces(g, block_faces)
+                    == reference_rotation_from_faces(g, block_faces))
+            n_loops = sum(u == v for _, u, v in g.edges)
+            loops += n_loops > 0
+            parallels += len(simple_edges(g)) < len(g.edges) - n_loops
+            cut_vertices += len(block_faces) > 1
+        assert loops >= 100 and parallels >= 100 and cut_vertices >= 100
+
+
 class TestSelfChecksUnderOptimize:
-    @pytest.mark.parametrize("verifier, n, message", [
+    @pytest.mark.parametrize("stubbed, n, message", [
         ("verify_witness", 5, "witness failed its verifier"),
         ("verify_embedding", 4, "embedding failed Euler check"),
+        ("_read_off", 5, "edge-minimal nonplanar graph is not a K5 or K3,3 subdivision"),
     ])
-    def test_failed_self_check_raises_under_python_O(self, verifier, n, message):
-        """The internal self-checks are real checks, not asserts stripped by -O."""
+    def test_failed_self_check_raises_under_python_O(self, stubbed, n, message):
+        """The internal self-checks are real checks, not asserts stripped by
+        -O, and a recogniser that never recognises ends the witness search."""
         script = (
             "from helpers import complete_graph_edges, graph_from_edges\n"
             "from pseudotelepathy import planarity\n"
-            f"planarity.{verifier} = lambda g, x: False\n"
+            f"planarity.{stubbed} = lambda *args: None\n"
             f"planarity.test_planarity(graph_from_edges(complete_graph_edges({n})))\n"
         )
         paths = [Path(pseudotelepathy.__file__).parents[1], Path(__file__).parent]
