@@ -3,8 +3,10 @@
 Subcommands: validate | decide | synthesize | certify | simulate |
 export-dot | gen.  Exit codes: 0 success, 1 invalid input, 2 a certificate
 or self-check failed (the latter indicating a bug, since every emitted
-artifact is verified once before printing).  All randomness flows through one
-seed, defaulting to DEFAULT_SEED for reproducible output.
+artifact is verified once before printing).  Each failure is worded, and
+its exit code picked, where it is caught; ``run`` prints the one line.  All
+randomness flows through one seed, defaulting to DEFAULT_SEED for
+reproducible output.
 """
 
 from __future__ import annotations
@@ -40,35 +42,14 @@ from pseudotelepathy.realization import (
 DEFAULT_SEED = 1729
 
 
-class SelfCheckFailure(RuntimeError):
-    pass
-
-
 class CommandFailure(Exception):
-    """A run that cannot go on: ``run`` prints its message as the one stderr
-    line and exits 1."""
+    """A run that cannot go on: ``run`` prints ``message`` as the one stderr
+    line and exits with ``code``, which the raise site picks: 1 for bad
+    input, 2 for a rejected certificate or a failed self-check."""
 
-
-class InputFileError(Exception):
-    """An input file that could not be used: ``what`` it should hold and its
-    ``path``.  The error that stopped it is chained as ``__cause__``, and
-    ``run`` turns the pair into the exit code and the stderr line."""
-
-    def __init__(self, what: str, path: str):
-        super().__init__(what, path)
-        self.what, self.path = what, path
-
-
-def _load_board(path):
-    try:
-        return arr.load(path)
-    except (OSError, ValueError, RecursionError) as err:
-        raise InputFileError("arrangement", path) from err
-
-
-def _fail(message: str) -> int:
-    print(message, file=sys.stderr)
-    return 1
+    def __init__(self, message: str, code: int = 1):
+        super().__init__(message)
+        self.code = code
 
 
 def _load_json(path, what):
@@ -76,7 +57,15 @@ def _load_json(path, what):
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, ValueError, RecursionError) as err:
-        raise InputFileError(what, path) from err
+        raise CommandFailure(f"cannot read {what} {path}: {err}") from err
+
+
+def _load_board(path):
+    try:
+        return arr.validate(_load_json(path, "arrangement"))
+    except arr.ArrangementError as err:
+        raise CommandFailure(
+            f"invalid arrangement {path}: {type(err).__name__}: {err}") from err
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -174,16 +163,16 @@ def _self_check(board, verdict) -> None:
     """
     if verdict.magic:
         if arr.parity(verdict.signing) != -1:
-            raise SelfCheckFailure("synthesized signing is not odd")
+            raise CommandFailure("self-check failed: synthesized signing is not odd", 2)
         return
     _check_certificate(build(board), verdict.embedding, verdict.signing, verdict.certificate)
     if not arr.check_realization(board, verdict.signing, verdict.classical):
-        raise SelfCheckFailure("classical realization failed the product check")
+        raise CommandFailure("self-check failed: classical realization failed the product check", 2)
 
 
 def _check_certificate(graph, embedding, signing, trace) -> None:
     if check_trace(graph, embedding, signing.as_dict(), trace) != arr.parity(signing):
-        raise SelfCheckFailure("certificate final sign disagrees with parity")
+        raise CommandFailure("self-check failed: certificate final sign disagrees with parity", 2)
 
 
 def cmd_decide(args) -> int:
@@ -211,7 +200,7 @@ def cmd_certify(args) -> int:
         try:
             trace, embedding, signs = read_payload(_load_json(args.check, "certificate"))
         except MalformedCertificate as err:
-            raise InputFileError("certificate", args.check) from err
+            raise CommandFailure(f"malformed certificate {args.check}: {err}", 2) from err
         print(check_trace(graph, embedding, signs, trace))
         return 0
     verdict = synthesize(board)
@@ -248,7 +237,7 @@ def _strategy_for(args, board, signing):
             realization = resign_realization(board, verdict.signing, signing,
                                              verdict.realization)
         if not verify_realization(board, signing, realization):
-            raise SelfCheckFailure("strategy realization failed verification")
+            raise CommandFailure("self-check failed: strategy realization failed verification", 2)
         return game.QuantumStrategy(realization, literal=args.literal_measurements)
     if args.strategy == "classical":
         return game.ClassicalStrategy.optimal(board, signing)
@@ -366,7 +355,10 @@ def cmd_gen(args) -> int:
         raise CommandFailure(f"--extra-vertices must be at least 0, got {args.extra_vertices}")
     rng = random.Random(args.seed)
     raw = random_board(rng, args.hyperedges, args.extra_vertices, signed=args.signed)
-    arr.validate(raw)  # self-check before emitting
+    try:
+        arr.validate(raw)  # self-check before emitting
+    except arr.ArrangementError as err:
+        raise CommandFailure(f"self-check failed: generated board is invalid: {err}", 2) from err
     _emit(_json_text(raw), args.output)
     return 0
 
@@ -453,11 +445,9 @@ def _dispatch(argv) -> int:
         return args.func(args)
     except SystemExit as err:  # --help
         return err.code if isinstance(err.code, int) else 1
-    except (CommandFailure, arr.ArrangementError) as err:
-        return _fail(str(err))
-    except SelfCheckFailure as err:
-        print(f"self-check failed: {err}", file=sys.stderr)
-        return 2
+    except CommandFailure as err:
+        print(err, file=sys.stderr)
+        return err.code
     except AssertionError as err:  # a library self-check: a bug, not bad input
         print(f"self-check failed: {_stage(err)}: "
               f"{str(err).removeprefix('internal error: ')}", file=sys.stderr)
@@ -465,8 +455,6 @@ def _dispatch(argv) -> int:
     except IllegalStep as err:
         print(f"certificate rejected at step {err.index}: {err.reason}", file=sys.stderr)
         return 2
-    except InputFileError as err:
-        return _input_failure(err)
 
 
 def _stage(err: BaseException) -> str:
@@ -475,18 +463,6 @@ def _stage(err: BaseException) -> str:
     while tb.tb_next is not None:
         tb = tb.tb_next
     return tb.tb_frame.f_code.co_name
-
-
-def _input_failure(err: InputFileError) -> int:
-    """The stderr line and exit code of an input file that could not be used:
-    2 for a malformed certificate, 1 for anything else."""
-    cause = err.__cause__
-    if isinstance(cause, MalformedCertificate):
-        print(f"malformed {err.what} {err.path}: {cause}", file=sys.stderr)
-        return 2
-    if isinstance(cause, arr.ArrangementError):
-        return _fail(f"invalid {err.what} {err.path}: {type(cause).__name__}: {cause}")
-    return _fail(f"cannot read {err.what} {err.path}: {cause}")
 
 
 def main() -> None:

@@ -266,19 +266,21 @@ def _compile_line(strategy: QuantumStrategy,
     return tuple(queries)
 
 
-def _judge(a, s, query, alice_color, coloring) -> tuple[bool, bool]:
-    """The referee's two checks: Bob's colors multiply to the line's sign,
-    and Bob agrees with Alice at the shared vertex."""
+def _parity_ok(coloring, members, sign) -> bool:
+    """The referee's parity check: Bob's colors of a line's members multiply
+    to the line's sign."""
     prod = 1
-    for u in a.members(query.hyperedge):
+    for u in members:
         prod *= coloring[u]
-    return prod == s.sign(query.hyperedge), coloring[query.vertex] == alice_color
+    return prod == sign
 
 
 def _score(a, s, query, alice_color, coloring) -> Transcript:
-    parity_ok, consistency_ok = _judge(a, s, query, alice_color, coloring)
+    """The referee's two checks: the line's parity, and Bob agreeing with
+    Alice at the shared vertex."""
     return Transcript(query, alice_color, tuple(sorted(coloring.items())),
-                      parity_ok, consistency_ok)
+                      _parity_ok(coloring, a.members(query.hyperedge), s.sign(query.hyperedge)),
+                      coloring[query.vertex] == alice_color)
 
 
 @dataclass(frozen=True)
@@ -327,10 +329,7 @@ class ClassicalStrategy:
         bob = {}
         for eid, members in a.hyperedges:
             coloring = {v: alice[v] for v in members}
-            prod = 1
-            for v in members:
-                prod *= coloring[v]
-            if prod != s.sign(eid):
+            if not _parity_ok(coloring, members, s.sign(eid)):
                 coloring[members[-1]] = -coloring[members[-1]]
             bob[eid] = coloring
         return cls.from_maps(alice, bob)
@@ -376,12 +375,9 @@ def classical_value(a: Arrangement, s: Signing) -> Fraction:
 def _classical_line_wins(strategy: ClassicalStrategy, s: Signing, hyperedge: str,
                          members: tuple[str, ...]) -> list[bool]:
     """The win bit of each query on one line, in member order: the referee's
-    two checks (``_judge``), with Bob's product formed once for the line."""
+    two checks (``_score``), with Bob's product formed once for the line."""
     coloring = strategy._bob_map[hyperedge]
-    prod = 1
-    for u in members:
-        prod *= coloring[u]
-    if prod != s.sign(hyperedge):
+    if not _parity_ok(coloring, members, s.sign(hyperedge)):
         return [False] * len(members)
     return [coloring[v] == strategy._alice_map[v] for v in members]
 

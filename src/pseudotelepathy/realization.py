@@ -106,12 +106,15 @@ def verify_realization(a: Arrangement, s: Signing, r: QuantumRealization) -> boo
     attributed to the right axiom (with commuting members, the stored member
     order cannot change the product).  Both are integer arithmetic on the
     operators' Pauli rows; a line holds iff its product is +I (phase
-    exponent 0) for sign +1 and -I (exponent 2) for sign -1.
+    exponent 0) for sign +1 and -I (exponent 2) for sign -1.  Raises
+    :class:`CoverageError` when r misses a vertex or names an id that is not one.
     """
     ops = r.as_dict()
-    missing = set(a.vertices) - set(ops)
+    missing, extra = set(a.vertices) - set(ops), set(ops) - set(a.vertices)
     if missing:
         raise CoverageError(f"no operator for vertices {sorted(missing)}")
+    if extra:
+        raise CoverageError(f"operators for ids that are not vertices {sorted(extra)}")
     for v, op in ops.items():
         if op.n_qubits != r.n_qubits or not op.is_observable():
             return False

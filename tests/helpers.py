@@ -840,9 +840,11 @@ def oracle_verify_realization(a: Arrangement, s: Signing, r: QuantumRealization)
     of one width, commuting lines, and each line's product compared as a
     complex phase with its sign."""
     ops = r.as_dict()
-    missing = set(a.vertices) - set(ops)
+    missing, extra = set(a.vertices) - set(ops), set(ops) - set(a.vertices)
     if missing:
         raise CoverageError(f"no operator for vertices {sorted(missing)}")
+    if extra:
+        raise CoverageError(f"operators for ids that are not vertices {sorted(extra)}")
     for op in ops.values():
         if op.n_qubits != r.n_qubits or not op.is_observable():
             return False

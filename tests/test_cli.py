@@ -940,6 +940,26 @@ class TestLibrarySelfCheckFailures:
         code, out, err = invoke(capsys, command, "--arrangement", str(BOARDS / board))
         assert (code, out, err) == (2, "", f"self-check failed: {line}\n")
 
+    @pytest.mark.parametrize("argv, module, name, fake, line", [
+        (("decide", "--arrangement", str(BOARDS / "square.json")), arrangement, "parity",
+         lambda *args: 1, "synthesized signing is not odd"),
+        (("decide", "--arrangement", str(BOARDS / "triangle.json")), arrangement,
+         "check_realization", lambda *args: False,
+         "classical realization failed the product check"),
+        (("decide", "--arrangement", str(BOARDS / "triangle.json")), cli, "check_trace",
+         lambda *args: 0, "certificate final sign disagrees with parity"),
+        (("simulate", "--arrangement", str(BOARDS / "square.json"), "--exact"), cli,
+         "verify_realization", lambda *args: False, "strategy realization failed verification"),
+        (("gen", "--hyperedges", "3"), cli, "random_board",
+         lambda *args, **kwargs: {"vertices": ["a"],
+                                  "hyperedges": [{"id": "e", "vertices": ["a"]}]},
+         "generated board is invalid: vertex 'a' lies in 1 hyperedges, expected 2"),
+    ], ids=["signing", "classical", "certificate", "strategy", "gen"])
+    def test_cli_self_check(self, capsys, monkeypatch, argv, module, name, fake, line):
+        """The checks the command line makes itself fail the same way."""
+        monkeypatch.setattr(module, name, fake)
+        assert invoke(capsys, *argv) == (2, "", f"self-check failed: {line}\n")
+
 
 SPECIAL_STRINGS = ["", "\"", "\\", "a\"b\\c", "\x00\x1f\x7f", "\n\r\t\b\f",
                    "\u00e9t\u00e9", "\u2028\u2029", "\U0001f600", "\ud800", "</script>"]

@@ -72,6 +72,13 @@ class TestVerifyRealization:
         with pytest.raises(CoverageError):
             verify_realization(a, s, QuantumRealization.from_dict(2, ops))
 
+    def test_operator_off_the_board_raises(self):
+        """An operator for an id that is no vertex is named, not ignored."""
+        a, s, r = builtin_square()
+        ops = {**r.as_dict(), "ghost": from_string("+XX"), "extra": from_string("+ZZ")}
+        with pytest.raises(CoverageError, match=r"\['extra', 'ghost'\]"):
+            verify_realization(a, s, QuantumRealization.from_dict(2, ops))
+
     def test_non_observable_fails(self):
         a, _ = triangle_board()
         ops = {v: identity(1) for v in a.vertices}
