@@ -23,24 +23,26 @@ trace of a product of (x, z, phase) rows (``pauli.multiply_rows``), 0 or
 +-1, so the numerator is an integer.  ``exact_line_win_probabilities``
 builds one ``Fraction`` per query of a line, and ``exact_win_probability``
 adds the integer numerators of the whole board (a classical query's win
-bit counts 4) into one ``Fraction`` over 4 * 2|V|.
+bit counts 4) into one ``Fraction`` over 4 * 2|V|.  Both flavors raise
+``CoverageError``, as the verifiers do, for a signing of other lines than
+the board's or a strategy without an entry that the game looks up.
 
 A Monte Carlo round is a stabilizer circuit on n Bell pairs (Aaronson and
 Gottesman, "Improved simulation of stabilizer circuits", PRA 70, 052328,
 2004), so every outcome has the Born probability 0, 1/2 or 1.
 ``_project``, the one tableau update, keeps each sign as an affine form over
 the round's draws: a random outcome is a fresh bit, a determined one a fixed
-parity of earlier bits plus a constant.  As Stim samples shots from one symbolic pass
-(Gidney, "Stim: a fast stabilizer circuit simulator", Quantum 5, 497,
-2021), ``monte_carlo`` compiles each query (v, e) once: with bit i of d set
-iff draw i is at least 1/2 (Alice's is draw 0, Bob's follow in line
-order), Bob's parity holds iff parity(pm & d) = pc and he agrees with Alice
-iff parity(qm & d) = qc.  ``QuantumStrategy`` memoizes a line's queries by
-its member tuple, as (pm, qm, pc, qc) with pc without the line's sign.  A
+parity of earlier bits plus a constant.  As Stim samples shots from one
+symbolic pass (Gidney, "Stim: a fast stabilizer circuit simulator", Quantum
+5, 497, 2021), each query (v, e) is compiled once: with bit i of d set iff
+draw i is at least 1/2 (Alice's is draw 0, Bob's follow in line order),
+Bob's parity holds iff parity(pm & d) = pc and he agrees with Alice iff
+parity(qm & d) = qc.  A quantum strategy holds one such table, signed and
+indexed by referee draw, per board and signing (``compiled_game``).  A
 round draws what a tableau rerun draws, one ``randrange(2|V|)`` and one
 ``random()`` per measurement, all from one ``random.Random(seed)``, so
 every report equals that of round-by-round play (``play_quantum``).  A
-classical query is one win bit, from one product per line.
+classical query is one win bit, from one product per drawn line.
 
 The best classical win probability needs no search: it is 1 for an even
 signing and 1 - 1/(2|V|) for an odd one (``classical_value``).  Bob's best
@@ -57,7 +59,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, reduce, wraps
 
 from pseudotelepathy.arrangement import (
     Arrangement,
@@ -66,6 +68,7 @@ from pseudotelepathy.arrangement import (
     classical_realize,
     parity,
 )
+from pseudotelepathy.intersection import CoverageError
 from pseudotelepathy.pauli import (
     DimensionMismatch,
     PauliOperator,
@@ -283,22 +286,63 @@ def _score(a, s, query, alice_color, coloring) -> Transcript:
                       coloring[query.vertex] == alice_color)
 
 
+def _check_signing(a: Arrangement, s: Signing) -> None:
+    """``CoverageError`` unless s signs exactly the board's lines."""
+    lines, signed = a._member_map.keys(), s._sign_map.keys()
+    if lines != signed:
+        raise CoverageError(f"no sign for lines {sorted(lines - signed)}" if lines - signed
+                            else f"signs for ids that are not lines {sorted(signed - lines)}")
+
+
+def _covered(play):
+    """``play(strategy, a, s, ...)`` with the ``KeyError`` of a lookup that
+    failed reraised as a ``CoverageError`` naming, sorted, what s or the
+    strategy misses; a lookup that succeeds pays for no check."""
+    @wraps(play)
+    def covered(strategy, a: Arrangement, s: Signing, *args, **kwargs):
+        try:
+            return play(strategy, a, s, *args, **kwargs)
+        except KeyError:
+            _check_signing(a, s)
+            if isinstance(strategy, QuantumStrategy):
+                what = "operator for vertices"
+                missing = set(a.vertices) - strategy.realization.as_dict().keys()
+            elif missing := set(a.vertices) - strategy._alice_map.keys():
+                what = "color from Alice for vertices"
+            else:
+                what, bob = "coloring from Bob of all members of lines", strategy._bob_map
+                missing = {e for e, m in a.hyperedges if not bob.get(e, {}).keys() >= set(m)}
+            if missing:
+                raise CoverageError(f"no {what} {sorted(missing)}") from None
+            raise
+    return covered
+
+
 @dataclass(frozen=True)
 class QuantumStrategy:
     realization: QuantumRealization
     literal: bool = False
 
     @cached_property
-    def _lines(self) -> dict[tuple[str, ...], tuple[tuple[int, int, int, int], ...]]:
-        # filled by compiled_line; a line's forms depend only on its members
-        return {}
+    def _games(self) -> dict[tuple[Arrangement, Signing], tuple[tuple, ...]]:
+        return {}  # filled by compiled_game, keyed by value, with whole tables only
 
-    def compiled_line(self, members: tuple[str, ...]) -> tuple[tuple[int, int, int, int], ...]:
-        """``_compile_line`` of a line's member tuple, memoized."""
-        queries = self._lines.get(members)
-        if queries is None:
-            queries = self._lines[members] = _compile_line(self, members)
-        return queries
+    @_covered
+    def compiled_game(self, a: Arrangement, s: Signing) -> tuple[tuple, ...]:
+        """The query of each referee draw k (``_query_of``) as (the draws'
+        bits, pm, qm, pc, qc) with the line's sign folded into pc, from one
+        ``_compile_line`` per line; memoized per board and signing."""
+        table = self._games.get((a, s))
+        if table is None:
+            draw = {v: 2 * i for i, v in enumerate(a.vertices)}
+            table = [None] * (2 * len(draw))
+            for eid, members in a.hyperedges:
+                bits = tuple(1 << i for i in range(len(members) + 1))
+                flip = s.sign(eid) == -1
+                for v, (pm, qm, pc, qc) in zip(members, _compile_line(self, members)):
+                    table[draw[v] + (a.edges_of_vertex(v)[1] == eid)] = bits, pm, qm, pc ^ flip, qc
+            table = self._games[a, s] = tuple(table)
+        return table
 
 
 @dataclass(frozen=True)
@@ -424,6 +468,7 @@ def _correlator(p: Row) -> int:
     return 1 if p[2] == 0 else -1
 
 
+@_covered
 def exact_line_win_probabilities(
     strategy, a: Arrangement, s: Signing, hyperedge: str
 ) -> dict[str, Fraction]:
@@ -454,10 +499,12 @@ def exact_query_win_probability(
     return exact_line_win_probabilities(strategy, a, s, query.hyperedge)[query.vertex]
 
 
+@_covered
 def exact_win_probability(strategy, a: Arrangement, s: Signing) -> Fraction:
     """Average over all queries of the exact per-query win probability: the
     integer numerators of every line added up, and one ``Fraction`` over
     4 * 2|V| for the board."""
+    _check_signing(a, s)
     total = sum(sum(_line_numerators(strategy, a, s, eid)[1]) for eid in a.hyperedge_ids())
     return Fraction(total, 8 * len(a.vertices))
 
@@ -472,20 +519,7 @@ class MonteCarloReport:
     per_query: tuple[tuple[tuple[str, str], float], ...] = field(default=())
 
 
-@lru_cache(maxsize=None)
-def _draw_bits(w: int) -> tuple[int, ...]:
-    return tuple(1 << i for i in range(w))
-
-
-def _signed_query(strategy: QuantumStrategy, a: Arrangement, s: Signing, k: int) -> tuple:
-    """The compiled query of referee draw k with its line's sign folded into
-    pc: the draws' bits, pm, qm, pc and qc."""
-    v, e = _query_of(a, k)
-    members = a.members(e)
-    pm, qm, pc, qc = strategy.compiled_line(members)[members.index(v)]
-    return _draw_bits(len(members) + 1), pm, qm, pc ^ (s.sign(e) == -1), qc
-
-
+@_covered
 def monte_carlo(strategy, a: Arrangement, s: Signing, trials: int,
                 seed: int) -> MonteCarloReport:
     """Seeded empirical win rate with a normal-approximation 95% interval.
@@ -494,13 +528,14 @@ def monte_carlo(strategy, a: Arrangement, s: Signing, trials: int,
     refused, since ``random.Random(-n)`` would replay the draws of n.  A
     round plays its query compiled (module docstring): a classical one is
     a win bit, a quantum one the affine forms of the referee's two checks.
-    Every line of the board is compiled before the first round, so a
-    quantum operator that cannot be measured raises whatever is drawn.
+    A quantum strategy's table is whole before the first round, so an
+    operator that cannot be measured or is missing raises whatever is drawn.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if seed < 0:
         raise ValueError(f"seed must be at least 0, got {seed}")
+    _check_signing(a, s)
     rng = random.Random(seed)
     randrange, queries = rng.randrange, 2 * len(a.vertices)
     hits = [0] * queries
@@ -518,16 +553,11 @@ def monte_carlo(strategy, a: Arrangement, s: Signing, trials: int,
                 n *= lines[e][v]
             wins.append(n)
     else:
-        for _, members in a.hyperedges:
-            strategy.compiled_line(members)
-        table: list[tuple | None] = [None] * queries
+        table = strategy.compiled_game(a, s)
         draw, wins = rng.random, [0] * queries
         for _ in range(trials):
             k = randrange(queries)
-            query = table[k]
-            if query is None:
-                query = table[k] = _signed_query(strategy, a, s, k)
-            bits, pm, qm, pc, qc = query
+            bits, pm, qm, pc, qc = table[k]
             d = 0
             for bit in bits:
                 if draw() >= 0.5:

@@ -806,8 +806,10 @@ def oracle_exact_line_win_probabilities(strategy, a: Arrangement, s: Signing,
     if isinstance(strategy, ClassicalStrategy):
         return dict(zip(members, map(Fraction, _classical_line_wins(strategy, s, hyperedge,
                                                                     members))))
-    line = [strategy.realization.operator(u) for u in members]
-    n = strategy.realization.n_qubits
+    ops, n = strategy.realization.as_dict(), strategy.realization.n_qubits
+    if not ops.keys() >= set(members):
+        raise CoverageError(f"no operator for vertices {sorted(set(a.vertices) - ops.keys())}")
+    line = [ops[u] for u in members]
     for op in line:
         if op.n_qubits != n:
             raise DimensionMismatch(f"operator on {op.n_qubits} qubits, state on {n}")

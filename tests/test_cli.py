@@ -794,6 +794,9 @@ GOLDEN = [
      "706f1b72eafe11abca4439fb51e9794d1020f21be437fb035b38bcc826be91dd"),
     ("square.json", ("simulate", "--trials", "2000"), 0,
      "4d3ecee2d9513ebe3e42ccb595464b65a1892b65607e15c3038e7a6ce9cee37d"),
+    # the optimal classical strategy loses a query of one line: rates that depend on the draws
+    ("square.json", ("simulate", "--strategy", "classical", "--trials", "2000"), 0,
+     "b64f374e84789196d23f16d187a8404a76e163d8d0e9f515a5e5a4b7f7d9fb7a"),
     ("square.json", ("export-dot",), 0,
      "05d6d52d501efa4bfbb3b34ac79c22c0c506a66fee858427e481d315cce20e10"),
     ("triangle.json", ("validate",), 0,
@@ -841,6 +844,8 @@ GOLDEN_SUBDIVIDED = [
 # realization: the untransposed branch on an antisymmetric operator, which
 # no shipped or transferred realization reaches (all of theirs are symmetric)
 LITERAL_ODD_Y = "6ff391dc96db787cd9899dfd6db8747735aa9a82d69799f80c322209ca6f9aca"
+# the same with --trials 2000 instead of --exact: a quantum Monte Carlo run that loses
+LITERAL_ODD_Y_TRIALS = "79d55634cd1ff6c092901da1593f105260db2aad0b1d1e90fd921b501813631f"
 CHECK_OF_TRIANGLE_CERTIFICATE = (
     "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865")
 GEN_SIGNED_9_SEED_1 = "7b3ed49f1e2f4eb1a8c8aeafdaa59bdf5244bb0a15bb782ad0f2750a4b352c75"
@@ -877,15 +882,25 @@ class TestGoldenBytes:
         code, out, _ = invoke(capsys, "certify", "--arrangement", board, "--check", str(cert))
         assert (code, sha256(out)) == (0, CHECK_OF_TRIANGLE_CERTIFICATE)
 
-    def test_exact_literal_measurements_of_a_strategy_file(self, capsys, monkeypatch,
-                                                            tmp_path):
+    @staticmethod
+    def simulate_odd_y_literally(capsys, monkeypatch, tmp_path, *flags):
         a, s, r = odd_y_board()
         monkeypatch.chdir(tmp_path)  # the report names the strategy file as given
         Path("odd-y.json").write_text(json.dumps(board_json(a, s)))
         Path("odd-y-strategy.json").write_text(json.dumps(r.to_json_dict()))
-        code, out, _ = invoke(capsys, "simulate", "--arrangement", "odd-y.json", "--exact",
+        code, out, _ = invoke(capsys, "simulate", "--arrangement", "odd-y.json", *flags,
                               "--literal-measurements", "--strategy", "odd-y-strategy.json")
-        assert (code, sha256(out)) == (0, LITERAL_ODD_Y)
+        return code, sha256(out)
+
+    def test_exact_literal_measurements_of_a_strategy_file(self, capsys, monkeypatch,
+                                                            tmp_path):
+        assert self.simulate_odd_y_literally(capsys, monkeypatch, tmp_path,
+                                             "--exact") == (0, LITERAL_ODD_Y)
+
+    def test_sampled_literal_measurements_of_a_strategy_file(self, capsys, monkeypatch,
+                                                              tmp_path):
+        assert self.simulate_odd_y_literally(capsys, monkeypatch, tmp_path, "--trials",
+                                             "2000") == (0, LITERAL_ODD_Y_TRIALS)
 
     def test_gen(self, capsys):
         code, out, _ = invoke(capsys, "gen", "--signed", "--hyperedges", "9", "--seed", "1")

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from helpers import (
     TAMPERS,
     SharedState,
+    board_json,
     corpus,
     dense_matrix,
     dense_measure,
@@ -33,6 +34,7 @@ from helpers import (
     triangle_board,
 )
 import pseudotelepathy
+from pseudotelepathy import game
 from pseudotelepathy.arrangement import (
     Signing,
     all_plus_signing,
@@ -62,6 +64,7 @@ from pseudotelepathy.game import (
     referee_draw,
 )
 from pseudotelepathy.generate import random_signing
+from pseudotelepathy.intersection import CoverageError
 from pseudotelepathy.pauli import (
     DimensionMismatch,
     PauliOperator,
@@ -790,6 +793,132 @@ class TestCompiledMonteCarlo:
         assert done.returncode != 0
         assert "AssertionError: internal error: a commuting observable" in done.stderr
         assert "_compile_line" in done.stderr
+
+
+class TestCompiledGame:
+    """A quantum strategy compiles its game once per board and signing."""
+
+    @staticmethod
+    def count_compiles(monkeypatch) -> list:
+        calls = []
+        compile_line = game._compile_line
+
+        def counted(strategy, members):
+            calls.append(members)
+            return compile_line(strategy, members)
+
+        monkeypatch.setattr(game, "_compile_line", counted)
+        return calls
+
+    def test_each_line_compiles_once(self, monkeypatch):
+        calls = self.count_compiles(monkeypatch)
+        a, s, r = builtin_pentagram()
+        strategy = QuantumStrategy(r)
+        reports = [monte_carlo(strategy, a, s, 200, seed) for seed in range(3)]
+        assert sorted(calls) == sorted(members for _, members in a.hyperedges)
+        assert reports == [monte_carlo(QuantumStrategy(r), a, s, 200, seed) for seed in range(3)]
+
+    def test_equal_board_and_signing_share_the_table(self, monkeypatch):
+        calls = self.count_compiles(monkeypatch)
+        a, s, r = builtin_square()
+        strategy = QuantumStrategy(r)
+        monte_carlo(strategy, a, s, 50, 0)
+        copies = validate(board_json(a, s))
+        assert copies[0] is not a and copies == (a, s)
+        monte_carlo(strategy, *copies, 50, 0)
+        assert len(calls) == len(a.hyperedges)
+
+    def test_one_strategy_under_two_signings(self):
+        """Flipping one line's sign gives another table, not the first one's."""
+        a, s, r = builtin_square()
+        flipped = flip_one_line(s)
+        reused = QuantumStrategy(r)
+        for signing in (s, flipped, s, flipped):
+            for seed in range(3):
+                assert (monte_carlo(reused, a, signing, 300, seed)
+                        == monte_carlo(QuantumStrategy(r), a, signing, 300, seed))
+        assert monte_carlo(reused, a, flipped, 300, 0).rate < 1
+
+    @pytest.mark.parametrize("tamper", ["non-observable", "imaginary-identity", "mixed-widths"])
+    def test_unmeasurable_strategy_raises_on_every_call(self, tamper):
+        a, s, r = builtin_square()
+        strategy = QuantumStrategy(tampered_realization(random.Random(3), a, s, r, tamper))
+        for _ in range(2):
+            with pytest.raises(ValueError):  # DimensionMismatch is a ValueError
+                monte_carlo(strategy, a, s, 1, 0)
+        assert not strategy._games
+
+
+def square_without(vertex: str):
+    """The square's realization and its optimal classical strategy, with no
+    entry for ``vertex`` (Alice's color, or the operator)."""
+    a, s, r = builtin_square()
+    ops = r.as_dict()
+    del ops[vertex]
+    optimal = ClassicalStrategy.optimal(a, s)
+    alice = dict(optimal.alice)
+    del alice[vertex]
+    classical = ClassicalStrategy.from_maps(alice, {e: dict(c) for e, c in optimal.bob})
+    return a, s, QuantumStrategy(QuantumRealization.from_dict(r.n_qubits, ops)), classical
+
+
+class TestCoverage:
+    """The games name the ids a signing or a strategy misses, as the
+    verifiers do, instead of a ``KeyError`` or a report."""
+
+    def test_realization_without_a_vertex(self):
+        a, s, quantum, _ = square_without("11")
+        message = r"^no operator for vertices \['11'\]$"
+        with pytest.raises(CoverageError, match=message):
+            verify_realization(a, s, quantum.realization)
+        for play in (lambda: monte_carlo(quantum, a, s, 10, 0),
+                     lambda: exact_win_probability(quantum, a, s),
+                     lambda: exact_line_win_probabilities(quantum, a, s, "r1")):
+            with pytest.raises(CoverageError, match=message):
+                play()
+        assert exact_line_win_probabilities(quantum, a, s, "r2")["21"] == 1
+
+    def test_classical_strategy_without_a_vertex(self):
+        a, s, _, classical = square_without("11")
+        message = r"^no color from Alice for vertices \['11'\]$"
+        with pytest.raises(CoverageError, match=message):
+            monte_carlo(classical, a, s, 200, 0)
+        with pytest.raises(CoverageError, match=message):
+            exact_win_probability(classical, a, s)
+
+    def test_classical_strategy_without_a_line(self):
+        a, s, _, _ = square_without("11")
+        optimal = ClassicalStrategy.optimal(a, s)
+        bob = {e: dict(c) for e, c in optimal.bob if e != "c2"}
+        bob["r3"].pop("33")
+        classical = ClassicalStrategy.from_maps(dict(optimal.alice), bob)
+        message = r"^no coloring from Bob of all members of lines \['c2', 'r3'\]$"
+        with pytest.raises(CoverageError, match=message):
+            exact_win_probability(classical, a, s)
+
+    @pytest.mark.parametrize("trials", [10, 200])
+    def test_signing_without_a_line(self, trials):
+        a, s, r = builtin_square()
+        short = Signing.from_dict({e: sign for e, sign in s.signs if e != "r1"})
+        message = r"^no sign for lines \['r1'\]$"
+        for strategy in (QuantumStrategy(r), ClassicalStrategy.optimal(a, s)):
+            with pytest.raises(CoverageError, match=message):
+                monte_carlo(strategy, a, short, trials, 0)
+            with pytest.raises(CoverageError, match=message):
+                exact_win_probability(strategy, a, short)
+        with pytest.raises(CoverageError, match=message):
+            exact_line_win_probabilities(QuantumStrategy(r), a, short, "r1")
+
+    def test_signing_with_another_line(self):
+        a, s, r = builtin_square()
+        ghost = Signing.from_dict({**s.as_dict(), "ghost": 1})
+        message = r"^signs for ids that are not lines \['ghost'\]$"
+        for strategy in (QuantumStrategy(r), ClassicalStrategy.optimal(a, s)):
+            with pytest.raises(CoverageError, match=message):
+                monte_carlo(strategy, a, ghost, 10, 0)
+            with pytest.raises(CoverageError, match=message):
+                exact_win_probability(strategy, a, ghost)
+            assert not getattr(strategy, "_games", None)
 
 
 class TestClassicalLineWins:
