@@ -32,8 +32,7 @@ print("replayed final sign:",
 print()
 
 print("Tampering with the trace is caught by the adversarial checker:")
-bad = ContractionTrace(trace.initial_words, trace.initial_signs,
-                       trace.steps, -trace.final_sign)
+bad = ContractionTrace(trace.steps, -trace.final_sign)
 try:
     check_trace(build(triangle), verdict.embedding,
                 verdict.signing.as_dict(), bad)

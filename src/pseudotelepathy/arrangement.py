@@ -15,6 +15,7 @@ import json
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 from pseudotelepathy.intersection import adjacency, bfs_tree
 
@@ -112,9 +113,9 @@ def validate(raw: dict) -> tuple[Arrangement, Signing | None]:
     ``raw`` follows the JSON schema
     ``{"vertices": [...], "hyperedges": [{"id": ..., "vertices": [...],
     "sign": 1|-1 (optional)}]}``, with exact types: ids are nonempty
-    strings, lists are lists and a sign is the integer 1 or -1 (never a
-    bool or a float).  Signs must be given for all hyperedges or none.
-    Unknown keys are rejected.
+    strings that UTF-8 can encode, lists are lists and a sign is the
+    integer 1 or -1 (never a bool or a float).  Signs must be given for
+    all hyperedges or none.  Unknown keys are rejected.
     """
     if not isinstance(raw, dict):
         raise ArrangementError("board description must be a JSON object")
@@ -126,6 +127,7 @@ def validate(raw: dict) -> tuple[Arrangement, Signing | None]:
         raise ArrangementError("vertices must be a list")
     if any(not isinstance(v, str) or not v for v in vertices):
         raise ArrangementError("vertices must be nonempty strings")
+    _check_utf8(vertices, "vertices[{}]")
     if len(set(vertices)) != len(vertices):
         raise DuplicateId("duplicate vertex ids")
 
@@ -170,6 +172,7 @@ def validate(raw: dict) -> tuple[Arrangement, Signing | None]:
             if type(sign) is not int or sign not in (1, -1):  # bool is not a sign
                 raise ArrangementError(f"sign of {eid!r} must be the integer 1 or -1")
             signs[eid] = sign
+    _check_utf8([eid for eid, _ in hyperedges], "hyperedges[{}].id")
     if signs and len(signs) != len(hyperedges):
         raise ArrangementError("signs must cover all hyperedges or none")
 
@@ -184,6 +187,16 @@ def validate(raw: dict) -> tuple[Arrangement, Signing | None]:
     arrangement = Arrangement(tuple(sorted(vertices)), tuple(sorted(hyperedges)))
     signing = Signing.from_dict(signs) if signs else None
     return arrangement, signing
+
+
+def _check_utf8(ids: list[str], field: str) -> None:
+    """ArrangementError naming ``field.format(k)`` for the first id k that
+    UTF-8 cannot encode (a lone surrogate, as JSON admits), in one encode."""
+    try:
+        "".join(ids).encode("utf-8")
+    except UnicodeEncodeError as err:
+        k = next(k for k, end in enumerate(accumulate(map(len, ids))) if end > err.start)
+        raise ArrangementError(f"{field.format(k)} must be encodable as UTF-8") from None
 
 
 def _check_connected(hyperedges, degree):

@@ -16,11 +16,12 @@ A full replay ending in a single node with an empty word therefore forces
 that node's sign, which equals the product of all initial signs, to be +1.
 Running the replay with odd-parity signs ends at -1, certifying that no
 quantum realization of any odd signing exists.  The checker is adversarial:
-it trusts nothing about how the trace was produced, so the certificate is
-independent of its generator.  Planarity is only needed to guarantee a full
-replay exists: contracting a spanning tree of a planar embedding leaves one
-node whose word is a noncrossing chord diagram, and a noncrossing diagram
-always has an adjacent pair to cancel.
+it trusts nothing about how the trace was produced and derives the start
+state from (g, r, signs) itself, so the certificate is independent of its
+generator.  Planarity is only needed to guarantee a full replay exists:
+contracting a spanning tree of a planar embedding leaves one node whose
+word is a noncrossing chord diagram, and a noncrossing diagram always has
+an adjacent pair to cancel.
 
 Cost.  The replay state maps each symbol to the nodes holding it, so a step
 locates its words in O(1) and its positions with ``list.index``; a contract
@@ -56,7 +57,7 @@ class MalformedCertificate(ValueError):
 
 
 class IllegalStep(ValueError):
-    """Replay failure, carrying the offending step index (-1 = initial state)."""
+    """Replay failure at a step index; -1 = the start does not cover the graph."""
 
     def __init__(self, index: int, reason: str):
         super().__init__(f"step {index}: {reason}")
@@ -66,19 +67,13 @@ class IllegalStep(ValueError):
 
 @dataclass(frozen=True)
 class ContractionTrace:
-    """Initial signed words, a step list, and the claimed final sign."""
+    """A step list and the claimed final sign; the start comes from (g, r, signs)."""
 
-    initial_words: tuple[tuple[str, tuple[str, ...]], ...]
-    initial_signs: tuple[tuple[str, int], ...]
     steps: tuple[tuple[str, str], ...]
     final_sign: int
 
     def to_json_dict(self) -> dict:
         return {
-            "initial": {
-                "rotation": {n: list(w) for n, w in self.initial_words},
-                "signs": dict(self.initial_signs),
-            },
             "steps": [{"op": op, ("edge" if op == CONTRACT else "symbol"): arg}
                       for op, arg in self.steps],
             "final_sign": self.final_sign,
@@ -88,14 +83,6 @@ class ContractionTrace:
     def from_json_dict(cls, raw) -> "ContractionTrace":
         """Parse a trace, checking every field's type; raises
         :class:`MalformedCertificate` naming the first bad field."""
-        initial = _member(raw, "initial", "certificate")
-        rotation = _member(initial, "rotation", "certificate.initial")
-        _expect(isinstance(rotation, dict), "certificate.initial.rotation", "an object")
-        for node, word in rotation.items():
-            _expect(isinstance(word, list) and all(isinstance(sym, str) for sym in word),
-                    f"certificate.initial.rotation[{node!r}]", "a list of strings")
-        signs = _read_signs(_member(initial, "signs", "certificate.initial"),
-                            "certificate.initial.signs")
         entries = _member(raw, "steps", "certificate")
         _expect(isinstance(entries, list), "certificate.steps", "a list")
         steps = []
@@ -109,8 +96,7 @@ class ContractionTrace:
             steps.append((op, arg))
         final_sign = _member(raw, "final_sign", "certificate")
         _expect(_is_sign(final_sign), "certificate.final_sign", "1 or -1")
-        return cls(tuple(sorted((n, tuple(w)) for n, w in rotation.items())),
-                   tuple(sorted(signs.items())), tuple(steps), final_sign)
+        return cls(tuple(steps), final_sign)
 
 
 def _expect(ok: bool, field: str, wanted: str) -> None:
@@ -131,17 +117,10 @@ def _is_sign(value) -> bool:
     return type(value) is int and value in (1, -1)  # bool is not a sign
 
 
-def _read_signs(raw, field: str) -> dict[str, int]:
-    """A JSON object of node signs, each the int 1 or -1."""
-    _expect(isinstance(raw, dict), field, "an object")
-    for node, sign in raw.items():
-        _expect(_is_sign(sign), f"{field}[{node!r}]", "1 or -1")
-    return dict(raw)
-
-
 def read_payload(raw) -> tuple[ContractionTrace, RotationSystem, dict[str, int]]:
     """Trace, embedding and signs of a ``certify`` / ``decide --certificate``
-    file, every field type-checked; raises :class:`MalformedCertificate`."""
+    file, every field type-checked; raises :class:`MalformedCertificate`.
+    Other keys are ignored: an older file's ``certificate.initial`` still checks."""
     embedding = _member(raw, "embedding", "")
     _expect(isinstance(embedding, dict), "embedding", "an object")
     for node, darts in embedding.items():
@@ -149,7 +128,10 @@ def read_payload(raw) -> tuple[ContractionTrace, RotationSystem, dict[str, int]]
             isinstance(d, list) and len(d) == 2 and isinstance(d[0], str)
             and type(d[1]) is int and d[1] in (0, 1) for d in darts),
             f"embedding[{node!r}]", "a list of [edge, 0 or 1] pairs")
-    signs = _read_signs(_member(raw, "signs", ""), "signs")
+    signs = _member(raw, "signs", "")
+    _expect(isinstance(signs, dict), "signs", "an object")
+    for node, sign in signs.items():
+        _expect(_is_sign(sign), f"signs[{node!r}]", "1 or -1")
     trace = ContractionTrace.from_json_dict(_member(raw, "certificate", ""))
     return trace, RotationSystem.from_json_dict(embedding), signs
 
@@ -212,7 +194,7 @@ class _WordState:
         return sign
 
 
-def _initial_words(r: RotationSystem) -> dict[str, list[str]]:
+def _start_words(r: RotationSystem) -> dict[str, list[str]]:
     return {node: [eid for eid, _ in darts] for node, darts in r.rotations}
 
 
@@ -239,8 +221,7 @@ def generate_trace(
     if not g.nodes or len(g.tree) != len(g.nodes):
         raise EmbeddingInvalid("graph is empty or not connected")
 
-    words = _initial_words(r)
-    state = _WordState(words, signs)
+    state = _WordState(_start_words(r), signs)
     steps: list[tuple[str, str]] = []
 
     for _, eid in list(g.tree.values())[1:]:  # the root comes first, with no edge
@@ -262,12 +243,7 @@ def generate_trace(
         raise EmbeddingInvalid("rotation system is not planar: its edges cross "
                                "once the spanning tree is contracted")
 
-    return ContractionTrace(
-        initial_words=tuple(sorted((n, tuple(w)) for n, w in words.items())),
-        initial_signs=tuple(sorted(signs.items())),
-        steps=tuple(steps),
-        final_sign=state.final_sign(),
-    )
+    return ContractionTrace(tuple(steps), state.final_sign())
 
 
 def check_trace(
@@ -277,10 +253,10 @@ def check_trace(
 
     Validates that the rotation covers exactly the graph's edge-ends (the
     words must reflect the true incidence structure) and the signs exactly
-    its nodes, that the trace's initial state is the one induced by
-    (g, r, signs), that every step is legal, that the end state is a single
-    node with an empty word, and that the recorded final sign matches.  Planarity of r is deliberately not
-    required: a complete legal replay is sound from any covering start.
+    its nodes, that every step replayed from the words (g, r, signs) induce
+    is legal, that the end state is a single node with an empty word, and
+    that the recorded final sign matches.  Planarity of r is deliberately
+    not required: a complete legal replay is sound from any covering start.
     """
     try:
         check_coverage(g, r)
@@ -290,11 +266,7 @@ def check_trace(
     if missing or unknown:
         raise IllegalStep(-1, f"signs must cover exactly the graph nodes: "
                               f"missing {missing}, unknown {unknown}")
-    words = _initial_words(r)
-    if trace.initial_words != tuple(sorted((n, tuple(w)) for n, w in words.items())):
-        raise IllegalStep(-1, "initial words do not match the rotation system")
-    if trace.initial_signs != tuple(sorted(signs.items())):
-        raise IllegalStep(-1, "initial signs do not match")
+    words = _start_words(r)
     occurrences: dict[str, int] = {}
     for word in words.values():
         for sym in word:

@@ -487,8 +487,14 @@ def exact_line_win_probabilities(
     0 or +-1, so a query's win probability is an integer numerator over 4.
     The line's operators are read and checked once, and prod B_u formed
     once, for all of its queries; the line builds one ``Fraction`` per query.
+    A hyperedge that is not a line of the board raises ``CoverageError``.
     """
-    members, numerators = _line_numerators(strategy, a, s, hyperedge)
+    try:
+        members, numerators = _line_numerators(strategy, a, s, hyperedge)
+    except KeyError:
+        if hyperedge not in a._member_map:
+            raise CoverageError(f"no line {hyperedge!r} on the board") from None
+        raise
     return {v: Fraction(n, 4) for v, n in zip(members, numerators)}
 
 

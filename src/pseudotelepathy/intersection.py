@@ -160,12 +160,17 @@ def trace_faces(g: IntersectionGraph, r: RotationSystem) -> list[list[Dart]]:
     return faces
 
 
+def _dot_id(name: str) -> str:
+    """``name`` as a DOT quoted string, with ``\\`` and ``"`` escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def to_dot(g: IntersectionGraph) -> str:
     """Deterministic DOT text: nodes sorted, edges sorted and labeled by id."""
     lines = ["graph intersection {"]
     for node in g.nodes:
-        lines.append(f'  "{node}";')
+        lines.append(f"  {_dot_id(node)};")
     for eid, u, v in g.edges:
-        lines.append(f'  "{u}" -- "{v}" [label="{eid}"];')
+        lines.append(f"  {_dot_id(u)} -- {_dot_id(v)} [label={_dot_id(eid)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

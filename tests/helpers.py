@@ -155,6 +155,9 @@ ILL_TYPED_BOARDS = [
     (triangle_raw(sign="1"), "sign of 'ab' must be the integer 1 or -1"),
     ({"hyperedges": [{"vertices": ["x"]}]}, "hyperedges[0].id must be a nonempty string"),
     (triangle_raw(id=7), "hyperedges[0].id must be a nonempty string"),
+    ({**triangle_raw(), "vertices": ["x", "y", "z\ud800"]},
+     "vertices[2] must be encodable as UTF-8"),
+    (triangle_raw(id="a\udfffb"), "hyperedges[0].id must be encodable as UTF-8"),
 ]
 
 

@@ -139,7 +139,6 @@ class TestCertify:
                        "recorded final sign disagrees with the replay\n")
 
     @pytest.mark.parametrize("tamper, named", [
-        (lambda p: p["certificate"].pop("initial"), "certificate.initial is missing"),
         (lambda p: p["certificate"]["steps"][0].pop("edge"),
          "certificate.steps[0].edge is missing"),
         (lambda p: p.update(embedding={"x": 3}), "embedding['x']"),
@@ -149,13 +148,12 @@ class TestCertify:
         (lambda p: p["certificate"]["steps"][0].update(op="merge"),
          "certificate.steps[0].op"),
         (lambda p: p["signs"].update(ab=True), "signs['ab'] must be 1 or -1"),
-        (lambda p: p["certificate"]["initial"]["signs"].update(ab=1.0),
-         "certificate.initial.signs['ab'] must be 1 or -1"),
+        (lambda p: p["signs"].update(bc=1.0), "signs['bc'] must be 1 or -1"),
         (lambda p: p["certificate"].update(final_sign=3), "certificate.final_sign"),
         (lambda p: p.pop("signs"), "signs is missing"),
-        (lambda p: [p["signs"].pop("ab"), p["certificate"]["initial"]["signs"].pop("ab")],
+        (lambda p: p["signs"].pop("ab"),
          "signs must cover exactly the graph nodes: missing ['ab']"),
-        (lambda p: [p["signs"].update(zz=1), p["certificate"]["initial"]["signs"].update(zz=1)],
+        (lambda p: p["signs"].update(zz=1),
          "signs must cover exactly the graph nodes: missing [], unknown ['zz']"),
     ])
     def test_malformed_payload_exits_two(self, capsys, tmp_path, tamper, named):
@@ -169,6 +167,25 @@ class TestCertify:
                                 str(BOARDS / "triangle.json"), "--check", str(cert))
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and named in err
+
+    @pytest.mark.parametrize("word, sign", [
+        (list, int), (lambda word: ["ghost"] + word[::-1], lambda sign: -sign),
+    ], ids=["as-written", "disagreeing"])
+    def test_v1_initial_block_is_ignored(self, capsys, tmp_path, word, sign):
+        """A file written with the old ``certificate.initial`` copy of the
+        embedding and signs still checks, whatever that copy holds."""
+        cert = tmp_path / "cert.json"
+        invoke(capsys, "certify", "--arrangement", str(BOARDS / "triangle.json"),
+               "--output", str(cert))
+        payload = json.loads(cert.read_text())
+        payload["certificate"]["initial"] = {
+            "rotation": {node: word([eid for eid, _ in darts])
+                         for node, darts in payload["embedding"].items()},
+            "signs": {node: sign(s) for node, s in payload["signs"].items()}}
+        cert.write_text(json.dumps(payload))
+        code, out, err = invoke(capsys, "certify", "--arrangement",
+                                str(BOARDS / "triangle.json"), "--check", str(cert))
+        assert (code, out, err) == (0, "1\n", "")
 
     def test_payload_that_is_not_an_object_exits_two(self, capsys, tmp_path):
         cert = tmp_path / "cert.json"
@@ -340,6 +357,21 @@ class TestExportDot:
         assert code == 0
         assert out.count(" -- ") == 3
         assert out.startswith("graph intersection {")
+
+    def test_quotes_and_backslashes_are_escaped(self, capsys, tmp_path):
+        board = tmp_path / "quoted.json"
+        board.write_text(json.dumps({"vertices": ["x", "y", "z"], "hyperedges": [
+            {"id": 'a"b', "vertices": ["x", "y"]}, {"id": "bc\\", "vertices": ["y", "z"]},
+            {"id": "ca", "vertices": ["x", "z"]}]}))
+        assert invoke(capsys, "export-dot", "--arrangement", str(board)) == (0, (
+            "graph intersection {\n"
+            '  "a\\"b";\n'
+            '  "bc\\\\";\n'
+            '  "ca";\n'
+            '  "a\\"b" -- "ca" [label="x"];\n'
+            '  "a\\"b" -- "bc\\\\" [label="y"];\n'
+            '  "bc\\\\" -- "ca" [label="z"];\n'
+            "}\n"), "")
 
 
 class TestGen:
@@ -802,11 +834,11 @@ GOLDEN = [
     ("triangle.json", ("validate",), 0,
      "0b5f972df3d48afb1e5aed748f7d0fecd23c07dcdd5a37b43e5503248df93f5f"),
     ("triangle.json", ("decide", "--certificate", "-"), 0,
-     "91c07fafa85691c278a909fe206fd9b378b7b6b66653d24ce7cdc9d684562380"),
+     "4ee1ef4d783acd52961d3eeecde311182b1896f720f8e6f26e4f8fb7a16a6da6"),
     ("triangle.json", ("synthesize",), 0,
-     "beae8628a6fb7e309c9b91d4e3fb3883caf13f7275540fdff951f1aec41c833c"),
+     "0c6c0d7fc82d963a93b739af39296b3b50f5b97212163bfdd414f464d9003496"),
     ("triangle.json", ("certify",), 0,
-     "6a1d538027fe155bce3329766e209064dc07d991f0290a6b90919d7db41df74a"),
+     "f0cb98344565786d3ec850bd8161b33834b659f2469c876ad4f0fbc00a40a677"),
     ("triangle.json", ("simulate", "--strategy", "quantum", "--exact"), 0,
      "4f8841c080833c1bc49ee1fc0f3939d7883b80d3befe49cbe8178956471aa98e"),
     ("triangle.json", ("simulate", "--strategy", "classical", "--exact"), 0,
@@ -837,7 +869,7 @@ GOLDEN_SUBDIVIDED = [
     ("k33-subdivided", ("simulate", "--strategy", "quantum", "--exact"),
      "9cde7ce179bced1b07180e2f144743130946c6f793b5d0ec6b44b939f9866c51"),
     ("prism-subdivided", ("decide", "--certificate", "-"),
-     "7174fcda66fc7cebc4ad5583dcd57af7e5981a7e8206167d708fd4fa14efe1c9"),
+     "3ce1704e45d781a6f5a0e3b895f09beca87b1748daf89ff27e476c9358aa91de"),
 ]
 # simulate --exact --literal-measurements --strategy odd-y-strategy.json on
 # the board of helpers.odd_y_board, whose strategy file holds its Y

@@ -909,6 +909,12 @@ class TestCoverage:
         with pytest.raises(CoverageError, match=message):
             exact_line_win_probabilities(QuantumStrategy(r), a, short, "r1")
 
+    def test_line_off_the_board(self):
+        a, s, r = builtin_square()
+        for strategy in (QuantumStrategy(r), ClassicalStrategy.optimal(a, s)):
+            with pytest.raises(CoverageError, match=r"^no line 'nope' on the board$"):
+                exact_line_win_probabilities(strategy, a, s, "nope")
+
     def test_signing_with_another_line(self):
         a, s, r = builtin_square()
         ghost = Signing.from_dict({**s.as_dict(), "ghost": 1})
