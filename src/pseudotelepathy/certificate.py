@@ -23,11 +23,16 @@ contracting a spanning tree of a planar embedding leaves one node whose
 word is a noncrossing chord diagram, and a noncrossing diagram always has
 an adjacent pair to cancel.
 
-Cost.  The replay state maps each symbol to the nodes holding it, so a step
-locates its words in O(1) and its positions with ``list.index``; a contract
-also relabels the absorbed word's symbols, O(length of that word).
-Generation contracts a breadth-first tree into the smallest node (so each
-contract relabels only the small incoming word) and then cancels the single
+Cost.  The replay state links the 2E symbol occurrences into one cyclic
+ring per word (a doubly connected edge list, Muller and Preparata 1978), so
+a step finds both occurrences of its symbol in a map and splices or unlinks
+them in O(1).  A contract relabels the occurrences of the shorter of its two
+words (Hopcroft 1971).  Summed over occurrences, the log of the length of
+the word holding each one then gains a constant per relabel (a word of at
+most three occurrences aside, O(V) in all), and loses O(log E) per cancel,
+so any step order costs O(E log E) relabels.  A generated trace contracts a
+breadth-first tree into the root's word and relabels at most the incoming
+word's occurrences each time, O(E) in all; generation then cancels the one
 remaining word in one stack pass, O(E).  Payloads read from files are
 type-checked field by field before any replay (:func:`read_payload`).
 """
@@ -35,6 +40,8 @@ type-checked field by field before any replay (:func:`read_payload`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
+from operator import itemgetter, ne
 
 from pseudotelepathy.intersection import (
     CoverageError,
@@ -136,66 +143,118 @@ def read_payload(raw) -> tuple[ContractionTrace, RotationSystem, dict[str, int]]
     return trace, RotationSystem.from_json_dict(embedding), signs
 
 
-class _WordState:
-    """Mutable replay state: per surviving node, a sign and a cyclic word.
+class _ReplayState:
+    """Mutable replay state over the 2E symbol occurrences of (r, signs).
 
-    ``holders`` maps each symbol to the node of each of its occurrences, so
-    a step finds its nodes without scanning every word; positions inside a
-    word come from ``list.index``.
+    Occurrence k is the k-th dart of the rotations laid end to end, with
+    symbol ``syms[k]``.  Each node's cyclic word is a ring of occurrences
+    linked by ``succ`` and ``pred``, and ``node[k]`` is the id of the word
+    holding k.  A word's record (``name``, ``sign``, ``length``, ``start``)
+    sits at its id; ``start`` is the occurrence that the word, written as a
+    list, begins at (stale once the word is empty).  A node's name is the
+    least original name in its merged set.  ``first`` and ``second`` give
+    the two occurrences of every symbol still present, and ``alive`` the ids
+    of the surviving words.
     """
 
-    def __init__(self, words: dict[str, list[str]], signs: dict[str, int]):
-        self.words = {n: list(w) for n, w in words.items()}
-        self.signs = dict(signs)
-        self.holders: dict[str, list[str]] = {}
-        for node, word in self.words.items():
-            for sym in word:
-                self.holders.setdefault(sym, []).append(node)
+    __slots__ = ("syms", "name", "sign", "length", "start", "node", "succ", "pred",
+                 "first", "second", "alive")
+
+    def __init__(self, r: RotationSystem, signs: dict[str, int]):
+        rot = r.as_dict()
+        self.name: list[str | None] = list(rot)
+        self.sign = list(map(signs.__getitem__, self.name))
+        self.length = list(map(len, rot.values()))
+        syms = list(map(itemgetter(0), chain.from_iterable(rot.values())))
+        total = len(syms)
+        self.syms = syms
+        self.second = dict(zip(syms, range(total)))
+        self.first = dict(zip(reversed(syms), range(total - 1, -1, -1)))
+        # no symbol occurs once, and there are half as many symbols as
+        # occurrences: so every symbol occurs exactly twice
+        if 2 * len(self.first) != total or not all(
+                map(ne, map(self.first.__getitem__, self.second), self.second.values())):
+            raise IllegalStep(-1, "some symbol does not occur exactly twice")
+        self.node = list(chain.from_iterable(map(repeat, range(len(self.name)), self.length)))
+        self.succ = list(range(1, total + 1))
+        self.pred = list(range(-1, total - 1))
+        self.start = list(accumulate(self.length, initial=0))[:-1]
+        for s, m in zip(self.start, self.length):
+            if m:
+                self.succ[s + m - 1], self.pred[s] = s, s + m - 1
+        self.alive = set(range(len(self.name)))
 
     def contract(self, edge: str, index: int) -> None:
-        nodes = self.holders.get(edge, ())
-        if len(nodes) != 2 or nodes[0] == nodes[1]:
+        """Splice the words at the edge's two occurrences into the word of
+        the smaller name, relabelling the occurrences of the shorter word."""
+        node = self.node
+        x = self.first.get(edge)
+        if x is None or node[x] == node[y := self.second[edge]]:
             raise IllegalStep(index, f"edge {edge!r} does not join two distinct nodes")
-        u, v = sorted(nodes)
-        wu, wv = self.words[u], self.words.pop(v)
-        i, j = wu.index(edge), wv.index(edge)
-        # v's word rotated to start just after the edge, edge removed
-        moved = wv[j + 1:] + wv[:j]
-        wu[i:i + 1] = moved
-        del self.holders[edge]
-        for sym in moved:
-            where = self.holders[sym]
-            where[where.index(v)] = u
-        self.signs[u] *= self.signs.pop(v)
+        del self.first[edge], self.second[edge]
+        u, v, name = node[x], node[y], self.name
+        if name[v] < name[u]:
+            x, y, u, v = y, x, v, u
+        succ, pred = self.succ, self.pred
+        sx, px, sy, py = succ[x], pred[x], succ[y], pred[y]
+        # u's word with x replaced by v's word from sy round to py
+        if sy == y:                     # v's word is the edge alone
+            if sx != x:
+                succ[px], pred[sx] = sx, px
+        elif sx == x:                   # u's word is the edge alone
+            succ[py], pred[sy] = sy, py
+        else:
+            succ[px], pred[sy], succ[py], pred[sx] = sy, px, sx, py
+        start = self.start[u]
+        if start == x:
+            start = sy if sy != y else sx
+        lu, lv = self.length[u], self.length[v]
+        keep, k, moves = (u, sy, lv) if lv <= lu else (v, sx, lu)
+        for _ in range(moves - 1):
+            node[k] = keep
+            k = succ[k]
+        gone = v if keep == u else u
+        name[keep], name[gone] = name[u], None
+        self.sign[keep] = self.sign[u] * self.sign[v]
+        self.length[keep], self.start[keep] = lu + lv - 2, start
+        self.alive.remove(gone)
 
     def cancel(self, symbol: str, index: int) -> None:
-        nodes = self.holders.get(symbol, ())
-        if len(set(nodes)) != 1:
+        """Unlink the symbol's two occurrences, which must be cyclically
+        adjacent in one word; a start among them moves past them."""
+        node = self.node
+        x = self.first.get(symbol)
+        if x is None or node[x] != node[y := self.second[symbol]]:
             raise IllegalStep(index, f"symbol {symbol!r} does not lie in one node")
-        if len(nodes) != 2:
-            raise IllegalStep(index, f"symbol {symbol!r} does not occur exactly twice")
-        word = self.words[nodes[0]]
-        p = word.index(symbol)
-        q = word.index(symbol, p + 1)
-        if q == p + 1:
-            del word[p:q + 1]
-        elif p == 0 and q == len(word) - 1:
-            del word[q]
-            del word[p]
+        succ, pred = self.succ, self.pred
+        if succ[x] == y:
+            a, b = x, y
+        elif succ[y] == x:
+            a, b = y, x
         else:
             raise IllegalStep(index, f"occurrences of {symbol!r} are not adjacent")
-        del self.holders[symbol]
+        del self.first[symbol], self.second[symbol]
+        n, before, after = node[x], pred[a], succ[b]
+        succ[before], pred[after] = after, before
+        self.length[n] -= 2
+        if self.start[n] in (a, b):
+            self.start[n] = after
+
+    def word(self, n: int) -> list[str]:
+        """Node n's word as a list from its start occurrence."""
+        syms, succ, out = self.syms, self.succ, []
+        k = self.start[n]
+        for _ in range(self.length[n]):
+            out.append(syms[k])
+            k = succ[k]
+        return out
 
     def finished(self) -> bool:
-        return len(self.words) == 1 and not next(iter(self.words.values()))
+        return len(self.alive) == 1 and not self.length[next(iter(self.alive))]
 
     def final_sign(self) -> int:
-        (sign,) = self.signs.values()
-        return sign
-
-
-def _start_words(r: RotationSystem) -> dict[str, list[str]]:
-    return {node: [eid for eid, _ in darts] for node, darts in r.rotations}
+        (n,) = self.alive
+        return self.sign[n]
 
 
 def generate_trace(
@@ -221,7 +280,7 @@ def generate_trace(
     if not g.nodes or len(g.tree) != len(g.nodes):
         raise EmbeddingInvalid("graph is empty or not connected")
 
-    state = _WordState(_start_words(r), signs)
+    state = _ReplayState(r, signs)
     steps: list[tuple[str, str]] = []
 
     for _, eid in list(g.tree.values())[1:]:  # the root comes first, with no edge
@@ -231,7 +290,8 @@ def generate_trace(
     # Cancel the leftmost adjacent pair each time, in one stack pass: after a
     # cancel at i no pair starts before i - 1, so the stack (the reduced
     # prefix) never holds one.
-    (word,) = state.words.values()
+    (root,) = state.alive
+    word = state.word(root)
     stack: list[str] = []
     for sym in word:
         if stack and stack[-1] == sym:
@@ -266,15 +326,7 @@ def check_trace(
     if missing or unknown:
         raise IllegalStep(-1, f"signs must cover exactly the graph nodes: "
                               f"missing {missing}, unknown {unknown}")
-    words = _start_words(r)
-    occurrences: dict[str, int] = {}
-    for word in words.values():
-        for sym in word:
-            occurrences[sym] = occurrences.get(sym, 0) + 1
-    if any(count != 2 for count in occurrences.values()):
-        raise IllegalStep(-1, "some symbol does not occur exactly twice")
-
-    state = _WordState(words, signs)
+    state = _ReplayState(r, signs)
     for index, (op, arg) in enumerate(trace.steps):
         if op == CONTRACT:
             state.contract(arg, index)

@@ -501,8 +501,14 @@ def exact_line_win_probabilities(
 def exact_query_win_probability(
     strategy, a: Arrangement, s: Signing, query: Query
 ) -> Fraction:
-    """Win probability of one query, from Pauli correlators."""
-    return exact_line_win_probabilities(strategy, a, s, query.hyperedge)[query.vertex]
+    """Win probability of one query, from Pauli correlators; a vertex that
+    is not on the query's line raises ``CoverageError``."""
+    line = exact_line_win_probabilities(strategy, a, s, query.hyperedge)
+    try:
+        return line[query.vertex]
+    except KeyError:
+        raise CoverageError(
+            f"vertex {query.vertex!r} is not on line {query.hyperedge!r}") from None
 
 
 @_covered

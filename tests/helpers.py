@@ -32,7 +32,13 @@ from pseudotelepathy import (
     realization,
 )
 from pseudotelepathy.arrangement import Arrangement, Signing, classical_realize, validate
-from pseudotelepathy.certificate import CANCEL, CONTRACT
+from pseudotelepathy.certificate import (
+    CANCEL,
+    CONTRACT,
+    ContractionTrace,
+    EmbeddingInvalid,
+    IllegalStep,
+)
 from pseudotelepathy.game import ALICE, BOB, ClassicalStrategy, Query, _classical_line_wins
 from pseudotelepathy.generate import random_arrangement
 from pseudotelepathy.intersection import (
@@ -40,6 +46,7 @@ from pseudotelepathy.intersection import (
     IntersectionGraph,
     RotationSystem,
     adjacency,
+    check_coverage,
     trace_faces,
 )
 from pseudotelepathy.pauli import (
@@ -591,6 +598,136 @@ def restart_trace_steps(g: IntersectionGraph, r: RotationSystem) -> list[tuple[s
         else:
             raise AssertionError("no adjacent equal pair in the cyclic word")
     return steps
+
+
+class WordListState:
+    """The certificate replay state as Python lists, one per surviving node:
+    the oracle for ``certificate._ReplayState``.
+
+    ``holders`` maps each symbol to the node of each of its occurrences, so
+    a step finds its nodes without scanning every word; positions inside a
+    word come from ``list.index``, so a replay costs Theta(V * E).
+    """
+
+    def __init__(self, words: dict[str, list[str]], signs: dict[str, int]):
+        self.words = {n: list(w) for n, w in words.items()}
+        self.signs = dict(signs)
+        self.holders: dict[str, list[str]] = {}
+        for node, word in self.words.items():
+            for sym in word:
+                self.holders.setdefault(sym, []).append(node)
+
+    def contract(self, edge: str, index: int) -> None:
+        nodes = self.holders.get(edge, ())
+        if len(nodes) != 2 or nodes[0] == nodes[1]:
+            raise IllegalStep(index, f"edge {edge!r} does not join two distinct nodes")
+        u, v = sorted(nodes)
+        wu, wv = self.words[u], self.words.pop(v)
+        i, j = wu.index(edge), wv.index(edge)
+        # v's word rotated to start just after the edge, edge removed
+        moved = wv[j + 1:] + wv[:j]
+        wu[i:i + 1] = moved
+        del self.holders[edge]
+        for sym in moved:
+            where = self.holders[sym]
+            where[where.index(v)] = u
+        self.signs[u] *= self.signs.pop(v)
+
+    def cancel(self, symbol: str, index: int) -> None:
+        nodes = self.holders.get(symbol, ())
+        if len(set(nodes)) != 1:
+            raise IllegalStep(index, f"symbol {symbol!r} does not lie in one node")
+        if len(nodes) != 2:
+            raise IllegalStep(index, f"symbol {symbol!r} does not occur exactly twice")
+        word = self.words[nodes[0]]
+        p = word.index(symbol)
+        q = word.index(symbol, p + 1)
+        if q == p + 1:
+            del word[p:q + 1]
+        elif p == 0 and q == len(word) - 1:
+            del word[q]
+            del word[p]
+        else:
+            raise IllegalStep(index, f"occurrences of {symbol!r} are not adjacent")
+        del self.holders[symbol]
+
+    def finished(self) -> bool:
+        return len(self.words) == 1 and not next(iter(self.words.values()))
+
+    def final_sign(self) -> int:
+        (sign,) = self.signs.values()
+        return sign
+
+
+def start_words(r: RotationSystem) -> dict[str, list[str]]:
+    """Each node's word: its edge ids in rotation order."""
+    return {node: [eid for eid, _ in darts] for node, darts in r.rotations}
+
+
+def oracle_generate_trace(g: IntersectionGraph, r: RotationSystem,
+                          signs: dict[str, int]) -> ContractionTrace:
+    """``certificate.generate_trace`` replayed on ``WordListState``."""
+    if set(signs) != set(g.nodes):
+        raise ValueError("signs must cover exactly the graph nodes")
+    check_coverage(g, r)
+    if not g.nodes or len(g.tree) != len(g.nodes):
+        raise EmbeddingInvalid("graph is empty or not connected")
+    state = WordListState(start_words(r), signs)
+    steps: list[tuple[str, str]] = []
+    for _, eid in list(g.tree.values())[1:]:
+        steps.append((CONTRACT, eid))
+        state.contract(eid, len(steps) - 1)
+    (word,) = state.words.values()
+    stack: list[str] = []
+    for sym in word:
+        if stack and stack[-1] == sym:
+            stack.pop()
+            steps.append((CANCEL, sym))
+        else:
+            stack.append(sym)
+    if stack:
+        raise EmbeddingInvalid("rotation system is not planar: its edges cross "
+                               "once the spanning tree is contracted")
+    return ContractionTrace(tuple(steps), state.final_sign())
+
+
+def oracle_check_trace(g: IntersectionGraph, r: RotationSystem, signs: dict[str, int],
+                       trace: ContractionTrace) -> int:
+    """``certificate.check_trace`` replayed on ``WordListState``."""
+    try:
+        check_coverage(g, r)
+    except CoverageError as err:
+        raise IllegalStep(-1, str(err)) from None
+    missing, unknown = sorted(set(g.nodes) - set(signs)), sorted(set(signs) - set(g.nodes))
+    if missing or unknown:
+        raise IllegalStep(-1, f"signs must cover exactly the graph nodes: "
+                              f"missing {missing}, unknown {unknown}")
+    words = start_words(r)
+    occurrences = Counter(sym for word in words.values() for sym in word)
+    if any(count != 2 for count in occurrences.values()):
+        raise IllegalStep(-1, "some symbol does not occur exactly twice")
+    state = WordListState(words, signs)
+    for index, (op, arg) in enumerate(trace.steps):
+        if op == CONTRACT:
+            state.contract(arg, index)
+        elif op == CANCEL:
+            state.cancel(arg, index)
+        else:
+            raise IllegalStep(index, f"unknown op {op!r}")
+    end = len(trace.steps)
+    if not state.finished():
+        raise IllegalStep(end, "replay did not end in a single empty word")
+    if state.final_sign() != trace.final_sign:
+        raise IllegalStep(end, "recorded final sign disagrees with the replay")
+    return state.final_sign()
+
+
+def replay_outcome(check, *args):
+    """What a trace check gives: ``("sign", s)`` or ``("illegal", index, reason)``."""
+    try:
+        return "sign", check(*args)
+    except IllegalStep as err:
+        return "illegal", err.index, err.reason
 
 
 def brute_force_classical_exists(a: Arrangement, s: Signing) -> bool:

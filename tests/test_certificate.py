@@ -5,11 +5,16 @@ import random
 import pytest
 
 from helpers import (
+    WordListState,
     corpus,
     cyclic_equal,
     graph_from_edges,
     grid_edges,
+    oracle_check_trace,
+    oracle_generate_trace,
+    replay_outcome,
     restart_trace_steps,
+    start_words,
     triangle_board,
 )
 from pseudotelepathy.arrangement import parity
@@ -19,14 +24,43 @@ from pseudotelepathy.certificate import (
     ContractionTrace,
     EmbeddingInvalid,
     IllegalStep,
-    _start_words,
-    _WordState,
+    _ReplayState,
     check_trace,
     generate_trace,
 )
 from pseudotelepathy.generate import random_signing
 from pseudotelepathy.intersection import IntersectionGraph, RotationSystem, build, trace_faces
 from pseudotelepathy.planarity import test_planarity as decide_planarity
+
+
+# The replay state and its list oracle, each built from (rotation, signs).
+STATES = (_ReplayState, lambda r, signs: WordListState(start_words(r), signs))
+
+
+def words_of(state) -> dict[str, list[str]]:
+    """Each surviving node's word, as a list from its start."""
+    if isinstance(state, WordListState):
+        return {n: list(w) for n, w in state.words.items()}
+    return {state.name[n]: state.word(n) for n in state.alive}
+
+
+def signs_of(state) -> dict[str, int]:
+    if isinstance(state, WordListState):
+        return dict(state.signs)
+    return {state.name[n]: state.sign[n] for n in state.alive}
+
+
+def holders_of(state) -> dict[str, list[str]]:
+    """The sorted names of the nodes holding each symbol's occurrences."""
+    if isinstance(state, WordListState):
+        return {sym: sorted(nodes) for sym, nodes in state.holders.items()}
+    return {sym: sorted(state.name[state.node[k]] for k in (k1, state.second[sym]))
+            for sym, k1 in state.first.items()}
+
+
+def rotation_of(words: dict[str, list[str]]) -> RotationSystem:
+    """A rotation system whose start words are ``words``."""
+    return RotationSystem.from_dict({n: [(sym, 0) for sym in w] for n, w in words.items()})
 
 
 def planar_instance(a, signs=None):
@@ -170,9 +204,10 @@ class TestCheckerRejections:
         assert check_trace(g, planar, signs, trace) == 1
 
     def test_illegal_cancel_detected_by_state(self):
-        state = _WordState({"n": ["a", "b", "a", "b"]}, {"n": 1})
-        with pytest.raises(IllegalStep):
-            state.cancel("a", 0)
+        for make in STATES:
+            state = make(rotation_of({"n": ["a", "b", "a", "b"]}), {"n": 1})
+            with pytest.raises(IllegalStep):
+                state.cancel("a", 0)
 
     def test_contract_missing_edge(self):
         g, r, signs, trace = self._trace()
@@ -272,15 +307,18 @@ class TestSpliceOracle:
             pv = rng.randrange(n_v + 1)
             wu.insert(pu, edge)
             wv.insert(pv, edge)
-            state = _WordState({"A": wu, "B": wv}, {"A": 1, "B": -1})
-            state.contract(edge, 0)
-            (merged,) = state.words.values()
-
+            # a third word holds the other occurrence of every other symbol
+            rest = wu[:pu] + wu[pu + 1:] + wv[:pv] + wv[pv + 1:]
+            rng.shuffle(rest)
+            words = {"A": wu, "B": wv, "C": rest}
             iu, iv = wu.index(edge), wv.index(edge)
             rot_u = wu[iu + 1:] + wu[:iu]      # u's word ending just before e
             rot_v = wv[iv + 1:] + wv[:iv]      # v's word starting just after e
-            assert cyclic_equal(merged, rot_u + rot_v)
-            assert state.signs["A"] == -1
+            for make in STATES:
+                state = make(rotation_of(words), {"A": 1, "B": -1, "C": 1})
+                state.contract(edge, 0)
+                assert cyclic_equal(words_of(state)["A"], rot_u + rot_v)
+                assert signs_of(state) == {"A": -1, "C": 1}
 
     def test_small_words_reduce_iff_noncrossing(self):
         """With <= 5 symbols, greedy cancellation succeeds exactly when some
@@ -301,10 +339,9 @@ class TestSpliceOracle:
                         return True
             return False
 
-        def greedy_reducible(word):
-            state = _WordState({"n": list(word)}, {"n": 1})
-            while state.words["n"]:
-                w = state.words["n"]
+        def greedy_reducible(make, word):
+            state = make(rotation_of({"n": word}), {"n": 1})
+            while w := words_of(state)["n"]:
                 for i, sym in enumerate(w):
                     if w[(i + 1) % len(w)] == sym:
                         state.cancel(sym, 0)
@@ -318,7 +355,8 @@ class TestSpliceOracle:
             for _ in range(60):
                 word = list("abcde"[:n_symbols]) * 2
                 rng.shuffle(word)
-                assert greedy_reducible(word) == brute_reducible(word)
+                for make in STATES:
+                    assert greedy_reducible(make, word) == brute_reducible(word)
 
     def test_splice_preserves_operator_products_of_magic_boards(self):
         """The merge rule is sound against real noncommuting Pauli algebra.
@@ -332,9 +370,10 @@ class TestSpliceOracle:
         from pseudotelepathy.realization import builtin_pentagram, builtin_square
 
         def check_invariant(state, ops, n):
-            for node, word in state.words.items():
+            signs = signs_of(state)
+            for node, word in words_of(state).items():
                 prod = product_of([ops[sym] for sym in word], n_qubits=n)
-                want = 0 if state.signs[node] == 1 else 2
+                want = 0 if signs[node] == 1 else 2
                 assert prod.is_identity() and prod.phase_exp == want
 
         for builtin in (builtin_square, builtin_pentagram):
@@ -349,25 +388,26 @@ class TestSpliceOracle:
                     syms = [eid for eid, _ in darts[node]]
                     rng.shuffle(syms)
                     words[node] = syms
-                state = _WordState(words, {eid: s.sign(eid) for eid in g.nodes})
-                check_invariant(state, ops, r.n_qubits)
                 edges = list(g.endpoints().items())
                 rng.shuffle(edges)
-                parent = {n: n for n in g.nodes}
-
-                def find(x):
-                    while parent[x] != x:
-                        parent[x] = parent[parent[x]]
-                        x = parent[x]
-                    return x
-
-                for step, (eid, (u, v)) in enumerate(edges):
-                    ru, rv = find(u), find(v)
-                    if ru == rv:
-                        continue
-                    parent[ru] = rv
-                    state.contract(eid, step)
+                for make in STATES:
+                    state = make(rotation_of(words), {eid: s.sign(eid) for eid in g.nodes})
                     check_invariant(state, ops, r.n_qubits)
+                    parent = {n: n for n in g.nodes}
+
+                    def find(x):
+                        while parent[x] != x:
+                            parent[x] = parent[parent[x]]
+                            x = parent[x]
+                        return x
+
+                    for step, (eid, (u, v)) in enumerate(edges):
+                        ru, rv = find(u), find(v)
+                        if ru == rv:
+                            continue
+                        parent[ru] = rv
+                        state.contract(eid, step)
+                        check_invariant(state, ops, r.n_qubits)
 
     def test_occurrence_invariants_during_replay(self):
         for a, s in corpus(seed=91, count=25):
@@ -377,22 +417,197 @@ class TestSpliceOracle:
                 continue
             signs = s.as_dict()
             trace = generate_trace(g, res.embedding, signs)
-            words = _start_words(res.embedding)
-            state = _WordState(words, signs)
-            alive = {sym for w in words.values() for sym in w}
-            for idx, (op, arg) in enumerate(trace.steps):
-                if op == CONTRACT:
-                    state.contract(arg, idx)
-                else:
-                    state.cancel(arg, idx)
-                alive.discard(arg)
-                counts = {}
-                rescan = {}
-                for node, w in state.words.items():
-                    for sym in w:
-                        counts[sym] = counts.get(sym, 0) + 1
-                        rescan.setdefault(sym, []).append(node)
-                assert set(counts) == alive
-                assert all(c == 2 for c in counts.values())
-                assert {sym: sorted(nodes) for sym, nodes in state.holders.items()} == {
-                    sym: sorted(nodes) for sym, nodes in rescan.items()}
+            for make in STATES:
+                state = make(res.embedding, signs)
+                alive = set(g.endpoints())
+                for idx, (op, arg) in enumerate(trace.steps):
+                    if op == CONTRACT:
+                        state.contract(arg, idx)
+                    else:
+                        state.cancel(arg, idx)
+                    alive.discard(arg)
+                    counts = {}
+                    rescan = {}
+                    for node, w in words_of(state).items():
+                        for sym in w:
+                            counts[sym] = counts.get(sym, 0) + 1
+                            rescan.setdefault(sym, []).append(node)
+                    assert set(counts) == alive
+                    assert all(c == 2 for c in counts.values())
+                    assert holders_of(state) == {
+                        sym: sorted(nodes) for sym, nodes in rescan.items()}
+                    if isinstance(state, _ReplayState):
+                        assert_links_consistent(state)
+
+
+def assert_links_consistent(state: _ReplayState) -> None:
+    """Every live word is a ring of its own occurrences: succ and pred are
+    inverse, the ring closes after ``length`` steps at ``start``, and every
+    occurrence on it carries the word's id."""
+    seen = 0
+    for n in state.alive:
+        k = state.start[n]
+        for _ in range(state.length[n]):
+            assert state.node[k] == n and state.pred[state.succ[k]] == k
+            k = state.succ[k]
+        assert k == state.start[n] or not state.length[n]
+        seen += state.length[n]
+    assert seen == 2 * len(state.first) == 2 * len(state.second)
+
+
+def replay_both(words, signs, steps):
+    """Replay ``steps`` on the replay state and on its list oracle from the
+    same start words, requiring equal words (as lists, so equal starts),
+    signs, holders and ``IllegalStep`` after every step; returns the
+    replay state."""
+    states = [make(rotation_of(words), signs) for make in STATES]
+    for index, (op, arg) in enumerate(steps):
+        outcomes = [replay_outcome(getattr(state, op), arg, index) for state in states]
+        assert outcomes[0] == outcomes[1]
+        if outcomes[0][0] == "illegal":
+            break
+        assert words_of(states[0]) == words_of(states[1])
+        assert signs_of(states[0]) == signs_of(states[1])
+        assert holders_of(states[0]) == holders_of(states[1])
+        assert_links_consistent(states[0])
+    return states[0]
+
+
+class TestReplayBranches:
+    """Splice and start rules that generated traces on the benchmark's
+    boards never reach, each against the list oracle."""
+
+    def test_survivor_with_the_shorter_word_is_relabelled(self):
+        words = {"a": ["p", "e"], "b": ["q", "q", "e", "p"]}
+        state = replay_both(words, {"a": -1, "b": 1}, [(CONTRACT, "e")])
+        # a (the smaller name) survives, but its record moved to b's id
+        assert state.name == [None, "a"] and state.alive == {1}
+        assert words_of(state) == {"a": ["p", "p", "q", "q"]}
+        assert set(state.node[k] for k in (state.first | state.second).values()) == {1}
+        state = replay_both(words, {"a": -1, "b": 1},
+                            [(CONTRACT, "e"), (CANCEL, "p"), (CANCEL, "q")])
+        assert state.finished() and state.final_sign() == -1
+
+    def test_contract_at_the_survivors_start(self):
+        words = {"a": ["e", "p", "q"], "b": ["r", "e", "s"], "c": ["s", "q", "p", "r"]}
+        state = replay_both(words, {"a": 1, "b": 1, "c": 1}, [(CONTRACT, "e")])
+        assert words_of(state)["a"] == ["s", "r", "p", "q"]
+
+    @pytest.mark.parametrize("words, merged", [
+        ({"a": ["p", "e", "q"], "b": ["e"], "c": ["q", "p"]}, ["p", "q"]),
+        ({"a": ["e", "p", "q"], "b": ["e"], "c": ["q", "p"]}, ["p", "q"]),
+    ], ids=["inside", "at-start"])
+    def test_v_word_is_the_edge_alone(self, words, merged):
+        state = replay_both(words, dict.fromkeys(words, 1), [(CONTRACT, "e")])
+        assert words_of(state)["a"] == merged
+
+    def test_u_word_is_the_edge_alone(self):
+        words = {"a": ["e"], "b": ["p", "e", "q"], "c": ["q", "p"]}
+        state = replay_both(words, dict.fromkeys(words, 1), [(CONTRACT, "e")])
+        assert words_of(state) == {"a": ["q", "p"], "c": ["q", "p"]}
+
+    def test_both_words_are_the_edge_alone(self):
+        state = replay_both({"a": ["e"], "b": ["e"]}, {"a": 1, "b": -1}, [(CONTRACT, "e")])
+        assert state.finished() and state.final_sign() == -1
+
+    @pytest.mark.parametrize("word, symbol, rest", [
+        (["p", "p", "q", "q"], "p", ["q", "q"]),
+        (["p", "q", "q", "p"], "p", ["q", "q"]),
+        (["q", "p", "p", "q"], "p", ["q", "q"]),
+        (["p", "p"], "p", []),
+    ], ids=["start-first", "start-second", "inside", "whole-word"])
+    def test_cancel_moves_the_start_past_the_pair(self, word, symbol, rest):
+        state = replay_both({"n": word}, {"n": 1}, [(CANCEL, symbol)])
+        assert words_of(state) == {"n": rest}
+
+    def test_illegal_steps_leave_the_same_reasons(self):
+        words = {"a": ["e", "p", "q", "p"], "b": ["e", "f", "f", "q"]}
+        for steps in ([(CANCEL, "p")], [(CANCEL, "e")], [(CANCEL, "ghost")],
+                      [(CONTRACT, "ghost")], [(CONTRACT, "e"), (CONTRACT, "q")],
+                      [(CONTRACT, "e"), (CANCEL, "e")]):
+            replay_both(words, {"a": 1, "b": 1}, steps)
+
+
+def shuffled_ids(edges: dict[str, tuple[str, str]], rng: random.Random):
+    """The same graph with its edge and node ids permuted."""
+    nodes = sorted({n for pair in edges.values() for n in pair})
+    node_of = dict(zip(nodes, rng.sample(nodes, len(nodes))))
+    edge_of = dict(zip(edges, rng.sample(list(edges), len(edges))))
+    return {edge_of[e]: (node_of[u], node_of[v]) for e, (u, v) in edges.items()}
+
+
+def perturbations(trace: ContractionTrace, symbols: list[str], rng: random.Random):
+    """Seeded edits of a trace: swap two steps, delete one, insert one,
+    flip one step's op, and shuffle all steps, a few of each."""
+    steps = list(trace.steps)
+    if not steps:
+        return
+    flip = {CONTRACT: CANCEL, CANCEL: CONTRACT}
+    for _ in range(3):
+        i, j = rng.randrange(len(steps)), rng.randrange(len(steps))
+        swapped = list(steps)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        yield swapped
+        yield steps[:i] + steps[i + 1:]
+        fresh = (rng.choice((CONTRACT, CANCEL)), rng.choice(symbols))
+        step = rng.choice([rng.choice(steps), fresh])
+        yield steps[:i] + [step] + steps[i:]
+        yield steps[:i] + [(flip[steps[i][0]], steps[i][1])] + steps[i + 1:]
+        yield rng.sample(steps, len(steps))
+
+
+class TestDifferential:
+    """The linked replay against the list oracle: generated steps and final
+    signs, and every check outcome (sign, or ``IllegalStep`` index and
+    reason), on corpora, grids in both id orders and edited traces."""
+
+    def instances(self):
+        for a, s in corpus(seed=83, count=300) + corpus(seed=59, count=60, dense=True):
+            g = build(a)
+            yield g, s.as_dict()
+        for n in range(4, 17):
+            rng = random.Random(n)
+            for edges in (grid_edges(n), shuffled_ids(grid_edges(n), rng)):
+                g = graph_from_edges(edges)
+                yield g, {node: rng.choice((1, -1)) for node in g.nodes}
+
+    def test_generation_and_checks_match_the_oracle(self):
+        planar = checked = 0
+        for g, signs in self.instances():
+            res = decide_planarity(g)
+            if not res.is_planar:
+                continue
+            planar += 1
+            r = res.embedding
+            trace = generate_trace(g, r, signs)
+            assert trace == oracle_generate_trace(g, r, signs)
+            rng = random.Random(planar)
+            symbols = [eid for eid, _, _ in g.edges] + ["ghost"]
+            edited = [bad.steps for bad in _mutations(trace)]
+            edited += perturbations(trace, symbols, rng)
+            for steps in [trace.steps] + edited:
+                for final in (trace.final_sign, -trace.final_sign):
+                    t = ContractionTrace(tuple(steps), final)
+                    assert (replay_outcome(check_trace, g, r, signs, t)
+                            == replay_outcome(oracle_check_trace, g, r, signs, t))
+                    checked += 1
+        assert planar >= 300 and checked >= 10_000
+
+    def test_start_checks_match_the_oracle(self):
+        a, _ = triangle_board()
+        g, r, signs = planar_instance(a)
+        trace = generate_trace(g, r, signs)
+        rot = {n: list(ds) for n, ds in r.as_dict().items()}
+        first = min(rot)
+        once = {**rot, first: rot[first][1:] + [("ghost", 0)]}
+        thrice = {**rot, first: rot[first] + [rot[first][0]]}
+        # two edges under one id: the darts cover the graph, yet p occurs 4 times
+        twin = IntersectionGraph(("u", "v"), (("p", "u", "v"), ("p", "u", "v")))
+        twin_r = RotationSystem.from_dict({"u": [("p", 0)] * 2, "v": [("p", 1)] * 2})
+        for g, bad_r, bad_signs in ((g, r, {**signs, "zz": 1}),
+                                    (g, RotationSystem.from_dict(once), signs),
+                                    (g, RotationSystem.from_dict(thrice), signs),
+                                    (twin, twin_r, {"u": 1, "v": 1})):
+            outcome = replay_outcome(check_trace, g, bad_r, bad_signs, trace)
+            assert outcome[:2] == ("illegal", -1)
+            assert outcome == replay_outcome(oracle_check_trace, g, bad_r, bad_signs, trace)

@@ -35,3 +35,29 @@ def test_the_package_has_modules():
 def test_imports_only_the_standard_library(path):
     allowed = set(sys.stdlib_module_names) | {"pseudotelepathy"}
     assert sorted(imported_roots(path) - allowed) == []
+
+
+def imported_modules(path: Path) -> set[str]:
+    """The dotted name of every module the module imports, and of every
+    name it imports from a module (which may itself be a module); relative
+    imports are resolved within the package."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = ".".join(filter(None, ["pseudotelepathy", base]))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_the_certificate_verifier_imports_nothing_from_planarity():
+    """``check_trace`` is the certificate's independent verifier: it must not
+    borrow the embedder's code, faces or darts."""
+    planarity = "pseudotelepathy.planarity"
+    imported = imported_modules(PACKAGE / "certificate.py")
+    assert imported and sorted(
+        m for m in imported if m == planarity or m.startswith(planarity + ".")) == []

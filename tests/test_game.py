@@ -915,6 +915,12 @@ class TestCoverage:
             with pytest.raises(CoverageError, match=r"^no line 'nope' on the board$"):
                 exact_line_win_probabilities(strategy, a, s, "nope")
 
+    def test_query_vertex_off_its_line(self):
+        a, s, r = builtin_square()
+        for strategy in (QuantumStrategy(r), ClassicalStrategy.optimal(a, s)):
+            with pytest.raises(CoverageError, match=r"^vertex '11' is not on line 'c3'$"):
+                exact_query_win_probability(strategy, a, s, Query("11", "c3"))
+
     def test_signing_with_another_line(self):
         a, s, r = builtin_square()
         ghost = Signing.from_dict({**s.as_dict(), "ghost": 1})
