@@ -18,10 +18,8 @@ Running the replay with odd-parity signs ends at -1, certifying that no
 quantum realization of any odd signing exists.  The checker is adversarial:
 it trusts nothing about how the trace was produced and derives the start
 state from (g, r, signs) itself, so the certificate is independent of its
-generator.  Planarity is only needed to guarantee a full replay exists:
-contracting a spanning tree of a planar embedding leaves one node whose
-word is a noncrossing chord diagram, and a noncrossing diagram always has
-an adjacent pair to cancel.
+generator.  Planarity is needed only for a full replay to exist
+(:func:`generate_trace`).
 
 Cost.  The replay state links the 2E symbol occurrences into one cyclic
 ring per word (a doubly connected edge list, Muller and Preparata 1978), so
@@ -30,10 +28,9 @@ them in O(1).  A contract relabels the occurrences of the shorter of its two
 words (Hopcroft 1971).  Summed over occurrences, the log of the length of
 the word holding each one then gains a constant per relabel (a word of at
 most three occurrences aside, O(V) in all), and loses O(log E) per cancel,
-so any step order costs O(E log E) relabels.  A generated trace contracts a
-breadth-first tree into the root's word and relabels at most the incoming
-word's occurrences each time, O(E) in all; generation then cancels the one
-remaining word in one stack pass, O(E).  Payloads read from files are
+so any step order costs O(E log E) relabels.  Generation replays nothing: it
+reads the contracted word off one walk round the spanning tree and cancels
+it in one stack pass, O(E) in all.  Payloads read from files are
 type-checked field by field before any replay (:func:`read_payload`).
 """
 
@@ -41,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
+from math import prod
 from operator import itemgetter, ne
 
 from pseudotelepathy.intersection import (
@@ -144,21 +142,18 @@ def read_payload(raw) -> tuple[ContractionTrace, RotationSystem, dict[str, int]]
 
 
 class _ReplayState:
-    """Mutable replay state over the 2E symbol occurrences of (r, signs).
+    """The replay state of :func:`check_trace`, over the 2E occurrences.
 
-    Occurrence k is the k-th dart of the rotations laid end to end, with
-    symbol ``syms[k]``.  Each node's cyclic word is a ring of occurrences
-    linked by ``succ`` and ``pred``, and ``node[k]`` is the id of the word
-    holding k.  A word's record (``name``, ``sign``, ``length``, ``start``)
-    sits at its id; ``start`` is the occurrence that the word, written as a
-    list, begins at (stale once the word is empty).  A node's name is the
-    least original name in its merged set.  ``first`` and ``second`` give
-    the two occurrences of every symbol still present, and ``alive`` the ids
-    of the surviving words.
+    Occurrence k is the k-th dart of the rotations laid end to end.  Each
+    node's cyclic word is a ring of occurrences linked by ``succ`` and
+    ``pred``, with no first occurrence, and ``node[k]`` is the id of the
+    word holding k.  A word's record (``name``, ``sign``, ``length``) sits at
+    its id.  A node's name is the least original name in its merged set.
+    ``first`` and ``second`` give the two occurrences of every symbol still
+    present, and ``alive`` the ids of the surviving words.
     """
 
-    __slots__ = ("syms", "name", "sign", "length", "start", "node", "succ", "pred",
-                 "first", "second", "alive")
+    __slots__ = ("name", "sign", "length", "node", "succ", "pred", "first", "second", "alive")
 
     def __init__(self, r: RotationSystem, signs: dict[str, int]):
         rot = r.as_dict()
@@ -167,7 +162,6 @@ class _ReplayState:
         self.length = list(map(len, rot.values()))
         syms = list(map(itemgetter(0), chain.from_iterable(rot.values())))
         total = len(syms)
-        self.syms = syms
         self.second = dict(zip(syms, range(total)))
         self.first = dict(zip(reversed(syms), range(total - 1, -1, -1)))
         # no symbol occurs once, and there are half as many symbols as
@@ -178,14 +172,13 @@ class _ReplayState:
         self.node = list(chain.from_iterable(map(repeat, range(len(self.name)), self.length)))
         self.succ = list(range(1, total + 1))
         self.pred = list(range(-1, total - 1))
-        self.start = list(accumulate(self.length, initial=0))[:-1]
-        for s, m in zip(self.start, self.length):
+        for s, m in zip(accumulate(self.length, initial=0), self.length):
             if m:
                 self.succ[s + m - 1], self.pred[s] = s, s + m - 1
         self.alive = set(range(len(self.name)))
 
     def contract(self, edge: str, index: int) -> None:
-        """Splice the words at the edge's two occurrences into the word of
+        """Splice the words at the edge's two occurrences into one word, of
         the smaller name, relabelling the occurrences of the shorter word."""
         node = self.node
         x = self.first.get(edge)
@@ -193,8 +186,6 @@ class _ReplayState:
             raise IllegalStep(index, f"edge {edge!r} does not join two distinct nodes")
         del self.first[edge], self.second[edge]
         u, v, name = node[x], node[y], self.name
-        if name[v] < name[u]:
-            x, y, u, v = y, x, v, u
         succ, pred = self.succ, self.pred
         sx, px, sy, py = succ[x], pred[x], succ[y], pred[y]
         # u's word with x replaced by v's word from sy round to py
@@ -205,23 +196,20 @@ class _ReplayState:
             succ[py], pred[sy] = sy, py
         else:
             succ[px], pred[sy], succ[py], pred[sx] = sy, px, sx, py
-        start = self.start[u]
-        if start == x:
-            start = sy if sy != y else sx
         lu, lv = self.length[u], self.length[v]
         keep, k, moves = (u, sy, lv) if lv <= lu else (v, sx, lu)
         for _ in range(moves - 1):
             node[k] = keep
             k = succ[k]
         gone = v if keep == u else u
-        name[keep], name[gone] = name[u], None
+        name[keep], name[gone] = name[u] if name[u] < name[v] else name[v], None
         self.sign[keep] = self.sign[u] * self.sign[v]
-        self.length[keep], self.start[keep] = lu + lv - 2, start
+        self.length[keep] = lu + lv - 2
         self.alive.remove(gone)
 
     def cancel(self, symbol: str, index: int) -> None:
         """Unlink the symbol's two occurrences, which must be cyclically
-        adjacent in one word; a start among them moves past them."""
+        adjacent in one word."""
         node = self.node
         x = self.first.get(symbol)
         if x is None or node[x] != node[y := self.second[symbol]]:
@@ -237,17 +225,6 @@ class _ReplayState:
         n, before, after = node[x], pred[a], succ[b]
         succ[before], pred[after] = after, before
         self.length[n] -= 2
-        if self.start[n] in (a, b):
-            self.start[n] = after
-
-    def word(self, n: int) -> list[str]:
-        """Node n's word as a list from its start occurrence."""
-        syms, succ, out = self.syms, self.succ, []
-        k = self.start[n]
-        for _ in range(self.length[n]):
-            out.append(syms[k])
-            k = succ[k]
-        return out
 
     def finished(self) -> bool:
         return len(self.alive) == 1 and not self.length[next(iter(self.alive))]
@@ -273,37 +250,52 @@ def generate_trace(
     empties a noncrossing word, and leaves a crossing one nonempty: what it
     keeps holds whole pairs, no two adjacent, and an innermost pair of a
     nonempty noncrossing diagram is adjacent.
+
+    Nothing is replayed: one walk reads the contracted word off r from the
+    root's first dart, emitting each dart's edge id but descending, at a
+    dart of a tree edge whose other end is the edge's child, into the
+    child's rotation from just after the child's dart of that edge round to
+    just before it.  Contracting tree edge (u, v) puts v's word, so rotated,
+    in place of u's occurrence of the edge.  The contracts' order does not
+    change the cyclic word, and in discovery order a child's word is still
+    its rotation when its edge is contracted.  Each contract joins the root's
+    word with a child's, so a replay reading the root's word from its first
+    dart, moving on past each dart a contract removes, reads the walk's
+    word.  The final sign is the product of all signs.
     """
     if set(signs) != set(g.nodes):
         raise ValueError("signs must cover exactly the graph nodes")
     check_coverage(g, r)
     if not g.nodes or len(g.tree) != len(g.nodes):
         raise EmbeddingInvalid("graph is empty or not connected")
+    if len(set(map(itemgetter(0), g.edges))) != len(g.edges):  # r covers g, so twice each
+        raise IllegalStep(-1, "some symbol does not occur exactly twice")
 
-    state = _ReplayState(r, signs)
-    steps: list[tuple[str, str]] = []
+    words = {node: list(map(itemgetter(0), darts)) for node, darts in r.rotations}
+    child = {eid: node for node, (_, eid) in list(g.tree.items())[1:]}  # the root has no edge
+    steps = [(CONTRACT, eid) for eid in child]
 
-    for _, eid in list(g.tree.values())[1:]:  # the root comes first, with no edge
-        steps.append((CONTRACT, eid))
-        state.contract(eid, len(steps) - 1)
-
-    # Cancel the leftmost adjacent pair each time, in one stack pass: after a
-    # cancel at i no pair starts before i - 1, so the stack (the reduced
-    # prefix) never holds one.
-    (root,) = state.alive
-    word = state.word(root)
+    # Walk the word (what is left of it is reversed on ``todo``), cancelling
+    # the leftmost adjacent pair each time in one stack pass: after a cancel at
+    # i no pair starts before i - 1, so the stack (the reduced prefix) never
+    # holds one.
     stack: list[str] = []
-    for sym in word:
-        if stack and stack[-1] == sym:
+    todo = words[next(iter(g.tree))][::-1]  # the root's word
+    while todo:
+        eid = todo.pop()
+        if eid in child:
+            word = words[child[eid]]
+            k = word.index(eid)
+            todo += reversed(word[k + 1:] + word[:k])
+        elif stack and stack[-1] == eid:
             stack.pop()
-            steps.append((CANCEL, sym))
+            steps.append((CANCEL, eid))
         else:
-            stack.append(sym)
+            stack.append(eid)
     if stack:
         raise EmbeddingInvalid("rotation system is not planar: its edges cross "
                                "once the spanning tree is contracted")
-
-    return ContractionTrace(tuple(steps), state.final_sign())
+    return ContractionTrace(tuple(steps), prod(signs.values()))
 
 
 def check_trace(

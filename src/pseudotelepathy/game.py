@@ -25,7 +25,7 @@ builds one ``Fraction`` per query of a line, and ``exact_win_probability``
 adds the integer numerators of the whole board (a classical query's win
 bit counts 4) into one ``Fraction`` over 4 * 2|V|.  Both flavors raise
 ``CoverageError``, as the verifiers do, for a signing of other lines than
-the board's or a strategy without an entry that the game looks up.
+the board's or a strategy with an entry missing or off the board.
 
 A Monte Carlo round is a stabilizer circuit on n Bell pairs (Aaronson and
 Gottesman, "Improved simulation of stabilizer circuits", PRA 70, 052328,
@@ -42,7 +42,7 @@ indexed by referee draw, per board and signing (``compiled_game``).  A
 round draws what a tableau rerun draws, one ``randrange(2|V|)`` and one
 ``random()`` per measurement, all from one ``random.Random(seed)``, so
 every report equals that of round-by-round play (``play_quantum``).  A
-classical query is one win bit, from one product per drawn line.
+classical query is one win bit, from one product per line, drawn or not.
 
 The best classical win probability needs no search: it is 1 for an even
 signing and 1 - 1/(2|V|) for an odd one (``classical_value``).  Bob's best
@@ -295,26 +295,31 @@ def _check_signing(a: Arrangement, s: Signing) -> None:
 
 
 def _covered(play):
-    """``play(strategy, a, s, ...)`` with the ``KeyError`` of a lookup that
-    failed reraised as a ``CoverageError`` naming, sorted, what s or the
-    strategy misses; a lookup that succeeds pays for no check."""
+    """``play(strategy, a, s, ...)`` raising a ``CoverageError`` that names, sorted,
+    what s or the strategy misses or, by counts, holds for ids off the board."""
     @wraps(play)
     def covered(strategy, a: Arrangement, s: Signing, *args, **kwargs):
+        quantum = isinstance(strategy, QuantumStrategy)  # held[v] is Alice's answer at v
+        held = strategy.realization._operator_map if quantum else strategy._alice_map
         try:
-            return play(strategy, a, s, *args, **kwargs)
+            result = play(strategy, a, s, *args, **kwargs)
         except KeyError:
             _check_signing(a, s)
-            if isinstance(strategy, QuantumStrategy):
-                what = "operator for vertices"
-                missing = set(a.vertices) - strategy.realization.as_dict().keys()
-            elif missing := set(a.vertices) - strategy._alice_map.keys():
-                what = "color from Alice for vertices"
-            else:
+            if missing := set(a.vertices) - held.keys():
+                what = "operator for vertices" if quantum else "color from Alice for vertices"
+            elif not quantum:
                 what, bob = "coloring from Bob of all members of lines", strategy._bob_map
                 missing = {e for e, m in a.hyperedges if not bob.get(e, {}).keys() >= set(m)}
             if missing:
                 raise CoverageError(f"no {what} {sorted(missing)}") from None
             raise
+        if len(held) != len(a.vertices) and (extra := held.keys() - a.vertices):
+            raise CoverageError(f"{'operators' if quantum else 'colors from Alice'} for ids "
+                                f"that are not vertices {sorted(extra)}")
+        if not quantum and len(strategy._bob_map) != len(a.hyperedges) and (
+                extra := strategy._bob_map.keys() - a._member_map):
+            raise CoverageError(f"colorings from Bob for ids that are not lines {sorted(extra)}")
+        return result
     return covered
 
 
@@ -419,11 +424,13 @@ def classical_value(a: Arrangement, s: Signing) -> Fraction:
 def _classical_line_wins(strategy: ClassicalStrategy, s: Signing, hyperedge: str,
                          members: tuple[str, ...]) -> list[bool]:
     """The win bit of each query on one line, in member order: the referee's
-    two checks (``_score``), with Bob's product formed once for the line."""
-    coloring = strategy._bob_map[hyperedge]
-    if not _parity_ok(coloring, members, s.sign(hyperedge)):
-        return [False] * len(members)
-    return [coloring[v] == strategy._alice_map[v] for v in members]
+    two checks (``_score``) at every member, Bob's product formed once."""
+    coloring, alice = strategy._bob_map[hyperedge], strategy._alice_map
+    parity_ok = _parity_ok(coloring, members, s.sign(hyperedge))
+    if len(coloring) != len(members):  # every member was looked up
+        raise CoverageError(f"colors from Bob on line {hyperedge!r} for ids that are not "
+                            f"its members {sorted(coloring.keys() - members)}")
+    return [coloring[v] == alice[v] and parity_ok for v in members]
 
 
 def _line_rows(strategy: QuantumStrategy, hyperedge: str,
@@ -540,8 +547,8 @@ def monte_carlo(strategy, a: Arrangement, s: Signing, trials: int,
     refused, since ``random.Random(-n)`` would replay the draws of n.  A
     round plays its query compiled (module docstring): a classical one is
     a win bit, a quantum one the affine forms of the referee's two checks.
-    A quantum strategy's table is whole before the first round, so an
-    operator that cannot be measured or is missing raises whatever is drawn.
+    A strategy's table or win bits are whole before the first round, so an
+    operator that cannot be measured or any missing entry raises whatever is drawn.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -554,16 +561,13 @@ def monte_carlo(strategy, a: Arrangement, s: Signing, trials: int,
     if isinstance(strategy, ClassicalStrategy):
         for _ in range(trials):
             hits[randrange(queries)] += 1
-        lines: dict[str, dict[str, bool]] = {}
-        wins = []
+        lines = {e: dict(zip(members, _classical_line_wins(strategy, s, e, members)))
+                 for e, members in a.hyperedges}
+        wins = [0] * queries
         for k, n in enumerate(hits):
             if n:
                 v, e = _query_of(a, k)
-                if e not in lines:
-                    members = a.members(e)
-                    lines[e] = dict(zip(members, _classical_line_wins(strategy, s, e, members)))
-                n *= lines[e][v]
-            wins.append(n)
+                wins[k] = n * lines[e][v]
     else:
         table = strategy.compiled_game(a, s)
         draw, wins = rng.random, [0] * queries

@@ -66,17 +66,3 @@ def random_arrangement(
     raw = random_board(rng, n_hyperedges, n_extra_vertices, signed=True)
     arrangement, signing = validate(raw)
     return arrangement, signing
-
-
-def random_signing(rng: random.Random, a: Arrangement,
-                   target_parity: int | None = None) -> Signing:
-    """Uniform signing, optionally conditioned on a target parity."""
-    signs = {eid: rng.choice((1, -1)) for eid in a.hyperedge_ids()}
-    if target_parity is not None:
-        current = 1
-        for sign in signs.values():
-            current *= sign
-        if current != target_parity:
-            last = max(signs)
-            signs[last] = -signs[last]
-    return Signing.from_dict(signs)

@@ -67,9 +67,6 @@ class PauliOperator:
         """Hermitian with M*M = I, i.e. real global phase."""
         return self.phase_exp % 2 == 0
 
-    def is_identity(self) -> bool:
-        return not self.x | self.z
-
     def negate(self) -> "PauliOperator":
         return PauliOperator(self.n_qubits, (self.phase_exp + 2) % 4, self.x, self.z)
 

@@ -92,6 +92,25 @@ def dense_matrix(p: PauliOperator) -> np.ndarray:
     return p.phase * m
 
 
+def is_identity(p: PauliOperator) -> bool:
+    """Whether p is +-I, +-iI: no X or Z on any qubit."""
+    return not p.x | p.z
+
+
+def random_signing(rng: random.Random, a: Arrangement,
+                   target_parity: int | None = None) -> Signing:
+    """Uniform signing, optionally conditioned on a target parity."""
+    signs = {eid: rng.choice((1, -1)) for eid in a.hyperedge_ids()}
+    if target_parity is not None:
+        current = 1
+        for sign in signs.values():
+            current *= sign
+        if current != target_parity:
+            last = max(signs)
+            signs[last] = -signs[last]
+    return Signing.from_dict(signs)
+
+
 def euler_characteristic(g: IntersectionGraph, r: RotationSystem) -> int:
     return len(g.nodes) - len(g.edges) + len(trace_faces(g, r))
 
@@ -932,7 +951,7 @@ def flip_one_line(s: Signing) -> Signing:
 
 def _operator_trace(p: PauliOperator) -> int:
     """Tr(p) / 2^n of a Pauli observable: +-1 for +-I, otherwise 0."""
-    if not p.is_identity():
+    if not is_identity(p):
         return 0
     return 1 if p.phase_exp == 0 else -1
 
@@ -998,7 +1017,7 @@ def oracle_verify_realization(a: Arrangement, s: Signing, r: QuantumRealization)
                 if not commutes(p, q):
                     return False
         prod = product_of(line_ops, n_qubits=r.n_qubits)
-        if not prod.is_identity() or prod.phase != signs[eid]:
+        if not is_identity(prod) or prod.phase != signs[eid]:
             return False
     return True
 

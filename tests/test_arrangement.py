@@ -10,6 +10,7 @@ from helpers import (
     board_json,
     brute_force_classical_exists,
     corpus,
+    random_signing,
     triangle_board,
     triangle_raw,
 )
@@ -29,7 +30,7 @@ from pseudotelepathy.arrangement import (
     parity,
     validate,
 )
-from pseudotelepathy.generate import random_board, random_signing
+from pseudotelepathy.generate import random_board
 from pseudotelepathy.realization import builtin_square
 
 

@@ -10,13 +10,16 @@ from helpers import (
     cyclic_equal,
     graph_from_edges,
     grid_edges,
+    is_identity,
     oracle_check_trace,
     oracle_generate_trace,
+    random_signing,
     replay_outcome,
     restart_trace_steps,
     start_words,
     triangle_board,
 )
+from pseudotelepathy import certificate
 from pseudotelepathy.arrangement import parity
 from pseudotelepathy.certificate import (
     CANCEL,
@@ -28,8 +31,13 @@ from pseudotelepathy.certificate import (
     check_trace,
     generate_trace,
 )
-from pseudotelepathy.generate import random_signing
-from pseudotelepathy.intersection import IntersectionGraph, RotationSystem, build, trace_faces
+from pseudotelepathy.intersection import (
+    CoverageError,
+    IntersectionGraph,
+    RotationSystem,
+    build,
+    trace_faces,
+)
 from pseudotelepathy.planarity import test_planarity as decide_planarity
 
 
@@ -37,11 +45,26 @@ from pseudotelepathy.planarity import test_planarity as decide_planarity
 STATES = (_ReplayState, lambda r, signs: WordListState(start_words(r), signs))
 
 
+def cyclic(word) -> list[str]:
+    """A cyclic word as its least rotation, so that two words are equal as
+    lists exactly when they are equal as cyclic words."""
+    return min((list(word[i:]) + list(word[:i]) for i in range(len(word))), default=[])
+
+
 def words_of(state) -> dict[str, list[str]]:
-    """Each surviving node's word, as a list from its start."""
+    """Each surviving node's word, walked from any of its occurrences and
+    given as a cyclic word (``cyclic``)."""
     if isinstance(state, WordListState):
-        return {n: list(w) for n, w in state.words.items()}
-    return {state.name[n]: state.word(n) for n in state.alive}
+        return {n: cyclic(w) for n, w in state.words.items()}
+    sym_at = {k: sym for held in (state.first, state.second) for sym, k in held.items()}
+    words = {}
+    for n in state.alive:
+        k, word = next((k for k in sym_at if state.node[k] == n), None), []
+        for _ in range(state.length[n]):
+            word.append(sym_at[k])
+            k = state.succ[k]
+        words[state.name[n]] = cyclic(word)
+    return words
 
 
 def signs_of(state) -> dict[str, int]:
@@ -129,6 +152,33 @@ class TestGenerate:
         with pytest.raises(EmbeddingInvalid, match="not connected"):
             generate_trace(g, r, {n: 1 for n in g.nodes})
 
+    def test_failures_keep_their_types_and_words(self):
+        from helpers import complete_graph_edges
+
+        k4 = graph_from_edges(complete_graph_edges(4))
+        r = decide_planarity(k4).embedding
+        ones = dict.fromkeys(k4.nodes, 1)
+        rot = {n: list(ds) for n, ds in r.as_dict().items()}
+        twisted = {**rot, "n1": [rot["n1"][1], rot["n1"][0]] + rot["n1"][2:]}
+        # two edges under one id: the darts cover the graph, yet p occurs 4 times
+        twin = IntersectionGraph(("u", "v"), (("p", "u", "v"), ("p", "u", "v")))
+        twin_r = RotationSystem.from_dict({"u": [("p", 0)] * 2, "v": [("p", 1)] * 2})
+        for g, bad_r, signs, kind, words in (
+                (k4, RotationSystem.from_dict(twisted), ones, EmbeddingInvalid,
+                 "rotation system is not planar: its edges cross once the spanning "
+                 "tree is contracted"),
+                (IntersectionGraph((), ()), RotationSystem.from_dict({}), {},
+                 EmbeddingInvalid, "graph is empty or not connected"),
+                (k4, RotationSystem.from_dict({**rot, "n1": rot["n1"][1:]}), ones,
+                 CoverageError, "darts at 'n1' do not match incidences"),
+                (k4, r, {**ones, "zz": 1}, ValueError,
+                 "signs must cover exactly the graph nodes"),
+                (twin, twin_r, {"u": 1, "v": -1}, IllegalStep,
+                 "step -1: some symbol does not occur exactly twice")):
+            with pytest.raises(kind) as err:
+                generate_trace(g, bad_r, signs)
+            assert type(err.value) is kind and str(err.value) == words
+
     def test_roundtrip_equals_parity_on_corpus(self):
         rng = random.Random(55)
         done = 0
@@ -158,6 +208,22 @@ class TestGenerate:
             trace = generate_trace(g, res.embedding, {n: 1 for n in g.nodes})
             assert list(trace.steps) == restart_trace_steps(g, res.embedding)
         assert done >= 30
+
+    def test_generation_replays_nothing(self, monkeypatch):
+        """The tree walk alone gives the oracle's trace on the differential
+        corpus: generation builds no replay state."""
+        def refuse(*args):
+            raise AssertionError("generate_trace built a replay state")
+
+        monkeypatch.setattr(certificate, "_ReplayState", refuse)
+        planar = 0
+        for g, signs in TestDifferential().instances():
+            res = decide_planarity(g)
+            if res.is_planar:
+                planar += 1
+                assert (generate_trace(g, res.embedding, signs)
+                        == oracle_generate_trace(g, res.embedding, signs))
+        assert planar >= 300
 
     def test_json_roundtrip(self):
         a, _ = triangle_board()
@@ -374,7 +440,7 @@ class TestSpliceOracle:
             for node, word in words_of(state).items():
                 prod = product_of([ops[sym] for sym in word], n_qubits=n)
                 want = 0 if signs[node] == 1 else 2
-                assert prod.is_identity() and prod.phase_exp == want
+                assert is_identity(prod) and prod.phase_exp == want
 
         for builtin in (builtin_square, builtin_pentagram):
             a, s, r = builtin()
@@ -442,24 +508,30 @@ class TestSpliceOracle:
 
 def assert_links_consistent(state: _ReplayState) -> None:
     """Every live word is a ring of its own occurrences: succ and pred are
-    inverse, the ring closes after ``length`` steps at ``start``, and every
-    occurrence on it carries the word's id."""
-    seen = 0
+    inverse, and walked from any of its occurrences the ring closes after
+    ``length`` steps, every occurrence on it carrying the word's id."""
+    live = list(state.first.values()) + list(state.second.values())
+    assert len(set(live)) == len(live) == 2 * len(state.first) == 2 * len(state.second)
+    held: dict[int, set[int]] = {}
+    for k in live:
+        held.setdefault(state.node[k], set()).add(k)
+    assert set(held) <= state.alive
     for n in state.alive:
-        k = state.start[n]
-        for _ in range(state.length[n]):
-            assert state.node[k] == n and state.pred[state.succ[k]] == k
-            k = state.succ[k]
-        assert k == state.start[n] or not state.length[n]
-        seen += state.length[n]
-    assert seen == 2 * len(state.first) == 2 * len(state.second)
+        ring = held.get(n, set())
+        assert len(ring) == state.length[n]
+        for k in ring:
+            walked = set()
+            for _ in range(state.length[n]):
+                assert state.node[k] == n and state.pred[state.succ[k]] == k
+                walked.add(k)
+                k = state.succ[k]
+            assert walked == ring and k in ring
 
 
 def replay_both(words, signs, steps):
     """Replay ``steps`` on the replay state and on its list oracle from the
-    same start words, requiring equal words (as lists, so equal starts),
-    signs, holders and ``IllegalStep`` after every step; returns the
-    replay state."""
+    same start words, requiring equal cyclic words, signs, holders and
+    ``IllegalStep`` after every step; returns the replay state."""
     states = [make(rotation_of(words), signs) for make in STATES]
     for index, (op, arg) in enumerate(steps):
         outcomes = [replay_outcome(getattr(state, op), arg, index) for state in states]
@@ -474,7 +546,7 @@ def replay_both(words, signs, steps):
 
 
 class TestReplayBranches:
-    """Splice and start rules that generated traces on the benchmark's
+    """Splice and cancel cases that generated traces on the benchmark's
     boards never reach, each against the list oracle."""
 
     def test_survivor_with_the_shorter_word_is_relabelled(self):
@@ -482,7 +554,7 @@ class TestReplayBranches:
         state = replay_both(words, {"a": -1, "b": 1}, [(CONTRACT, "e")])
         # a (the smaller name) survives, but its record moved to b's id
         assert state.name == [None, "a"] and state.alive == {1}
-        assert words_of(state) == {"a": ["p", "p", "q", "q"]}
+        assert words_of(state) == {"a": cyclic(["p", "p", "q", "q"])}
         assert set(state.node[k] for k in (state.first | state.second).values()) == {1}
         state = replay_both(words, {"a": -1, "b": 1},
                             [(CONTRACT, "e"), (CANCEL, "p"), (CANCEL, "q")])
@@ -491,7 +563,7 @@ class TestReplayBranches:
     def test_contract_at_the_survivors_start(self):
         words = {"a": ["e", "p", "q"], "b": ["r", "e", "s"], "c": ["s", "q", "p", "r"]}
         state = replay_both(words, {"a": 1, "b": 1, "c": 1}, [(CONTRACT, "e")])
-        assert words_of(state)["a"] == ["s", "r", "p", "q"]
+        assert words_of(state)["a"] == cyclic(["s", "r", "p", "q"])
 
     @pytest.mark.parametrize("words, merged", [
         ({"a": ["p", "e", "q"], "b": ["e"], "c": ["q", "p"]}, ["p", "q"]),
@@ -499,12 +571,12 @@ class TestReplayBranches:
     ], ids=["inside", "at-start"])
     def test_v_word_is_the_edge_alone(self, words, merged):
         state = replay_both(words, dict.fromkeys(words, 1), [(CONTRACT, "e")])
-        assert words_of(state)["a"] == merged
+        assert words_of(state)["a"] == cyclic(merged)
 
     def test_u_word_is_the_edge_alone(self):
         words = {"a": ["e"], "b": ["p", "e", "q"], "c": ["q", "p"]}
         state = replay_both(words, dict.fromkeys(words, 1), [(CONTRACT, "e")])
-        assert words_of(state) == {"a": ["q", "p"], "c": ["q", "p"]}
+        assert words_of(state) == {"a": cyclic(["q", "p"]), "c": cyclic(["q", "p"])}
 
     def test_both_words_are_the_edge_alone(self):
         state = replay_both({"a": ["e"], "b": ["e"]}, {"a": 1, "b": -1}, [(CONTRACT, "e")])
@@ -518,7 +590,7 @@ class TestReplayBranches:
     ], ids=["start-first", "start-second", "inside", "whole-word"])
     def test_cancel_moves_the_start_past_the_pair(self, word, symbol, rest):
         state = replay_both({"n": word}, {"n": 1}, [(CANCEL, symbol)])
-        assert words_of(state) == {"n": rest}
+        assert words_of(state) == {"n": cyclic(rest)}
 
     def test_illegal_steps_leave_the_same_reasons(self):
         words = {"a": ["e", "p", "q", "p"], "b": ["e", "f", "f", "q"]}

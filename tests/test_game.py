@@ -30,6 +30,7 @@ from helpers import (
     oracle_exact_win_probability,
     outcome,
     quiet_random_arrangement,
+    random_signing,
     tampered_realization,
     triangle_board,
 )
@@ -63,7 +64,6 @@ from pseudotelepathy.game import (
     play_quantum,
     referee_draw,
 )
-from pseudotelepathy.generate import random_signing
 from pseudotelepathy.intersection import CoverageError
 from pseudotelepathy.pauli import (
     DimensionMismatch,
@@ -895,6 +895,51 @@ class TestCoverage:
         message = r"^no coloring from Bob of all members of lines \['c2', 'r3'\]$"
         with pytest.raises(CoverageError, match=message):
             exact_win_probability(classical, a, s)
+
+    def test_classical_monte_carlo_reads_every_entry(self):
+        # seed 3 draws no query whose line looks up Alice's '11'
+        a, s, _, classical = square_without("11")
+        with pytest.raises(CoverageError, match=r"^no color from Alice for vertices \['11'\]$"):
+            monte_carlo(classical, a, s, 5, 3)
+
+    def test_classical_games_read_alice_where_bob_misses_parity(self):
+        a, s, _, classical = square_without("12")
+        bob = {e: dict(c) for e, c in classical.bob}
+        for e in ("r1", "c2"):  # the lines through '12' now miss their parity
+            bob[e]["12"] = -bob[e]["12"]
+        classical = ClassicalStrategy.from_maps(dict(classical.alice), bob)
+        message = r"^no color from Alice for vertices \['12'\]$"
+        for play in (lambda: monte_carlo(classical, a, s, 2000, 0),
+                     lambda: exact_win_probability(classical, a, s)):
+            with pytest.raises(CoverageError, match=message):
+                play()
+
+    @pytest.mark.parametrize("extra, message", [
+        ("alice", r"^colors from Alice for ids that are not vertices \['ghost'\]$"),
+        ("bob", r"^colorings from Bob for ids that are not lines \['nope'\]$"),
+        ("line", r"^colors from Bob on line 'r1' for ids that are not its members \['21'\]$"),
+        ("operator", r"^operators for ids that are not vertices \['ghost'\]$"),
+    ], ids=["alice", "bob", "line", "operator"])
+    def test_ids_off_the_board(self, extra, message):
+        a, s, r = builtin_square()
+        optimal = ClassicalStrategy.optimal(a, s)
+        alice, bob = dict(optimal.alice), {e: dict(c) for e, c in optimal.bob}
+        ops = r.as_dict()
+        if extra == "alice":
+            alice["ghost"] = 1
+        elif extra == "bob":
+            bob["nope"] = {"11": 1}
+        elif extra == "line":
+            bob["r1"]["21"] = 1
+        else:
+            ops["ghost"] = from_string("+XX")
+        strategy = (QuantumStrategy(QuantumRealization.from_dict(r.n_qubits, ops))
+                    if extra == "operator" else ClassicalStrategy.from_maps(alice, bob))
+        for play in (lambda: monte_carlo(strategy, a, s, 10, 0),
+                     lambda: exact_win_probability(strategy, a, s),
+                     lambda: exact_line_win_probabilities(strategy, a, s, "r1")):
+            with pytest.raises(CoverageError, match=message):
+                play()
 
     @pytest.mark.parametrize("trials", [10, 200])
     def test_signing_without_a_line(self, trials):

@@ -459,6 +459,20 @@ class TestWitnessSearch:
         assert witness == scan_witness(edges)
         assert witness.kind == K33 and "chord" not in {e for _, p in witness.paths for e in p}
 
+    def test_the_whole_graph_is_read_off_once(self, monkeypatch):
+        """``test_planarity`` reads the whole simple graph off once; the
+        search then reads off only what each of its rounds keeps."""
+        edges = {**k33_edges(), "chord": ("l1", "l2")}
+        sizes, inner = [], planarity._read_off
+
+        def counted(adj):
+            sizes.append(sum(map(len, adj.values())) // 2)
+            return inner(adj)
+
+        monkeypatch.setattr(planarity, "_read_off", counted)
+        assert not decide_planarity(graph_from_edges(edges)).is_planar
+        assert sizes.count(len(edges)) == 1 and len(sizes) > 1
+
     def test_planarity_tests_under_a_tenth_of_the_edges(self, planarity_tests):
         rng = random.Random(1000)
         nodes = [f"n{i:03d}" for i in range(330)]

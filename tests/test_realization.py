@@ -16,10 +16,12 @@ from helpers import (
     corpus,
     flip_one_line,
     graph_from_edges,
+    is_identity,
     k33_edges,
     oracle_corpus,
     oracle_verify_realization,
     outcome,
+    random_signing,
     subdivided_board,
     tampered_realization,
     triangle_board,
@@ -31,7 +33,6 @@ from pseudotelepathy.arrangement import (
     parity,
     validate,
 )
-from pseudotelepathy.generate import random_signing
 from pseudotelepathy.intersection import build
 from pseudotelepathy.pauli import from_string, identity
 from pseudotelepathy.planarity import test_planarity as decide_planarity
@@ -216,7 +217,7 @@ class TestTransfer:
         assert verdict.magic
         ops = verdict.realization.as_dict()
         assert ops["h1"] == ops["h2"]
-        assert not ops["h1"].is_identity()
+        assert not is_identity(ops["h1"])
         assert verdict.signing.as_dict()["mid"] == 1
         assert verify_realization(board, verdict.signing, verdict.realization)
 
