@@ -147,18 +147,17 @@ class _ReplayState:
     Occurrence k is the k-th dart of the rotations laid end to end.  Each
     node's cyclic word is a ring of occurrences linked by ``succ`` and
     ``pred``, with no first occurrence, and ``node[k]`` is the id of the
-    word holding k.  A word's record (``name``, ``sign``, ``length``) sits at
-    its id.  A node's name is the least original name in its merged set.
-    ``first`` and ``second`` give the two occurrences of every symbol still
-    present, and ``alive`` the ids of the surviving words.
+    word holding k, at first its node's place in r.  A word's ``sign`` and
+    ``length`` sit at its id.  ``first`` and ``second`` give the two
+    occurrences of every symbol still present, and ``alive`` the ids of the
+    surviving words.
     """
 
-    __slots__ = ("name", "sign", "length", "node", "succ", "pred", "first", "second", "alive")
+    __slots__ = ("sign", "length", "node", "succ", "pred", "first", "second", "alive")
 
     def __init__(self, r: RotationSystem, signs: dict[str, int]):
         rot = r.as_dict()
-        self.name: list[str | None] = list(rot)
-        self.sign = list(map(signs.__getitem__, self.name))
+        self.sign = list(map(signs.__getitem__, rot))
         self.length = list(map(len, rot.values()))
         syms = list(map(itemgetter(0), chain.from_iterable(rot.values())))
         total = len(syms)
@@ -169,23 +168,23 @@ class _ReplayState:
         if 2 * len(self.first) != total or not all(
                 map(ne, map(self.first.__getitem__, self.second), self.second.values())):
             raise IllegalStep(-1, "some symbol does not occur exactly twice")
-        self.node = list(chain.from_iterable(map(repeat, range(len(self.name)), self.length)))
+        self.node = list(chain.from_iterable(map(repeat, range(len(rot)), self.length)))
         self.succ = list(range(1, total + 1))
         self.pred = list(range(-1, total - 1))
         for s, m in zip(accumulate(self.length, initial=0), self.length):
             if m:
                 self.succ[s + m - 1], self.pred[s] = s, s + m - 1
-        self.alive = set(range(len(self.name)))
+        self.alive = set(range(len(rot)))
 
     def contract(self, edge: str, index: int) -> None:
-        """Splice the words at the edge's two occurrences into one word, of
-        the smaller name, relabelling the occurrences of the shorter word."""
+        """Splice the words at the edge's two occurrences into one word,
+        relabelling the occurrences of the shorter word."""
         node = self.node
         x = self.first.get(edge)
         if x is None or node[x] == node[y := self.second[edge]]:
             raise IllegalStep(index, f"edge {edge!r} does not join two distinct nodes")
         del self.first[edge], self.second[edge]
-        u, v, name = node[x], node[y], self.name
+        u, v = node[x], node[y]
         succ, pred = self.succ, self.pred
         sx, px, sy, py = succ[x], pred[x], succ[y], pred[y]
         # u's word with x replaced by v's word from sy round to py
@@ -201,11 +200,9 @@ class _ReplayState:
         for _ in range(moves - 1):
             node[k] = keep
             k = succ[k]
-        gone = v if keep == u else u
-        name[keep], name[gone] = name[u] if name[u] < name[v] else name[v], None
         self.sign[keep] = self.sign[u] * self.sign[v]
         self.length[keep] = lu + lv - 2
-        self.alive.remove(gone)
+        self.alive.remove(v if keep == u else u)
 
     def cancel(self, symbol: str, index: int) -> None:
         """Unlink the symbol's two occurrences, which must be cyclically

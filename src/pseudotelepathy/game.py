@@ -332,7 +332,6 @@ class QuantumStrategy:
     def _games(self) -> dict[tuple[Arrangement, Signing], tuple[tuple, ...]]:
         return {}  # filled by compiled_game, keyed by value, with whole tables only
 
-    @_covered
     def compiled_game(self, a: Arrangement, s: Signing) -> tuple[tuple, ...]:
         """The query of each referee draw k (``_query_of``) as (the draws'
         bits, pm, qm, pc, qc) with the line's sign folded into pc, from one

@@ -223,7 +223,7 @@ def test_planarity(g: IntersectionGraph) -> PlanarityResult:
             if not verify_embedding(g, rotation):
                 raise AssertionError("internal error: embedding failed Euler check")
             return PlanarityResult(embedding=rotation, witness=None)
-        witness = _extract_witness(simple_edges, read=True)
+        witness = _extract_witness(simple_edges)
     if not verify_witness(g, witness):
         raise AssertionError("internal error: witness failed its verifier")
     return PlanarityResult(embedding=None, witness=witness)
@@ -672,10 +672,11 @@ def _nonplanar_block(edges: dict[str, tuple[str, str]]) -> dict[str, tuple[str, 
     return None
 
 
-def _extract_witness(edges: dict[str, tuple[str, str]], *, read=False) -> KuratowskiWitness:
+def _extract_witness(edges: dict[str, tuple[str, str]]) -> KuratowskiWitness:
     """The Kuratowski subdivision that deleting each edge of a connected
     nonplanar simple graph in sorted order, whenever the rest stays
-    nonplanar, would leave.
+    nonplanar, would leave.  The caller has read the graph off
+    (``_read_off``) and found it no K5 or K3,3 subdivision.
 
     Invariant: ``kept`` plus ``order`` is nonplanar.  Nonplanarity is
     monotone under adding edges, so the next edge that scan keeps is
@@ -698,9 +699,8 @@ def _extract_witness(edges: dict[str, tuple[str, str]], *, read=False) -> Kurato
     edge outside it is therefore deleted by the scan whatever comes before
     it, and dropping it changes none of the scan's other answers.  From the
     second round on, ``kept + order`` is that block; so, like the connected
-    input, ``_read_off`` (run after each round, and on the input unless the
-    caller has: ``read``) recognises it only as a K5 or K3,3 subdivision,
-    which the scan keeps whole.
+    input, ``_read_off`` (run after each round) recognises it only as a K5
+    or K3,3 subdivision, which the scan keeps whole.
     """
     order = sorted(edges)
     kept: dict[str, tuple[str, str]] = {}
@@ -717,8 +717,7 @@ def _extract_witness(edges: dict[str, tuple[str, str]], *, read=False) -> Kurato
         return _nonplanar_block(suffix(j))
 
     core = suffix(0)  # holds every Kuratowski subdivision still left
-    witness = None if read else _read_off(adjacency(core))
-    while witness is None:
+    while True:
         if not order:
             raise AssertionError("internal error: edge-minimal nonplanar graph is not a "
                                  "K5 or K3,3 subdivision")
@@ -746,8 +745,8 @@ def _extract_witness(edges: dict[str, tuple[str, str]], *, read=False) -> Kurato
         if good < len(order):  # else ``kept`` alone is nonplanar
             kept[order[good]] = edges[order[good]]
         order = [eid for eid in order[good + 1:] if eid in core]
-        witness = _read_off(adjacency(suffix(0)))
-    return witness
+        if (witness := _read_off(adjacency(suffix(0)))) is not None:
+            return witness
 
 
 def _read_off(adj: dict[str, list[tuple[str, str]]]) -> KuratowskiWitness | None:

@@ -41,8 +41,25 @@ from pseudotelepathy.intersection import (
 from pseudotelepathy.planarity import test_planarity as decide_planarity
 
 
+class NamedReplayState(_ReplayState):
+    """The replay state with a name beside each word, the least original
+    name of its merged set, as the list oracle names its words."""
+
+    def __init__(self, r: RotationSystem, signs: dict[str, int]):
+        super().__init__(r, signs)
+        self.name: list[str | None] = list(r.as_dict())
+
+    def contract(self, edge: str, index: int) -> None:
+        ends = [self.node[k] for k in (self.first.get(edge), self.second.get(edge))
+                if k is not None]
+        super().contract(edge, index)
+        u, v = ends
+        keep, gone = (u, v) if u in self.alive else (v, u)
+        self.name[keep], self.name[gone] = min(self.name[u], self.name[v]), None
+
+
 # The replay state and its list oracle, each built from (rotation, signs).
-STATES = (_ReplayState, lambda r, signs: WordListState(start_words(r), signs))
+STATES = (NamedReplayState, lambda r, signs: WordListState(start_words(r), signs))
 
 
 def cyclic(word) -> list[str]:

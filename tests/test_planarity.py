@@ -379,6 +379,12 @@ def scan_witness(edges):
     return planarity._read_off(adjacency(deletion_scan(edges)))
 
 
+def extract_witness(edges):
+    """The witness as ``test_planarity`` finds it for a nonplanar simple
+    graph: read off whole, else searched for."""
+    return planarity._read_off(adjacency(edges)) or planarity._extract_witness(edges)
+
+
 def relabel(edges, prefix, **nodes):
     """Edge ids prefixed, and nodes renamed as ``nodes`` says."""
     return {prefix + eid: (nodes.get(u, u), nodes.get(v, v)) for eid, (u, v) in edges.items()}
@@ -432,7 +438,7 @@ class TestWitnessSearch:
             if is_planar_simple(edges):
                 continue
             nonplanar += 1
-            assert planarity._extract_witness(edges) == scan_witness(edges)
+            assert extract_witness(edges) == scan_witness(edges)
         assert nonplanar >= 50
 
     @pytest.mark.parametrize("pattern, counts", [
@@ -446,7 +452,7 @@ class TestWitnessSearch:
     def test_subdivision_needs_no_planarity_test(self, planarity_tests, pattern, counts):
         edges = simple_edges(build(subdivided_board(pattern, counts)))
         assert planarity._read_off(adjacency(edges)) is not None
-        witness = planarity._extract_witness(edges)
+        witness = extract_witness(edges)
         assert planarity_tests == []
         assert witness == scan_witness(edges)
         assert verify_witness(graph_from_edges(edges), witness)
@@ -454,7 +460,7 @@ class TestWitnessSearch:
     def test_k33_with_chord_searches(self, planarity_tests):
         edges = {**k33_edges(), "chord": ("l1", "l2")}
         assert not has_subdivision_profile(edges)
-        witness = planarity._extract_witness(edges)
+        witness = extract_witness(edges)
         assert planarity_tests
         assert witness == scan_witness(edges)
         assert witness.kind == K33 and "chord" not in {e for _, p in witness.paths for e in p}
@@ -490,7 +496,7 @@ class TestWitnessSearch:
         """The scan deletes the block whose ids sort first, whichever block
         a probe fails on first."""
         edges = two_nonplanar_blocks(first, joined)
-        witness = planarity._extract_witness(edges)
+        witness = extract_witness(edges)
         assert witness == scan_witness(edges)
         assert witness.kind == winner
 
@@ -498,7 +504,7 @@ class TestWitnessSearch:
         edges = core_among_planar_blocks()
         assert [len(block) for block in planarity._biconnected_blocks(edges, adjacency(edges))
                 if planarity._may_be_nonplanar(block)] == [9, 9]
-        witness = planarity._extract_witness(edges)
+        witness = extract_witness(edges)
         assert witness == scan_witness(edges)
         assert {e for _, path in witness.paths for e in path} == set(relabel(k33_edges(), "z"))
 
@@ -506,7 +512,7 @@ class TestWitnessSearch:
     def test_matches_scan_on_random_boards(self, n_lines, seed):
         edges = simple_edges(graph_from_edges(random_dual_edges(random.Random(seed), n_lines)))
         assert not is_planar_simple(edges)
-        assert planarity._extract_witness(edges) == scan_witness(edges)
+        assert extract_witness(edges) == scan_witness(edges)
 
     def test_no_probe_under_nine_edges_is_built(self, planarity_tests):
         """Fewer edges than K3,3 are planar, so such probes are answered
@@ -518,7 +524,7 @@ class TestWitnessSearch:
         nonplanar = [edges for edges in graphs if not is_planar_simple(edges)]
         assert len(nonplanar) >= 20
         for edges in nonplanar:
-            assert planarity._extract_witness(edges) == scan_witness(edges)
+            assert extract_witness(edges) == scan_witness(edges)
         assert planarity_tests and min(planarity_tests) >= 9
 
     def test_block_filter_skips_only_blocks_that_embed(self):
