@@ -238,15 +238,16 @@ def generate_trace(
 
     The tree is breadth-first from the smallest node with lexicographic
     tie-breaking, so output is deterministic.  Raises
-    :class:`EmbeddingInvalid` unless g is connected and r is planar, and
+    :class:`EmbeddingInvalid` unless g is connected and r is planar,
     :class:`~pseudotelepathy.intersection.CoverageError` when r misses or
-    duplicates an edge-end.  Planarity is checked by the cancellation
-    itself, without tracing faces: contracting the tree's non-loop edges
-    keeps every face, so r is planar exactly when the one word left, a
-    chord diagram of the remaining edges, is noncrossing.  The stack pass
-    empties a noncrossing word, and leaves a crossing one nonempty: what it
-    keeps holds whole pairs, no two adjacent, and an innermost pair of a
-    nonempty noncrossing diagram is adjacent.
+    duplicates an edge-end, and the checker's ``IllegalStep(-1, "some symbol
+    does not occur exactly twice")`` when g has two edges under one id.
+    Planarity is checked by the cancellation itself, without tracing faces:
+    contracting the tree's non-loop edges keeps every face, so r is planar
+    exactly when the one word left, a chord diagram of the remaining edges,
+    is noncrossing.  The stack pass empties a noncrossing word, and leaves a
+    crossing one nonempty: what it keeps holds whole pairs, no two adjacent,
+    and an innermost pair of a nonempty noncrossing diagram is adjacent.
 
     Nothing is replayed: one walk reads the contracted word off r from the
     root's first dart, emitting each dart's edge id but descending, at a

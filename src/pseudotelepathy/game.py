@@ -25,7 +25,10 @@ builds one ``Fraction`` per query of a line, and ``exact_win_probability``
 adds the integer numerators of the whole board (a classical query's win
 bit counts 4) into one ``Fraction`` over 4 * 2|V|.  Both flavors raise
 ``CoverageError``, as the verifiers do, for a signing of other lines than
-the board's or a strategy with an entry missing or off the board.
+the board's or a strategy with an entry missing or off the board, from
+one check made before play (``_check_coverage``).  It runs once per exact
+call or compiled table of a quantum strategy, and for a classical one only
+when the win-bit pass (``_classical_wins``), which reads every entry, finds a gap.
 
 A Monte Carlo round is a stabilizer circuit on n Bell pairs (Aaronson and
 Gottesman, "Improved simulation of stabilizer circuits", PRA 70, 052328,
@@ -59,7 +62,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce, wraps
+from functools import cached_property, lru_cache, reduce
 
 from pseudotelepathy.arrangement import (
     Arrangement,
@@ -286,41 +289,35 @@ def _score(a, s, query, alice_color, coloring) -> Transcript:
                       coloring[query.vertex] == alice_color)
 
 
-def _check_signing(a: Arrangement, s: Signing) -> None:
-    """``CoverageError`` unless s signs exactly the board's lines."""
-    lines, signed = a._member_map.keys(), s._sign_map.keys()
-    if lines != signed:
-        raise CoverageError(f"no sign for lines {sorted(lines - signed)}" if lines - signed
-                            else f"signs for ids that are not lines {sorted(signed - lines)}")
-
-
-def _covered(play):
-    """``play(strategy, a, s, ...)`` raising a ``CoverageError`` that names, sorted,
-    what s or the strategy misses or, by counts, holds for ids off the board."""
-    @wraps(play)
-    def covered(strategy, a: Arrangement, s: Signing, *args, **kwargs):
-        quantum = isinstance(strategy, QuantumStrategy)  # held[v] is Alice's answer at v
-        held = strategy.realization._operator_map if quantum else strategy._alice_map
-        try:
-            result = play(strategy, a, s, *args, **kwargs)
-        except KeyError:
-            _check_signing(a, s)
-            if missing := set(a.vertices) - held.keys():
-                what = "operator for vertices" if quantum else "color from Alice for vertices"
-            elif not quantum:
-                what, bob = "coloring from Bob of all members of lines", strategy._bob_map
-                missing = {e for e, m in a.hyperedges if not bob.get(e, {}).keys() >= set(m)}
-            if missing:
-                raise CoverageError(f"no {what} {sorted(missing)}") from None
-            raise
-        if len(held) != len(a.vertices) and (extra := held.keys() - a.vertices):
-            raise CoverageError(f"{'operators' if quantum else 'colors from Alice'} for ids "
-                                f"that are not vertices {sorted(extra)}")
-        if not quantum and len(strategy._bob_map) != len(a.hyperedges) and (
-                extra := strategy._bob_map.keys() - a._member_map):
-            raise CoverageError(f"colorings from Bob for ids that are not lines {sorted(extra)}")
-        return result
-    return covered
+def _check_coverage(strategy, a: Arrangement, s: Signing, lines) -> None:
+    """``CoverageError`` naming, sorted, the first gap in this order: s
+    against the board's lines; entries missing on ``lines``, (id, members)
+    pairs of a (an operator or Alice's color, then Bob's coloring); ids off
+    the board (operators or Alice's colors, Bob's lines, then Bob's
+    colorings of ``lines``).  The whole board is checked by comparing key
+    sets, O(|V|) lookups in C."""
+    board, signed = a._member_map.keys(), s._sign_map.keys()
+    if board != signed:
+        raise CoverageError(f"no sign for lines {sorted(board - signed)}" if board - signed
+                            else f"signs for ids that are not lines {sorted(signed - board)}")
+    quantum = isinstance(strategy, QuantumStrategy)  # held[v] is Alice's answer at v
+    held = strategy.realization._operator_map if quantum else strategy._alice_map
+    if missing := {v for _, members in lines for v in members} - held.keys():
+        what = "operator for vertices" if quantum else "color from Alice for vertices"
+        raise CoverageError(f"no {what} {sorted(missing)}")
+    bob, played = ({}, ()) if quantum else (strategy._bob_map, lines)
+    if missing := [e for e, members in played if not bob.get(e, {}).keys() >= set(members)]:
+        raise CoverageError(f"no coloring from Bob of all members of lines {sorted(missing)}")
+    if not held.keys() <= a._vertex_map.keys():
+        raise CoverageError(f"{'operators' if quantum else 'colors from Alice'} for ids that "
+                            f"are not vertices {sorted(held.keys() - a._vertex_map.keys())}")
+    if not bob.keys() <= board:
+        raise CoverageError(f"colorings from Bob for ids that are not lines "
+                            f"{sorted(bob.keys() - board)}")
+    for e, members in played:  # bob[e] holds the members, so only its count can differ
+        if len(bob[e]) != len(members):
+            raise CoverageError(f"colors from Bob on line {e!r} for ids that are not its "
+                                f"members {sorted(bob[e].keys() - set(members))}")
 
 
 @dataclass(frozen=True)
@@ -335,9 +332,11 @@ class QuantumStrategy:
     def compiled_game(self, a: Arrangement, s: Signing) -> tuple[tuple, ...]:
         """The query of each referee draw k (``_query_of``) as (the draws'
         bits, pm, qm, pc, qc) with the line's sign folded into pc, from one
-        ``_compile_line`` per line; memoized per board and signing."""
+        ``_compile_line`` per line after ``_check_coverage``; memoized per
+        board and signing, so a memo hit checks nothing."""
         table = self._games.get((a, s))
         if table is None:
+            _check_coverage(self, a, s, a.hyperedges)
             draw = {v: 2 * i for i, v in enumerate(a.vertices)}
             table = [None] * (2 * len(draw))
             for eid, members in a.hyperedges:
@@ -420,16 +419,23 @@ def classical_value(a: Arrangement, s: Signing) -> Fraction:
     return Fraction(1) if parity(s) == 1 else 1 - Fraction(1, 2 * len(a.vertices))
 
 
-def _classical_line_wins(strategy: ClassicalStrategy, s: Signing, hyperedge: str,
-                         members: tuple[str, ...]) -> list[bool]:
-    """The win bit of each query on one line, in member order: the referee's
-    two checks (``_score``) at every member, Bob's product formed once."""
-    coloring, alice = strategy._bob_map[hyperedge], strategy._alice_map
-    parity_ok = _parity_ok(coloring, members, s.sign(hyperedge))
-    if len(coloring) != len(members):  # every member was looked up
-        raise CoverageError(f"colors from Bob on line {hyperedge!r} for ids that are not "
-                            f"its members {sorted(coloring.keys() - members)}")
-    return [coloring[v] == alice[v] and parity_ok for v in members]
+def _classical_wins(strategy: ClassicalStrategy, a: Arrangement, s: Signing,
+                    lines) -> dict[str, dict[str, bool]]:
+    """The win bit of each query on ``lines``, (id, members) pairs of a,
+    keyed by line and vertex: the referee's two checks (``_score``), with
+    Bob's product formed once per line.  The pass reads every entry it
+    needs, so ``_check_coverage`` runs, to name a gap, only if a line has one,
+    the pass did not cover the board, or a map has more entries than ids."""
+    alice, bob, signs, wins = strategy._alice_map, strategy._bob_map, s._sign_map, {}
+    for e, members in lines:
+        coloring, sign, held = bob.get(e, {}), signs.get(e), set(members)
+        if sign is not None and coloring.keys() == held and alice.keys() >= held:
+            parity_ok = _parity_ok(coloring, members, sign)
+            wins[e] = {v: coloring[v] == alice[v] and parity_ok for v in members}
+    if (len(wins) != len(a.hyperedges) or len(alice) != len(a.vertices)
+            or len(bob) != len(wins) or len(signs) != len(wins)):
+        _check_coverage(strategy, a, s, lines)
+    return wins
 
 
 def _line_rows(strategy: QuantumStrategy, hyperedge: str,
@@ -446,14 +452,10 @@ def _line_rows(strategy: QuantumStrategy, hyperedge: str,
     return rows
 
 
-def _line_numerators(strategy, a: Arrangement, s: Signing,
-                     hyperedge: str) -> tuple[tuple[str, ...], list[int]]:
-    """The line's members and, in member order, 4 times the win probability
-    of each member's query (``exact_line_win_probabilities``)."""
-    members = a.members(hyperedge)
-    if isinstance(strategy, ClassicalStrategy):
-        return members, [4 * won for won in _classical_line_wins(strategy, s, hyperedge,
-                                                                 members)]
+def _line_numerators(strategy: QuantumStrategy, s: Signing, hyperedge: str,
+                     members: tuple[str, ...]) -> list[int]:
+    """4 times the win probability of each query of the line, in member
+    order (``exact_line_win_probabilities``)."""
     rows = _line_rows(strategy, hyperedge, members)
     bob = rows if strategy.literal else [transpose_row(row) for row in rows]
     bob_all = reduce(multiply_rows, bob)
@@ -464,7 +466,7 @@ def _line_numerators(strategy, a: Arrangement, s: Signing,
         agree = multiply_rows(transpose_row(row), bob_v)
         numerators.append(1 + every + _correlator(agree)
                           + sign * _correlator(multiply_rows(agree, bob_all)))
-    return members, numerators
+    return numerators
 
 
 def _correlator(p: Row) -> int:
@@ -474,7 +476,6 @@ def _correlator(p: Row) -> int:
     return 1 if p[2] == 0 else -1
 
 
-@_covered
 def exact_line_win_probabilities(
     strategy, a: Arrangement, s: Signing, hyperedge: str
 ) -> dict[str, Fraction]:
@@ -493,15 +494,17 @@ def exact_line_win_probabilities(
     0 or +-1, so a query's win probability is an integer numerator over 4.
     The line's operators are read and checked once, and prod B_u formed
     once, for all of its queries; the line builds one ``Fraction`` per query.
-    A hyperedge that is not a line of the board raises ``CoverageError``.
+    A line off the board, or a gap (``_check_coverage``), raises ``CoverageError``.
     """
-    try:
-        members, numerators = _line_numerators(strategy, a, s, hyperedge)
-    except KeyError:
-        if hyperedge not in a._member_map:
-            raise CoverageError(f"no line {hyperedge!r} on the board") from None
-        raise
-    return {v: Fraction(n, 4) for v, n in zip(members, numerators)}
+    if hyperedge not in a._member_map:
+        raise CoverageError(f"no line {hyperedge!r} on the board")
+    members = a.members(hyperedge)
+    if isinstance(strategy, ClassicalStrategy):
+        wins = _classical_wins(strategy, a, s, [(hyperedge, members)])[hyperedge]
+        return {v: Fraction(won) for v, won in wins.items()}
+    _check_coverage(strategy, a, s, [(hyperedge, members)])
+    return {v: Fraction(n, 4)
+            for v, n in zip(members, _line_numerators(strategy, s, hyperedge, members))}
 
 
 def exact_query_win_probability(
@@ -510,20 +513,22 @@ def exact_query_win_probability(
     """Win probability of one query, from Pauli correlators; a vertex that
     is not on the query's line raises ``CoverageError``."""
     line = exact_line_win_probabilities(strategy, a, s, query.hyperedge)
-    try:
-        return line[query.vertex]
-    except KeyError:
-        raise CoverageError(
-            f"vertex {query.vertex!r} is not on line {query.hyperedge!r}") from None
+    if query.vertex not in line:
+        raise CoverageError(f"vertex {query.vertex!r} is not on line {query.hyperedge!r}")
+    return line[query.vertex]
 
 
-@_covered
 def exact_win_probability(strategy, a: Arrangement, s: Signing) -> Fraction:
     """Average over all queries of the exact per-query win probability: the
     integer numerators of every line added up, and one ``Fraction`` over
-    4 * 2|V| for the board."""
-    _check_signing(a, s)
-    total = sum(sum(_line_numerators(strategy, a, s, eid)[1]) for eid in a.hyperedge_ids())
+    4 * 2|V| for the board.  A quantum strategy's coverage is checked first,
+    a classical one's by its win-bit pass (``_classical_wins``)."""
+    if isinstance(strategy, ClassicalStrategy):
+        wins = _classical_wins(strategy, a, s, a.hyperedges)
+        total = 4 * sum(sum(line.values()) for line in wins.values())
+    else:
+        _check_coverage(strategy, a, s, a.hyperedges)
+        total = sum(sum(_line_numerators(strategy, s, e, members)) for e, members in a.hyperedges)
     return Fraction(total, 8 * len(a.vertices))
 
 
@@ -537,7 +542,6 @@ class MonteCarloReport:
     per_query: tuple[tuple[tuple[str, str], float], ...] = field(default=())
 
 
-@_covered
 def monte_carlo(strategy, a: Arrangement, s: Signing, trials: int,
                 seed: int) -> MonteCarloReport:
     """Seeded empirical win rate with a normal-approximation 95% interval.
@@ -547,21 +551,19 @@ def monte_carlo(strategy, a: Arrangement, s: Signing, trials: int,
     round plays its query compiled (module docstring): a classical one is
     a win bit, a quantum one the affine forms of the referee's two checks.
     A strategy's table or win bits are whole before the first round, so an
-    operator that cannot be measured or any missing entry raises whatever is drawn.
+    operator that cannot be measured or a coverage gap raises whatever is drawn.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if seed < 0:
         raise ValueError(f"seed must be at least 0, got {seed}")
-    _check_signing(a, s)
     rng = random.Random(seed)
     randrange, queries = rng.randrange, 2 * len(a.vertices)
     hits = [0] * queries
     if isinstance(strategy, ClassicalStrategy):
         for _ in range(trials):
             hits[randrange(queries)] += 1
-        lines = {e: dict(zip(members, _classical_line_wins(strategy, s, e, members)))
-                 for e, members in a.hyperedges}
+        lines = _classical_wins(strategy, a, s, a.hyperedges)
         wins = [0] * queries
         for k, n in enumerate(hits):
             if n:

@@ -39,7 +39,7 @@ from pseudotelepathy.certificate import (
     EmbeddingInvalid,
     IllegalStep,
 )
-from pseudotelepathy.game import ALICE, BOB, ClassicalStrategy, Query, _classical_line_wins
+from pseudotelepathy.game import ALICE, BOB, ClassicalStrategy, Query, _classical_wins
 from pseudotelepathy.generate import random_arrangement
 from pseudotelepathy.intersection import (
     CoverageError,
@@ -963,8 +963,8 @@ def oracle_exact_line_win_probabilities(strategy, a: Arrangement, s: Signing,
     (``game.exact_line_win_probabilities``) in group-element arithmetic."""
     members = a.members(hyperedge)
     if isinstance(strategy, ClassicalStrategy):
-        return dict(zip(members, map(Fraction, _classical_line_wins(strategy, s, hyperedge,
-                                                                    members))))
+        wins = _classical_wins(strategy, a, s, [(hyperedge, members)])[hyperedge]
+        return {v: Fraction(won) for v, won in wins.items()}
     ops, n = strategy.realization.as_dict(), strategy.realization.n_qubits
     if not ops.keys() >= set(members):
         raise CoverageError(f"no operator for vertices {sorted(set(a.vertices) - ops.keys())}")

@@ -1,5 +1,6 @@
 """Protocol, measurement physics, and win probabilities of the parity game."""
 
+import ast
 import itertools
 import math
 import os
@@ -839,6 +840,29 @@ class TestCompiledGame:
                         == monte_carlo(QuantumStrategy(r), a, signing, 300, seed))
         assert monte_carlo(reused, a, flipped, 300, 0).rate < 1
 
+    def test_a_miss_checks_coverage_before_compiling(self, monkeypatch):
+        calls = self.count_compiles(monkeypatch)
+        a, s, quantum, _ = square_without("11")
+        with pytest.raises(CoverageError, match=r"^no operator for vertices \['11'\]$"):
+            monte_carlo(quantum, a, s, 10, 0)
+        assert calls == [] and not quantum._games
+
+    def test_a_hit_checks_nothing(self, monkeypatch):
+        checks = []
+        check_coverage = game._check_coverage
+
+        def counted(*args):
+            checks.append(args)
+            return check_coverage(*args)
+
+        monkeypatch.setattr(game, "_check_coverage", counted)
+        a, s, r = builtin_square()
+        strategy = QuantumStrategy(r)
+        monte_carlo(strategy, a, s, 10, 0)
+        assert len(checks) == 1
+        monte_carlo(strategy, a, s, 10, 1)
+        assert len(checks) == 1
+
     @pytest.mark.parametrize("tamper", ["non-observable", "imaginary-identity", "mixed-widths"])
     def test_unmeasurable_strategy_raises_on_every_call(self, tamper):
         a, s, r = builtin_square()
@@ -954,6 +978,37 @@ class TestCoverage:
         with pytest.raises(CoverageError, match=message):
             exact_line_win_probabilities(QuantumStrategy(r), a, short, "r1")
 
+    @pytest.mark.parametrize("kind, message", [
+        ("quantum", r"^operators for ids that are not vertices \['ghost'\]$"),
+        ("classical", r"^colors from Alice for ids that are not vertices \['ghost'\]$"),
+    ], ids=["quantum", "classical"])
+    def test_one_line_game_refuses_ids_off_the_board(self, kind, message):
+        """A one-line game may miss entries off its line, not hold ids off the board."""
+        a, s, quantum, classical = square_without("11")
+        if kind == "quantum":
+            ops = {**quantum.realization.as_dict(), "ghost": from_string("+XX")}
+            strategy = QuantumStrategy(QuantumRealization.from_dict(2, ops))
+        else:
+            strategy = ClassicalStrategy.from_maps({**dict(classical.alice), "ghost": 1},
+                                                   {e: dict(c) for e, c in classical.bob})
+        with pytest.raises(CoverageError, match=message):
+            exact_line_win_probabilities(strategy, a, s, "r2")
+
+    def test_one_line_game_needs_every_sign(self):
+        a, s, r = builtin_square()
+        short = Signing.from_dict({e: sign for e, sign in s.signs if e != "c1"})
+        for strategy in (QuantumStrategy(r), ClassicalStrategy.optimal(a, s)):
+            with pytest.raises(CoverageError, match=r"^no sign for lines \['c1'\]$"):
+                exact_line_win_probabilities(strategy, a, short, "r2")
+
+    def test_complete_classical_games_run_no_check(self, monkeypatch):
+        """The win-bit pass reads every entry, so the check runs only on a gap."""
+        monkeypatch.setattr(game, "_check_coverage", lambda *args: pytest.fail("checked"))
+        a, s, _ = builtin_square()
+        classical = ClassicalStrategy.optimal(a, s)
+        assert monte_carlo(classical, a, s, 10, 0).trials == 10
+        assert exact_win_probability(classical, a, s) == classical_value(a, s)
+
     def test_line_off_the_board(self):
         a, s, r = builtin_square()
         for strategy in (QuantumStrategy(r), ClassicalStrategy.optimal(a, s)):
@@ -976,6 +1031,22 @@ class TestCoverage:
             with pytest.raises(CoverageError, match=message):
                 exact_win_probability(strategy, a, ghost)
             assert not getattr(strategy, "_games", None)
+
+
+def test_game_translates_no_lookup_failure():
+    """Coverage is one explicit check (``game._check_coverage``): ``game.py``
+    catches no ``KeyError`` and wraps no module-level function in a
+    decorator other than the Bell-pair start's ``lru_cache``."""
+    tree = ast.parse(Path(game.__file__).read_text(encoding="utf-8"))
+    handlers = [node for node in ast.walk(tree) if isinstance(node, ast.ExceptHandler)]
+    caught = {n.id for h in handlers if h.type for n in ast.walk(h.type)
+              if isinstance(n, ast.Name)}
+    functions = [node for node in tree.body if isinstance(node, ast.FunctionDef)]
+    decorators = {n.id for f in functions for d in f.decorator_list for n in ast.walk(d)
+                  if isinstance(n, ast.Name)}
+    assert functions and all(h.type for h in handlers)
+    assert caught.isdisjoint({"KeyError", "LookupError", "Exception", "BaseException"})
+    assert decorators <= {"lru_cache"}
 
 
 class TestClassicalLineWins:
