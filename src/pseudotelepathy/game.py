@@ -292,10 +292,9 @@ def _score(a, s, query, alice_color, coloring) -> Transcript:
 def _check_coverage(strategy, a: Arrangement, s: Signing, lines) -> None:
     """``CoverageError`` naming, sorted, the first gap in this order: s
     against the board's lines; entries missing on ``lines``, (id, members)
-    pairs of a (an operator or Alice's color, then Bob's coloring); ids off
-    the board (operators or Alice's colors, Bob's lines, then Bob's
-    colorings of ``lines``).  The whole board is checked by comparing key
-    sets, O(|V|) lookups in C."""
+    pairs (an operator or Alice's color, then Bob's coloring); ids off the
+    board (operators or Alice's colors, Bob's lines, then Bob's colorings of
+    ``lines``).  Board-wide checks compare key sets: O(|V|) lookups in C."""
     board, signed = a._member_map.keys(), s._sign_map.keys()
     if board != signed:
         raise CoverageError(f"no sign for lines {sorted(board - signed)}" if board - signed
@@ -332,8 +331,7 @@ class QuantumStrategy:
     def compiled_game(self, a: Arrangement, s: Signing) -> tuple[tuple, ...]:
         """The query of each referee draw k (``_query_of``) as (the draws'
         bits, pm, qm, pc, qc) with the line's sign folded into pc, from one
-        ``_compile_line`` per line after ``_check_coverage``; memoized per
-        board and signing, so a memo hit checks nothing."""
+        ``_compile_line`` per line after ``_check_coverage``; memoized per board and signing."""
         table = self._games.get((a, s))
         if table is None:
             _check_coverage(self, a, s, a.hyperedges)
@@ -421,11 +419,10 @@ def classical_value(a: Arrangement, s: Signing) -> Fraction:
 
 def _classical_wins(strategy: ClassicalStrategy, a: Arrangement, s: Signing,
                     lines) -> dict[str, dict[str, bool]]:
-    """The win bit of each query on ``lines``, (id, members) pairs of a,
-    keyed by line and vertex: the referee's two checks (``_score``), with
-    Bob's product formed once per line.  The pass reads every entry it
-    needs, so ``_check_coverage`` runs, to name a gap, only if a line has one,
-    the pass did not cover the board, or a map has more entries than ids."""
+    """The win bit of each query on ``lines``, (id, members) pairs, keyed by
+    line and vertex: the referee's two checks (``_score``), Bob's product
+    once per line.  It reads every entry it needs, so ``_check_coverage``
+    runs only to name a gap: on a line, off the board, or in a map's count."""
     alice, bob, signs, wins = strategy._alice_map, strategy._bob_map, s._sign_map, {}
     for e, members in lines:
         coloring, sign, held = bob.get(e, {}), signs.get(e), set(members)
@@ -519,16 +516,15 @@ def exact_query_win_probability(
 
 
 def exact_win_probability(strategy, a: Arrangement, s: Signing) -> Fraction:
-    """Average over all queries of the exact per-query win probability: the
-    integer numerators of every line added up, and one ``Fraction`` over
-    4 * 2|V| for the board.  A quantum strategy's coverage is checked first,
-    a classical one's by its win-bit pass (``_classical_wins``)."""
+    """Average over all queries of the exact per-query win probability: one
+    ``Fraction`` of the integer numerators of every line, once
+    ``_check_coverage`` passes, over 4 * 2|V|, or of the win bits of
+    ``_classical_wins`` (it checks coverage on a gap) over 2|V|."""
     if isinstance(strategy, ClassicalStrategy):
-        wins = _classical_wins(strategy, a, s, a.hyperedges)
-        total = 4 * sum(sum(line.values()) for line in wins.values())
-    else:
-        _check_coverage(strategy, a, s, a.hyperedges)
-        total = sum(sum(_line_numerators(strategy, s, e, members)) for e, members in a.hyperedges)
+        wins = _classical_wins(strategy, a, s, a.hyperedges).values()
+        return Fraction(sum(sum(line.values()) for line in wins), 2 * len(a.vertices))
+    _check_coverage(strategy, a, s, a.hyperedges)
+    total = sum(sum(_line_numerators(strategy, s, e, members)) for e, members in a.hyperedges)
     return Fraction(total, 8 * len(a.vertices))
 
 
