@@ -22,8 +22,8 @@ is 1 plus three signed Pauli correlators, over 4; each correlator is the
 trace of a product of (x, z, phase) rows (``pauli.multiply_rows``), 0 or
 +-1, so the numerator is an integer.  ``exact_line_win_probabilities``
 builds one ``Fraction`` per query of a line, and ``exact_win_probability``
-adds the integer numerators of the whole board (a classical query's win
-bit counts 4) into one ``Fraction`` over 4 * 2|V|.  Both flavors raise
+adds the integer numerators of the whole board into one ``Fraction`` over
+4 * 2|V| (a classical strategy's win bits over 2|V|).  Both flavors raise
 ``CoverageError``, as the verifiers do, for a signing of other lines than
 the board's or a strategy with an entry missing or off the board, from
 one check made before play (``_check_coverage``).  It runs once per exact
