@@ -323,8 +323,7 @@ def cmd_simulate(args) -> int:
     strategy = _strategy_for(args, board, signing)
     report: dict = {"strategy": args.strategy, "seed": args.seed}
     if args.exact:
-        per_line = {eid: game.exact_line_win_probabilities(strategy, board, signing, eid)
-                    for eid in board.hyperedge_ids()}
+        per_line = game.exact_win_probabilities(strategy, board, signing)
         per_query = {f"{q.vertex}|{q.hyperedge}": per_line[q.hyperedge][q.vertex]
                      for q in game.all_queries(board)}
         value = float(sum(per_query.values()) / len(per_query))

@@ -17,12 +17,17 @@ being real; transposition changes neither commutation nor line products
 perfect when the shared-vertex operator is symmetric.
 
 Win probabilities come in two independent flavors: exact rationals, and
-seeded Monte Carlo over sampled rounds.  An exact query's win probability
-is 1 plus three signed Pauli correlators, over 4; each correlator is the
-trace of a product of (x, z, phase) rows (``pauli.multiply_rows``), 0 or
-+-1, so the numerator is an integer.  ``exact_line_win_probabilities``
-builds one ``Fraction`` per query of a line, and ``exact_win_probability``
-adds the integer numerators of the whole board into one ``Fraction`` over
+seeded Monte Carlo over sampled rounds.  An exact query (v, e) is won with
+probability (1 + s_e c)(1 + t_v) / 4: c, 0 or +-1, is the correlator of the
+product of e's operators A_u (``pauli.line_product``, as in
+``verify_realization``), and t_v is 1 for a transposing Bob and (-1)^(the
+number of Y letters of A_v) for a ``literal`` one.  The correlator
+expansion (``exact_line_win_probabilities``) reduces to it as T(A_v) T(A_v)
+= I, prod T(A_u) = T(prod A_u) for commuting rows, T keeps +-I, and
+T(A_v) A_v = t_v I.  So a transposing Bob wins surely where e multiplies to
+s_e I, with 1/2 where not to +-I, and never where to -s_e I.
+``exact_win_probabilities`` builds one ``Fraction`` per query of the board,
+and ``exact_win_probability`` adds the integer numerators into one over
 4 * 2|V| (a classical strategy's win bits over 2|V|).  Both flavors raise
 ``CoverageError``, as the verifiers do, for a signing of other lines than
 the board's or a strategy with an entry missing or off the board, from
@@ -62,7 +67,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 from pseudotelepathy.arrangement import (
     Arrangement,
@@ -76,9 +81,8 @@ from pseudotelepathy.pauli import (
     DimensionMismatch,
     PauliOperator,
     Row,
+    line_product,
     multiply_rows,
-    rows_commute,
-    transpose_row,
 )
 from pseudotelepathy.realization import QuantumRealization
 
@@ -294,7 +298,8 @@ def _check_coverage(strategy, a: Arrangement, s: Signing, lines) -> None:
     against the board's lines; entries missing on ``lines``, (id, members)
     pairs (an operator or Alice's color, then Bob's coloring); ids off the
     board (operators or Alice's colors, Bob's lines, then Bob's colorings of
-    ``lines``).  Board-wide checks compare key sets: O(|V|) lookups in C."""
+    every line, not only of ``lines``).  Board-wide checks compare key sets,
+    O(|V|) lookups in C, and each of Bob's colorings one set of its line."""
     board, signed = a._member_map.keys(), s._sign_map.keys()
     if board != signed:
         raise CoverageError(f"no sign for lines {sorted(board - signed)}" if board - signed
@@ -313,10 +318,10 @@ def _check_coverage(strategy, a: Arrangement, s: Signing, lines) -> None:
     if not bob.keys() <= board:
         raise CoverageError(f"colorings from Bob for ids that are not lines "
                             f"{sorted(bob.keys() - board)}")
-    for e, members in played:  # bob[e] holds the members, so only its count can differ
-        if len(bob[e]) != len(members):
+    for e, coloring in bob.items():
+        if extra := coloring.keys() - set(a.members(e)):
             raise CoverageError(f"colors from Bob on line {e!r} for ids that are not its "
-                                f"members {sorted(bob[e].keys() - set(members))}")
+                                f"members {sorted(extra)}")
 
 
 @dataclass(frozen=True)
@@ -435,42 +440,38 @@ def _classical_wins(strategy: ClassicalStrategy, a: Arrangement, s: Signing,
     return wins
 
 
-def _line_rows(strategy: QuantumStrategy, hyperedge: str,
-               members: tuple[str, ...]) -> list[Row]:
-    """The rows of the line's operators, in member order, once each operator
-    in turn is on ``n_qubits`` qubits and an observable (``_row``'s checks)
-    and every two commute; otherwise ``DimensionMismatch`` or ``ValueError``."""
-    n = strategy.realization.n_qubits
-    rows = [_row(strategy.realization.operator(u), ALICE, n) for u in members]
-    for i, p in enumerate(rows):
-        for q in rows[i + 1:]:
-            if not rows_commute(p, q):
-                raise ValueError(f"operators on line {hyperedge!r} do not pairwise commute")
-    return rows
-
-
 def _line_numerators(strategy: QuantumStrategy, s: Signing, hyperedge: str,
                      members: tuple[str, ...]) -> list[int]:
-    """4 times the win probability of each query of the line, in member
-    order (``exact_line_win_probabilities``)."""
-    rows = _line_rows(strategy, hyperedge, members)
-    bob = rows if strategy.literal else [transpose_row(row) for row in rows]
-    bob_all = reduce(multiply_rows, bob)
-    sign = s.sign(hyperedge)
-    every = sign * _correlator(bob_all)
-    numerators = []
-    for row, bob_v in zip(rows, bob):
-        agree = multiply_rows(transpose_row(row), bob_v)
-        numerators.append(1 + every + _correlator(agree)
-                          + sign * _correlator(multiply_rows(agree, bob_all)))
-    return numerators
+    """(1 + s c)(1 + t_v) (module docstring) for each member v in order, once
+    its operators pass ``_row``'s checks in turn and commute (``ValueError``)."""
+    n = strategy.realization.n_qubits
+    rows = [_row(strategy.realization.operator(u), ALICE, n) for u in members]
+    product = line_product(rows)
+    if product is None:
+        raise ValueError(f"operators on line {hyperedge!r} do not pairwise commute")
+    x, z, k = product  # commuting observables, so k is 0 or 2 for +-I
+    twice = 2 + 2 * s.sign(hyperedge) * (0 if x | z else 1 - k)  # (1 + s c)(1 + 1)
+    if not strategy.literal:
+        return [twice] * len(rows)
+    return [0 if (rx & rz).bit_count() & 1 else twice for rx, rz, _ in rows]
 
 
-def _correlator(p: Row) -> int:
-    """Tr(P) / 2^n of a Pauli observable row: +-1 for +-I, otherwise 0."""
-    if p[0] | p[1]:
-        return 0
-    return 1 if p[2] == 0 else -1
+def _exact_lines(strategy, a: Arrangement, s: Signing, lines) -> dict[str, dict[str, Fraction]]:
+    """Each query's win probability on ``lines``, (id, members) pairs, by line
+    and vertex: one ``_check_coverage`` or one ``_classical_wins`` pass."""
+    if isinstance(strategy, ClassicalStrategy):
+        return {e: {v: Fraction(won) for v, won in wins.items()}
+                for e, wins in _classical_wins(strategy, a, s, lines).items()}
+    _check_coverage(strategy, a, s, lines)
+    return {e: {v: Fraction(n, 4)
+                for v, n in zip(members, _line_numerators(strategy, s, e, members))}
+            for e, members in lines}
+
+
+def exact_win_probabilities(strategy, a: Arrangement,
+                            s: Signing) -> dict[str, dict[str, Fraction]]:
+    """Win probability of every query, by line and vertex, in one game."""
+    return _exact_lines(strategy, a, s, a.hyperedges)
 
 
 def exact_line_win_probabilities(
@@ -484,30 +485,27 @@ def exact_line_win_probabilities(
     outcomes has the expectation of the product operator; on the maximally
     entangled state <P (x) Q> = Tr(P^T Q) / 2^n.  Hence
 
-        P(win) = (1 + s<I (x) prod B_u> + <A (x) B_v> + s<A (x) prod_{u != v} B_u>) / 4,
+        P(win) = (1 + s<I (x) prod B_u> + <A_v (x) B_v> + s<A_v (x) prod_{u != v} B_u>) / 4,
 
-    where prod_{u != v} B_u = B_v prod B_u, as each B_u squares to I.  Each
-    correlator is the trace of a product of Pauli rows (``multiply_rows``),
-    0 or +-1, so a query's win probability is an integer numerator over 4.
-    The line's operators are read and checked once, and prod B_u formed
-    once, for all of its queries; the line builds one ``Fraction`` per query.
-    A line off the board, or a gap (``_check_coverage``), raises ``CoverageError``.
+    where prod_{u != v} B_u = B_v prod B_u, as each B_u squares to I.  For
+    B_u = T(A_u), the transpose, T(A_v) T(A_v) = I, prod T(A_u) = T(prod A_u)
+    for commuting rows and T keeps +-I, so each correlator but the first is
+    c = <prod A_u>, 0 or +-1, and P(win) = (1 + s c)(1 + 1) / 4.  Played
+    ``literal``, B_u = A_u and T(A_v) A_v = t_v I, t_v = (-1)^(number of Y
+    letters of A_v), so P(win) = (1 + s c + t_v + s t_v c) / 4 =
+    (1 + s c)(1 + t_v) / 4.  One ``pauli.line_product`` serves every query
+    of the line.  Only this line's entries must be held; a line off the
+    board, a gap on it, or an id off the board raises ``CoverageError``.
     """
     if hyperedge not in a._member_map:
         raise CoverageError(f"no line {hyperedge!r} on the board")
-    members = a.members(hyperedge)
-    if isinstance(strategy, ClassicalStrategy):
-        wins = _classical_wins(strategy, a, s, [(hyperedge, members)])[hyperedge]
-        return {v: Fraction(won) for v, won in wins.items()}
-    _check_coverage(strategy, a, s, [(hyperedge, members)])
-    return {v: Fraction(n, 4)
-            for v, n in zip(members, _line_numerators(strategy, s, hyperedge, members))}
+    return _exact_lines(strategy, a, s, [(hyperedge, a.members(hyperedge))])[hyperedge]
 
 
 def exact_query_win_probability(
     strategy, a: Arrangement, s: Signing, query: Query
 ) -> Fraction:
-    """Win probability of one query, from Pauli correlators; a vertex that
+    """Win probability of one query, from its line's product; a vertex that
     is not on the query's line raises ``CoverageError``."""
     line = exact_line_win_probabilities(strategy, a, s, query.hyperedge)
     if query.vertex not in line:
@@ -516,10 +514,9 @@ def exact_query_win_probability(
 
 
 def exact_win_probability(strategy, a: Arrangement, s: Signing) -> Fraction:
-    """Average over all queries of the exact per-query win probability: one
-    ``Fraction`` of the integer numerators of every line, once
-    ``_check_coverage`` passes, over 4 * 2|V|, or of the win bits of
-    ``_classical_wins`` (it checks coverage on a gap) over 2|V|."""
+    """The average of every query's win probability from the same game as
+    ``exact_win_probabilities``: one ``Fraction`` of the integer numerators
+    over 4 * 2|V|, or of a classical strategy's win bits over 2|V|."""
     if isinstance(strategy, ClassicalStrategy):
         wins = _classical_wins(strategy, a, s, a.hyperedges).values()
         return Fraction(sum(sum(line.values()) for line in wins), 2 * len(a.vertices))

@@ -147,6 +147,21 @@ def rows_commute(p: Row, q: Row) -> bool:
     return not ((p[0] & q[1]) ^ (p[1] & q[0])).bit_count() & 1
 
 
+def line_product(rows: Iterable[Row]) -> Row | None:
+    """The product of a line's rows in order, or None if two anticommute;
+    a +-I row (x | z == 0) commutes with every row and adds only its phase."""
+    product, phase, moved = (0, 0, 0), 0, []
+    for row in rows:
+        if not row[0] | row[1]:
+            phase += row[2]
+        elif all(rows_commute(p, row) for p in moved):
+            moved.append(row)
+            product = multiply_rows(product, row)
+        else:
+            return None
+    return product[0], product[1], (product[2] + phase) % 4
+
+
 def multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
     """Group product p*q with exact phase tracking."""
     _check_same_width(p, q)

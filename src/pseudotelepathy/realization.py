@@ -20,7 +20,7 @@ certificate plus a classical realization of the all-plus signing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 
 from pseudotelepathy.arrangement import (
     Arrangement,
@@ -38,8 +38,7 @@ from pseudotelepathy.pauli import (
     PauliOperator,
     from_string,
     identity,
-    multiply_rows,
-    rows_commute,
+    line_product,
 )
 from pseudotelepathy.planarity import K5, K33, KuratowskiWitness, test_planarity
 
@@ -96,17 +95,14 @@ class MagicVerdict:
     classical: ClassicalRealization | None = None
 
 
-_SIGN_EXPONENT = {1: 0, -1: 2}  # the phase exponent of the line product sign * I
-
-
 def verify_realization(a: Arrangement, s: Signing, r: QuantumRealization) -> bool:
     """Exact symbolic check of every realization invariant; no tolerances.
 
-    Commutation is checked before the line product so that a failure is
-    attributed to the right axiom (with commuting members, the stored member
-    order cannot change the product).  Both are integer arithmetic on the
-    operators' Pauli rows; a line holds iff its product is +I (phase
-    exponent 0) for sign +1 and -I (exponent 2) for sign -1.  Raises
+    Each line goes through ``pauli.line_product``, as in the exact game: it
+    tests commutation among the line's non-identity rows only (a +-I row
+    commutes with everything) and multiplies the rows in member order.  A
+    line holds iff its rows commute and multiply to +I (phase exponent
+    1 - sign = 0) for sign +1 and -I (exponent 2) for sign -1.  Raises
     :class:`CoverageError` when r misses a vertex or names an id that is not one.
     """
     ops = r.as_dict()
@@ -115,19 +111,11 @@ def verify_realization(a: Arrangement, s: Signing, r: QuantumRealization) -> boo
         raise CoverageError(f"no operator for vertices {sorted(missing)}")
     if extra:
         raise CoverageError(f"operators for ids that are not vertices {sorted(extra)}")
-    for v, op in ops.items():
-        if op.n_qubits != r.n_qubits or not op.is_observable():
-            return False
-    rows = {v: op.row for v, op in ops.items()}
-    signs = s.as_dict()
+    if any(op.n_qubits != r.n_qubits or not op.is_observable() for op in ops.values()):
+        return False
+    rows, signs = {v: op.row for v, op in ops.items()}, s.as_dict()
     for eid, members in a.hyperedges:
-        line = [rows[v] for v in members]
-        for i, p in enumerate(line):
-            for q in line[i + 1:]:
-                if not rows_commute(p, q):
-                    return False
-        x, z, k = reduce(multiply_rows, line, (0, 0, 0))
-        if x | z or k != _SIGN_EXPONENT.get(signs[eid]):
+        if line_product([rows[v] for v in members]) != (0, 0, 1 - signs[eid]):
             return False
     return True
 

@@ -28,6 +28,7 @@ from pseudotelepathy import (
     cli,
     game,
     intersection,
+    pauli,
     planarity,
     realization,
 )
@@ -125,7 +126,8 @@ def count_calls(monkeypatch, name: str, module) -> list:
         calls.append(args)
         return real(*args)
 
-    for mod in (arrangement, certificate, cli, game, intersection, planarity, realization):
+    for mod in (arrangement, certificate, cli, game, intersection, pauli, planarity,
+                realization):
         if getattr(mod, name, None) is real:
             monkeypatch.setattr(mod, name, counted)
     return calls
@@ -958,9 +960,10 @@ def _operator_trace(p: PauliOperator) -> int:
 
 def oracle_exact_line_win_probabilities(strategy, a: Arrangement, s: Signing,
                                         hyperedge: str) -> dict[str, Fraction]:
-    """Win probability of every query on one line, from ``PauliOperator``
-    correlators and one ``Fraction`` sum per query: the library's formula
-    (``game.exact_line_win_probabilities``) in group-element arithmetic."""
+    """Win probability of every query on one line, from three ``PauliOperator``
+    correlators and one ``Fraction`` sum per query: the expansion from which
+    ``game.exact_line_win_probabilities`` derives its line-product identity,
+    in group-element arithmetic."""
     members = a.members(hyperedge)
     if isinstance(strategy, ClassicalStrategy):
         wins = _classical_wins(strategy, a, s, [(hyperedge, members)])[hyperedge]

@@ -30,6 +30,7 @@ from pseudotelepathy import (
     arrangement,
     certificate,
     cli,
+    game,
     intersection,
     planarity,
     realization,
@@ -260,6 +261,18 @@ class TestSimulate:
         payload = json.loads(out)
         assert payload["win_probability"] == 17 / 18
         assert sorted(payload["per_query_breakdown"].values()) == [0.0] + [1.0] * 17
+
+    @pytest.mark.parametrize("strategy, checks", [("quantum", 1), ("classical", 0)])
+    def test_exact_checks_coverage_once(self, capsys, monkeypatch, strategy, checks):
+        """One board-wide game, not one per line: a quantum strategy's one
+        coverage check, or a classical one's one win-bit pass (which checks
+        coverage only on a gap)."""
+        coverage = count_calls(monkeypatch, "_check_coverage", game)
+        passes = count_calls(monkeypatch, "_classical_wins", game)
+        code, _, _ = invoke(capsys, "simulate", "--arrangement", str(BOARDS / "square.json"),
+                            "--strategy", strategy, "--exact")
+        assert code == 0
+        assert (len(coverage), len(passes)) == (checks, 1 - checks)
 
     def test_exact_classical_even_board_wins(self, capsys):
         code, out, _ = invoke(capsys, "simulate", "--arrangement",

@@ -18,13 +18,16 @@ from hypothesis import strategies as st
 from helpers import (
     TAMPERS,
     SharedState,
+    board_from_graph,
     board_json,
     corpus,
+    count_calls,
     dense_matrix,
     dense_measure,
     dense_play_quantum,
     exhaustive_classical_maximum,
     flip_one_line,
+    grid_edges,
     odd_y_board,
     oracle_corpus,
     oracle_exact_line_win_probabilities,
@@ -32,11 +35,12 @@ from helpers import (
     outcome,
     quiet_random_arrangement,
     random_signing,
+    realized,
     tampered_realization,
     triangle_board,
 )
 import pseudotelepathy
-from pseudotelepathy import game
+from pseudotelepathy import game, pauli, realization
 from pseudotelepathy.arrangement import (
     Signing,
     all_plus_signing,
@@ -58,6 +62,7 @@ from pseudotelepathy.game import (
     classical_value,
     exact_line_win_probabilities,
     exact_query_win_probability,
+    exact_win_probabilities,
     exact_win_probability,
     measure,
     monte_carlo,
@@ -550,6 +555,30 @@ class TestExactOracle:
                 assert all(type(p) is Fraction for p in line[1].values())
 
 
+class TestExactWinProbabilities:
+    """Every query's ``Fraction`` of the board from one call: the oracle's,
+    line by line, with the board-level call's value or exception."""
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(st.data())
+    def test_matches_the_oracle_and_the_board_level_call(self, data):
+        a, s, r = data.draw(st.sampled_from(oracle_corpus()))
+        kind = data.draw(st.sampled_from(EXACT_KINDS))
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        strategy, signing = exact_case(kind, rng, a, s, r)
+        total = outcome(exact_win_probability, strategy, a, signing)
+        lines = outcome(exact_win_probabilities, strategy, a, signing)
+        if total[0] == "raised":
+            assert lines == total
+            return
+        assert lines[1] == {e: oracle_exact_line_win_probabilities(strategy, a, signing, e)
+                            for e in a.hyperedge_ids()}
+        assert all(type(p) is Fraction for line in lines[1].values() for p in line.values())
+        queries = [line[v] for line in lines[1].values() for v in line]
+        assert len(queries) == 2 * len(a.vertices)
+        assert sum(queries) / len(queries) == total[1]
+
+
 class TestOrderIndependence:
     def test_bob_measurement_order_immaterial(self):
         a, s, r = builtin_square()
@@ -994,6 +1023,22 @@ class TestCoverage:
         with pytest.raises(CoverageError, match=message):
             exact_line_win_probabilities(strategy, a, s, "r2")
 
+    def test_one_line_game_refuses_bob_colors_off_another_line(self):
+        """Bob's colorings of every line are checked, not only the played line's."""
+        a, s, _ = builtin_square()
+        optimal = ClassicalStrategy.optimal(a, s)
+        bob = {e: dict(c) for e, c in optimal.bob}
+        bob["c1"]["ghost"] = 1
+        strategy = ClassicalStrategy.from_maps(dict(optimal.alice), bob)
+        message = r"^colors from Bob on line 'c1' for ids that are not its members \['ghost'\]$"
+        for play in (lambda: monte_carlo(strategy, a, s, 10, 0),
+                     lambda: exact_win_probability(strategy, a, s),
+                     lambda: exact_win_probabilities(strategy, a, s),
+                     lambda: exact_line_win_probabilities(strategy, a, s, "r2"),
+                     lambda: exact_query_win_probability(strategy, a, s, Query("21", "r2"))):
+            with pytest.raises(CoverageError, match=message):
+                play()
+
     def test_one_line_game_needs_every_sign(self):
         a, s, r = builtin_square()
         short = Signing.from_dict({e: sign for e, sign in s.signs if e != "c1"})
@@ -1047,6 +1092,54 @@ def test_game_translates_no_lookup_failure():
     assert functions and all(h.type for h in handlers)
     assert caught.isdisjoint({"KeyError", "LookupError", "Exception", "BaseException"})
     assert decorators <= {"lru_cache"}
+
+
+def module_names(module) -> set[str]:
+    """Every name a module's source reads, imports or looks up as an attribute."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+            | {n.name for n in ast.walk(tree) if isinstance(n, ast.alias)})
+
+
+def test_line_checks_share_one_product_rule():
+    """The exact game and ``verify_realization`` test a line's commutation
+    and product only through ``pauli.line_product``."""
+    for module in (game, realization):
+        names = module_names(module)
+        assert "line_product" in names
+        assert names.isdisjoint({"rows_commute", "transpose_row"}), module.__name__
+
+
+class TestLineProductRule:
+    """``pauli.line_product`` tests commutation among a line's non-identity
+    rows only: a +-I row commutes with every row."""
+
+    @staticmethod
+    def counts(monkeypatch, a, s, r) -> tuple[int, int]:
+        """``rows_commute`` calls of ``verify_realization`` and of the exact game."""
+        calls = count_calls(monkeypatch, "rows_commute", pauli)
+        assert verify_realization(a, s, r)
+        verified = len(calls)
+        assert exact_win_probability(QuantumStrategy(r), a, s) == 1
+        return verified, len(calls) - verified
+
+    def test_identity_realization_tests_no_pair(self, monkeypatch):
+        ((a, s, r),) = realized([(board_from_graph(grid_edges(4)), None)])
+        assert r.n_qubits == 1 and all(not op.x | op.z for _, op in r.operators)
+        assert self.counts(monkeypatch, a, s, r) == (0, 0)
+
+    def test_square_tests_every_pair(self, monkeypatch):
+        assert self.counts(monkeypatch, *builtin_square()) == (18, 18)  # 3 pairs x 6 lines
+
+    def test_transferred_board_tests_pairs_of_non_identity_rows(self, monkeypatch):
+        a, s, r = next((a, s, r) for a, s, r in oracle_corpus()
+                       if r.n_qubits > 1 and len(a.vertices) > 9)
+        ops = r.as_dict()
+        moved = [sum(1 for v in members if ops[v].x | ops[v].z) for _, members in a.hyperedges]
+        pairs = sum(k * (k - 1) // 2 for k in moved)
+        assert pairs < sum(len(m) * (len(m) - 1) // 2 for _, m in a.hyperedges)
+        assert self.counts(monkeypatch, a, s, r) == (pairs, pairs)
 
 
 class TestClassicalLineWins:

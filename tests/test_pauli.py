@@ -14,6 +14,7 @@ from pseudotelepathy.pauli import (
     commutes,
     from_string,
     identity,
+    line_product,
     multiply,
     product_of,
     state_action,
@@ -125,6 +126,28 @@ class TestProductOf:
     def test_xzxz(self):
         ops = [from_string(s) for s in ("X", "Z", "X", "Z")]
         assert product_of(ops) == identity(1).negate()
+
+
+class TestLineProduct:
+    def test_matches_pairwise_commutation_and_the_product(self):
+        """None iff two rows anticommute, otherwise the ordered product, with
+        +-I and +-iI rows mixed in."""
+        rng = random.Random(37)
+        for _ in range(500):
+            n = rng.randrange(1, 4)
+            pool = ([random_pauli(rng, n) for _ in range(3)] if rng.random() < 0.5
+                    else [PauliOperator(n, rng.randrange(4), 0, rng.randrange(1 << n))
+                          for _ in range(3)])  # Z words only: they all commute
+            ops = [PauliOperator(n, rng.randrange(4), 0, 0) if rng.random() < 0.4
+                   else rng.choice(pool) for _ in range(rng.randrange(1, 6))]
+            commuting = all(commutes(p, q) for i, p in enumerate(ops) for q in ops[i + 1:])
+            expected = product_of(ops).row if commuting else None
+            assert line_product([op.row for op in ops]) == expected
+
+    def test_identity_rows_add_only_their_phase(self):
+        ops = [from_string(w) for w in ("-II", "XZ", "iII", "ZX", "-II")]
+        assert line_product([op.row for op in ops]) == product_of(ops).row
+        assert line_product([from_string(w).row for w in ("X", "-I", "Z")]) is None
 
 
 class TestDense:
